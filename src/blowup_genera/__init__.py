@@ -54,7 +54,6 @@ from .genera import (
 from .partitions import (
     BlowupFixedPoint,
     Box,
-    FixedPointCache,
     LatticeVector,
     Partition,
     PartitionTuple,

@@ -314,7 +314,4 @@ def theta_limit_factor(c: Character, spec: Specialization):
         elif w.den > w.num:
             y_exp += m
         # den < num contributes the factor 1
-    base = _theta_product(factors, spec)
-    if spec.symbolic:
-        return YRat(YPoly.monomial(y_exp)) * base
-    return spec.y0**y_exp * base
+    return spec.y_power(y_exp) * _theta_product(factors, spec)

@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Machine-readable JSON goes to stdout (or --output); human-readable
-progress goes to stderr via logging.  All randomness flows from explicit
-seeds (default base 1729, seeds base..base+count-1), so identical
+Machine-readable JSON goes to stdout (or --output); the verification
+commands log progress to stderr with --verbose.  All randomness flows from
+explicit seeds (default base 1729, seeds base..base+count-1), so identical
 invocations produce identical outputs; wall-clock timing is only included
-when --timing is passed.  Exit codes: 0 success or pass, 1 verification
-failure, 2 usage error.
+when --timing is passed.  Each subcommand accepts only the flags it
+honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
+error, including an unknown, conflicting or unused flag.
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from fractions import Fraction
 
 from .blowup_factor import yk_euler, yk_gottsche, yk_hol, yk_main
 from .coefficients import sample_specialization
 from .genera import SeriesRequest, series_report
-from .partitions import FixedPointCache
 from .verify import (
     DEFAULT_SEED_BASE,
+    DEFAULT_SEED_COUNT,
     default_order,
     default_seeds,
     verify_corollary,
@@ -31,36 +31,44 @@ from .verify import (
     verify_rank1_identity,
 )
 
-CACHE_ENV_VAR = "BLOWUP_GENERA_CACHE"
 
-logger = logging.getLogger("blowup_genera")
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _output_flags(p: argparse.ArgumentParser, timing: bool = True) -> None:
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (results are independent of this)")
-    p.add_argument("--timing", action="store_true", help="include wall-clock time in the JSON output")
+    if timing:
+        p.add_argument(
+            "--timing", action="store_true", help="include wall-clock time in the JSON output"
+        )
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(","))
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--cache-dir",
-        default=os.environ.get(CACHE_ENV_VAR),
-        help=f"fixed-point cache directory (env {CACHE_ENV_VAR})",
+        "--seeds", type=int, help=f"number of specializations (default {DEFAULT_SEED_COUNT})"
     )
-    p.add_argument("--verbose", action="store_true", help="log progress to stderr")
-
-
-def _seed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=int, default=5, help="number of specializations")
-    p.add_argument("--seed-base", type=int, default=DEFAULT_SEED_BASE)
-    p.add_argument("--seed-list", help="comma-separated explicit seeds, overrides --seeds")
+    p.add_argument("--seed-base", type=int, help=f"first seed (default {DEFAULT_SEED_BASE})")
+    p.add_argument(
+        "--seed-list",
+        type=_seed_list,
+        help="comma-separated explicit seeds, instead of --seeds/--seed-base",
+    )
+    p.add_argument("--verbose", action="store_true", help="log progress and reseeds to stderr")
+    _output_flags(p)
 
 
 def _series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED_BASE)
-    p.add_argument("--max-n", type=int, help="diagram-weight cutoff")
-    p.add_argument("--order", type=int, help="target q-order (alternative to --max-n)")
+    cutoff = p.add_mutually_exclusive_group(required=True)
+    cutoff.add_argument("--max-n", type=int, help="diagram-weight cutoff")
+    cutoff.add_argument("--order", type=int, help="target q-order")
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
     p.add_argument("--y-mode", choices=("symbolic", "numeric"), default="symbolic")
-    p.add_argument("--y0", default="1", help="rational y value for numeric mode, e.g. 1 or 2/3")
+    p.add_argument(
+        "--y0", type=Fraction, help="rational y value, e.g. 2/3; numeric y mode only (default 1)"
+    )
+    _output_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,20 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute-z", help="plane moduli generating series")
     p.add_argument("--rank", type=int, required=True)
     _series_flags(p)
-    _common_flags(p)
 
     p = sub.add_parser("compute-zhat", help="blow-up moduli generating series")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     _series_flags(p)
-    _common_flags(p)
 
     p = sub.add_parser("compute-yk", help="universal blow-up factor")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--form", choices=("main", "gottsche", "euler", "hol"), default="main")
-    _common_flags(p)
+    _output_flags(p, timing=False)
 
     p = sub.add_parser("compute-w", help="rank-one hook series")
     p.add_argument("--order", type=int, required=True)
@@ -94,38 +100,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--substitution", choices=("identity", "t2/t1", "t1/t2"), default="identity"
     )
-    _common_flags(p)
+    _output_flags(p, timing=False)
 
     p = sub.add_parser("verify-blowup", help="main blow-up identity zhat = yk * z")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=int)
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
-    _seed_flags(p)
-    _common_flags(p)
+    _verify_flags(p)
 
     p = sub.add_parser("verify-rank1", help="rank-one infinite-product identity")
     p.add_argument("--order", type=int, default=8)
-    _seed_flags(p)
-    _common_flags(p)
+    _verify_flags(p)
 
     p = sub.add_parser("verify-corollary", help="Euler and holomorphic branches")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=int)
-    _seed_flags(p)
-    _common_flags(p)
+    _verify_flags(p)
 
     p = sub.add_parser("verify-limits", help="equivariant vs limit mode quotients")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=int)
-    _seed_flags(p)
-    _common_flags(p)
+    _verify_flags(p)
 
     p = sub.add_parser("verify-all", help="the documented default verification grid")
-    _seed_flags(p)
-    _common_flags(p)
+    _verify_flags(p)
 
     return parser
 
@@ -139,10 +140,15 @@ def _emit(payload: dict, args) -> None:
         print(text)
 
 
-def _seeds_from(args) -> tuple[int, ...]:
-    if getattr(args, "seed_list", None):
-        return tuple(int(s) for s in args.seed_list.split(","))
-    return default_seeds(args.seeds, args.seed_base)
+def _seeds_from(parser, args) -> tuple[int, ...]:
+    if args.seed_list is None:
+        return default_seeds(
+            DEFAULT_SEED_COUNT if args.seeds is None else args.seeds,
+            DEFAULT_SEED_BASE if args.seed_base is None else args.seed_base,
+        )
+    if args.seeds is not None or args.seed_base is not None:
+        parser.error("--seed-list cannot be combined with --seeds or --seed-base")
+    return args.seed_list
 
 
 def _check_k(parser, r: int, k: int) -> None:
@@ -150,19 +156,18 @@ def _check_k(parser, r: int, k: int) -> None:
         parser.error(f"--k must satisfy 0 <= k < rank, got k={k}, rank={r}")
 
 
-def _max_n_from(parser, args, r: int, k: int = 0) -> int:
+def _max_n_from(args, r: int, k: int = 0) -> int:
     if args.max_n is not None:
         return args.max_n
-    if args.order is not None:
-        return max(-(-(args.order - k * (r - k)) // (2 * r)), 0)
-    parser.error("one of --max-n or --order is required")
+    return max(-(-(args.order - k * (r - k)) // (2 * r)), 0)
 
 
-def _series_request(args, r: int, k: int = 0) -> SeriesRequest:
-    y0 = None if args.y_mode == "symbolic" else Fraction(args.y0)
-    spec = sample_specialization(r, args.seed, y0)
-    cache = FixedPointCache(args.cache_dir) if args.cache_dir else None
-    return spec, cache
+def _specialization(parser, args, r: int):
+    if args.y_mode == "symbolic":
+        if args.y0 is not None:
+            parser.error("--y0 requires --y-mode numeric")
+        return sample_specialization(r, args.seed)
+    return sample_specialization(r, args.seed, Fraction(1) if args.y0 is None else args.y0)
 
 
 def main(argv=None) -> int:
@@ -175,22 +180,18 @@ def main(argv=None) -> int:
     )
 
     if args.command == "compute-z":
-        max_n = _max_n_from(parser, args, args.rank)
-        spec, cache = _series_request(args, args.rank)
         req = SeriesRequest(
-            rank=args.rank, max_n=max_n, spec=spec, k=0, mode=args.mode,
-            cache=cache, threads=args.threads,
+            rank=args.rank, max_n=_max_n_from(args, args.rank),
+            spec=_specialization(parser, args, args.rank), k=0, mode=args.mode,
         )
         _emit(series_report("z", req, include_timing=args.timing), args)
         return 0
 
     if args.command == "compute-zhat":
         _check_k(parser, args.rank, args.k)
-        max_n = _max_n_from(parser, args, args.rank, args.k)
-        spec, cache = _series_request(args, args.rank)
         req = SeriesRequest(
-            rank=args.rank, max_n=max_n, spec=spec, k=args.k, mode=args.mode,
-            cache=cache, threads=args.threads,
+            rank=args.rank, max_n=_max_n_from(args, args.rank, args.k),
+            spec=_specialization(parser, args, args.rank), k=args.k, mode=args.mode,
         )
         _emit(series_report("zhat", req, include_timing=args.timing), args)
         return 0
@@ -239,31 +240,32 @@ def main(argv=None) -> int:
         _check_k(parser, args.rank, args.k)
         order = args.order if args.order is not None else default_order(args.rank, args.k)
         report = verify_main_theorem(
-            args.rank, args.k, order, _seeds_from(args), mode=args.mode,
-            threads=args.threads,
+            args.rank, args.k, order, _seeds_from(parser, args), mode=args.mode
         )
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
     if args.command == "verify-rank1":
-        report = verify_rank1_identity(args.order, _seeds_from(args))
+        report = verify_rank1_identity(args.order, _seeds_from(parser, args))
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
     if args.command == "verify-corollary":
         _check_k(parser, args.rank, args.k)
-        report = verify_corollary(args.rank, args.k, args.order, _seeds_from(args))
+        report = verify_corollary(args.rank, args.k, args.order, _seeds_from(parser, args))
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
     if args.command == "verify-limits":
         _check_k(parser, args.rank, args.k)
-        report = verify_limit_consistency(args.rank, args.k, args.order, _seeds_from(args))
+        report = verify_limit_consistency(
+            args.rank, args.k, args.order, _seeds_from(parser, args)
+        )
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
     if args.command == "verify-all":
-        seeds = _seeds_from(args)
+        seeds = _seeds_from(parser, args)
         reports = [verify_rank1_identity(8, seeds[:3])]
         for r in (1, 2, 3):
             for k in range(r):

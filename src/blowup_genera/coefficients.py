@@ -426,6 +426,12 @@ class Specialization:
     def symbolic(self) -> bool:
         return self.y0 is None
 
+    def y_power(self, exp: int):
+        """y**exp in this y mode: a YRat monomial, or a Fraction for numeric y."""
+        if self.symbolic:
+            return YRat(YPoly.monomial(exp))
+        return self.y0**exp
+
 
 def sample_specialization(r: int, seed: int, y0: Fraction | None = None) -> Specialization:
     """Deterministic specialization for (r, seed); same inputs, same output.

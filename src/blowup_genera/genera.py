@@ -6,27 +6,17 @@ q^(2r(|Y|+|Z|) + pair_form).  Both run in equivariant mode (full theta
 evaluation) or limit mode (exact ordered e -> 0 case table), and limit
 mode has the independent closed form z_series_limit_closed built from the
 rank-one series raised to the r-th power.
-
-Contributions per fixed point are pure, so they may be computed on any
-number of threads; the exact coefficient field makes the accumulated sum
-independent of the ordering.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .characters import Character, tangent_blowup, tangent_p2, theta_eval, theta_limit_factor
 from .coefficients import Specialization
-from .partitions import (
-    FixedPointCache,
-    blowup_virtual_dim,
-    enumerate_blowup_fixed_points,
-    enumerate_tuples,
-)
+from .partitions import blowup_virtual_dim, enumerate_blowup_fixed_points, enumerate_tuples
 from .qseries import QSeries
 from .rank1 import w_series
 
@@ -43,11 +33,9 @@ class SeriesRequest:
     spec: Specialization
     k: int = 0
     mode: str = EQUIVARIANT
-    cache: Optional[FixedPointCache] = field(default=None, compare=False)
     tangent_transform: Optional[Callable[[Character], Character]] = field(
         default=None, compare=False
     )
-    threads: int = 1
 
     def __post_init__(self):
         if self.rank < 1:
@@ -69,28 +57,11 @@ def _contribution(req: SeriesRequest, char: Character):
 
 
 def _accumulate(req: SeriesRequest, chars):
-    """Sum contributions in enumeration order regardless of thread count."""
-    if req.threads > 1:
-        with ThreadPoolExecutor(max_workers=req.threads) as pool:
-            values = list(pool.map(lambda c: _contribution(req, c), chars))
-    else:
-        values = [_contribution(req, c) for c in chars]
+    """Sum contributions in enumeration order."""
     acc = 0
-    for v in values:
-        acc = acc + v
+    for c in chars:
+        acc = acc + _contribution(req, c)
     return acc
-
-
-def _p2_points(req: SeriesRequest, n: int):
-    if req.cache is not None:
-        return req.cache.tuples(req.rank, n)
-    return enumerate_tuples(req.rank, n)
-
-
-def _blowup_points(req: SeriesRequest, n: int):
-    if req.cache is not None:
-        return req.cache.blowup_points(req.rank, req.k, n)
-    return enumerate_blowup_fixed_points(req.rank, req.k, n)
 
 
 def z_series(req: SeriesRequest) -> QSeries:
@@ -102,7 +73,7 @@ def z_series(req: SeriesRequest) -> QSeries:
     terms = {}
     for n in range(req.max_n + 1):
         terms[2 * r * n] = _accumulate(
-            req, [tangent_p2(fp) for fp in _p2_points(req, n)]
+            req, [tangent_p2(fp) for fp in enumerate_tuples(r, n)]
         )
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
@@ -120,7 +91,7 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     for n in range(req.max_n + 1):
         exp = blowup_virtual_dim(r, k, n)
         terms[exp] = _accumulate(
-            req, [tangent_blowup(fp) for fp in _blowup_points(req, n)]
+            req, [tangent_blowup(fp) for fp in enumerate_blowup_fixed_points(r, k, n)]
         )
     return QSeries.from_terms(terms, blowup_virtual_dim(r, k, req.max_n) + 1)
 
@@ -139,17 +110,9 @@ def z_series_limit_closed(req: SeriesRequest) -> QSeries:
     order = 2 * r * req.max_n + 1
     terms = {}
     for m, c in w.items():
-        terms[2 * r * m] = _y_power(req.spec, (r - 1) * m) * c
+        terms[2 * r * m] = req.spec.y_power((r - 1) * m) * c
     mapped = QSeries.from_terms(terms, order)
     return mapped**r
-
-
-def _y_power(spec: Specialization, exp: int):
-    from .coefficients import YPoly, YRat
-
-    if spec.symbolic:
-        return YRat(YPoly.monomial(exp))
-    return spec.y0**exp
 
 
 def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) -> dict:
@@ -158,12 +121,15 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
     if kind == "z":
         series = z_series(req)
         counts = {
-            str(2 * req.rank * n): len(_p2_points(req, n)) for n in range(req.max_n + 1)
+            str(2 * req.rank * n): len(enumerate_tuples(req.rank, n))
+            for n in range(req.max_n + 1)
         }
     elif kind == "zhat":
         series = zhat_series(req)
         counts = {
-            str(blowup_virtual_dim(req.rank, req.k, n)): len(_blowup_points(req, n))
+            str(blowup_virtual_dim(req.rank, req.k, n)): len(
+                enumerate_blowup_fixed_points(req.rank, req.k, n)
+            )
             for n in range(req.max_n + 1)
         }
     else:
@@ -180,7 +146,6 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
             "seed": req.spec.seed,
             "y_mode": "symbolic" if req.spec.symbolic else f"numeric:{req.spec.y0}",
             "prng": "splitmix64",
-            "threads": req.threads,
         },
         "series": series.to_json(),
         "fixed_point_counts": counts,

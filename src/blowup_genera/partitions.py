@@ -4,8 +4,8 @@ Torus fixed points of the rank-r framed moduli on the plane are r-tuples
 of Young diagrams.  On the blown-up plane they are triples
 (Y-tuple, Z-tuple, kvec) of two r-tuples and an integer vector, subject
 to an integer weight constraint.  All enumerations here are total,
-deterministic and pure, so results can be shared read-only between
-threads.
+deterministic and pure; the fixed-point enumerations are memoized, so
+each index set is built once per process and shared read-only.
 
 Grading convention used throughout the package: a blow-up fixed point
 with diagram weight w = sum(|Y_i| + |Z_i|) and lattice vector kvec sits
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import isqrt
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 
@@ -255,6 +254,7 @@ class BlowupFixedPoint:
         return f"BlowupFixedPoint({self.y_tuple!r}, {self.z_tuple!r}, {self.kvec!r})"
 
 
+@lru_cache(maxsize=None)
 def enumerate_blowup_fixed_points(r: int, k: int, n: int) -> tuple[BlowupFixedPoint, ...]:
     """All blow-up fixed points with invariants (r, k, n), in a fixed order.
 
@@ -280,107 +280,3 @@ def enumerate_blowup_fixed_points(r: int, k: int, n: int) -> tuple[BlowupFixedPo
                     out.append(BlowupFixedPoint(yt, zt, kvec))
     return tuple(out)
 
-
-# ---------------------------------------------------------------------------
-# Optional line-oriented enumeration cache.  Purely an optimization: parsed
-# records reproduce the computed lists exactly, bit for bit.
-
-_CACHE_MAGIC = "# fixed-point-cache/1"
-
-
-def format_partition(p: Partition) -> str:
-    return "[" + ",".join(str(x) for x in p.parts) + "]"
-
-
-def parse_partition(s: str) -> Partition:
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad partition literal: {s!r}")
-    body = s[1:-1].strip()
-    return Partition(int(x) for x in body.split(",")) if body else Partition()
-
-
-def format_partition_tuple(t: PartitionTuple) -> str:
-    return "|".join(format_partition(p) for p in t.entries)
-
-
-def parse_partition_tuple(s: str) -> PartitionTuple:
-    return PartitionTuple(tuple(parse_partition(x) for x in s.split("|")))
-
-
-def format_lattice_vector(v: LatticeVector) -> str:
-    return ",".join(str(x) for x in v.entries)
-
-
-def parse_lattice_vector(s: str) -> LatticeVector:
-    return LatticeVector(tuple(int(x) for x in s.split(",")))
-
-
-def format_blowup_point(fp: BlowupFixedPoint) -> str:
-    return " ; ".join(
-        (
-            format_partition_tuple(fp.y_tuple),
-            format_partition_tuple(fp.z_tuple),
-            format_lattice_vector(fp.kvec),
-        )
-    )
-
-
-def parse_blowup_point(s: str) -> BlowupFixedPoint:
-    ys, zs, ks = (part.strip() for part in s.split(";"))
-    return BlowupFixedPoint(
-        parse_partition_tuple(ys), parse_partition_tuple(zs), parse_lattice_vector(ks)
-    )
-
-
-class FixedPointCache:
-    """On-disk memo of fixed-point enumerations, one text file per key.
-
-    Results served from the cache are identical to freshly computed ones;
-    a corrupt or mismatched file is an error rather than a silent recompute.
-    """
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-
-    def _path(self, family: str, r: int, k: int, n: int) -> Path:
-        return self.directory / f"{family}_r{r}_k{k}_n{n}.txt"
-
-    def _write(self, path: Path, family, r, k, n, lines) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        body = [_CACHE_MAGIC, f"family={family} r={r} k={k} n={n} count={len(lines)}"]
-        body.extend(lines)
-        path.write_text("\n".join(body) + "\n", encoding="ascii")
-
-    def _read(self, path: Path, family, r, k, n) -> list[str]:
-        text = path.read_text(encoding="ascii").splitlines()
-        if len(text) < 2 or text[0] != _CACHE_MAGIC:
-            raise ValueError(f"unrecognized cache file {path}")
-        header = f"family={family} r={r} k={k} n={n} "
-        if not text[1].startswith(header):
-            raise ValueError(f"cache key mismatch in {path}")
-        count = int(text[1].split("count=")[1])
-        records = text[2:]
-        if len(records) != count:
-            raise ValueError(f"truncated cache file {path}")
-        return records
-
-    def tuples(self, r: int, n: int) -> tuple[PartitionTuple, ...]:
-        path = self._path("p2", r, 0, n)
-        if path.exists():
-            return tuple(
-                parse_partition_tuple(line) for line in self._read(path, "p2", r, 0, n)
-            )
-        result = enumerate_tuples(r, n)
-        self._write(path, "p2", r, 0, n, [format_partition_tuple(t) for t in result])
-        return result
-
-    def blowup_points(self, r: int, k: int, n: int) -> tuple[BlowupFixedPoint, ...]:
-        path = self._path("blowup", r, k, n)
-        if path.exists():
-            return tuple(
-                parse_blowup_point(line) for line in self._read(path, "blowup", r, k, n)
-            )
-        result = enumerate_blowup_fixed_points(r, k, n)
-        self._write(path, "blowup", r, k, n, [format_blowup_point(fp) for fp in result])
-        return result

@@ -12,32 +12,22 @@ verified coefficient-by-coefficient at exact rational specializations.
 
 from __future__ import annotations
 
-from .characters import Character, make_weight, theta_eval
+from .characters import Character, n_block, substitute, theta_eval
 from .coefficients import Specialization
-from .partitions import arm_leg, enumerate_partitions
+from .partitions import enumerate_partitions
 from .qseries import QSeries, euler_product
 
 SUBSTITUTIONS = ("identity", "t2/t1", "t1/t2")
 
 
-def _remap(i1: int, i2: int, substitution: str) -> tuple[int, int]:
-    if substitution == "identity":
-        return i1, i2
-    if substitution == "t2/t1":
-        return i1 - i2, i2
-    if substitution == "t1/t2":
-        return i1, i2 - i1
-    raise ValueError(f"unsupported substitution {substitution!r}")
-
-
 def hook_character(p, substitution: str = "identity") -> Character:
-    """Both hook monomials of every box of one diagram, as a character."""
-    items = []
-    for s in p.boxes():
-        arm, leg = arm_leg(p, s)
-        items.append((make_weight(*_remap(-leg, arm + 1, substitution)), 1))
-        items.append((make_weight(*_remap(leg + 1, -arm, substitution)), 1))
-    return Character(items)
+    """Both hook monomials of every box of one diagram, as a character.
+
+    This is the single-slot tangent block n_block(p, p, 1, 1), whose e-parts
+    cancel, under the given variable substitution.
+    """
+    char = n_block(p, p, 1, 1)
+    return char if substitution == "identity" else substitute(char, substitution)
 
 
 def w_series(spec: Specialization, order: int, substitution: str = "identity") -> QSeries:

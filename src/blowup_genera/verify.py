@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import rank1
 from .blowup_factor import yk_euler, yk_hol, yk_main
 from .characters import DegenerateSpecializationError
-from .coefficients import Specialization, sample_specialization
+from .coefficients import coeff_evaluate, sample_specialization
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
 
 logger = logging.getLogger("blowup_genera")
@@ -97,19 +97,16 @@ def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str]):
     raise RuntimeError(f"no nondegenerate specialization found near seed {seed}")
 
 
-def _series_pair(r, k, order, seed, y0, mode, retries, threads=1, perturb_z=None):
+def _series_pair(r, k, order, seed, y0, mode, retries, perturb_z=None):
     """Plane and blow-up series at one (possibly reseeded) specialization."""
     z_max_n = _ceil_div(order, 2 * r)
     zhat_max_n = max(_ceil_div(order - k * (r - k), 2 * r), 0)
 
     def build(spec):
         z_req = SeriesRequest(
-            rank=r, max_n=z_max_n, spec=spec, k=0, mode=mode,
-            tangent_transform=perturb_z, threads=threads,
+            rank=r, max_n=z_max_n, spec=spec, k=0, mode=mode, tangent_transform=perturb_z
         )
-        zhat_req = SeriesRequest(
-            rank=r, max_n=zhat_max_n, spec=spec, k=k, mode=mode, threads=threads
-        )
+        zhat_req = SeriesRequest(rank=r, max_n=zhat_max_n, spec=spec, k=k, mode=mode)
         return z_series(z_req), zhat_series(zhat_req)
 
     (z, zhat), used_seed = _build_with_reseed(build, r, seed, y0, retries)
@@ -122,7 +119,6 @@ def verify_main_theorem(
     order: int | None = None,
     seeds=None,
     mode: str = EQUIVARIANT,
-    threads: int = 1,
     _perturb_z=None,
 ) -> VerificationReport:
     """Check zhat == yk_main * z through q^order at every seeded specialization.
@@ -145,9 +141,7 @@ def verify_main_theorem(
     yk_minus = yk_main(r, k, order, y_sign=-1)
     sign_matches = {"plus": True, "minus": True}
     for seed in seeds:
-        z, zhat, used_seed = _series_pair(
-            r, k, order, seed, None, mode, retries, threads, _perturb_z
-        )
+        z, zhat, used_seed = _series_pair(r, k, order, seed, None, mode, retries, _perturb_z)
         product = yk_plus * z
         bad = zhat.first_difference(product, order)
         if bad is not None:
@@ -184,9 +178,7 @@ def verify_main_theorem(
     return report
 
 
-def verify_corollary(
-    r: int, k: int, order: int | None = None, seeds=None, threads: int = 1
-) -> VerificationReport:
+def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> VerificationReport:
     """Euler and holomorphic branches of the blow-up identity.
 
     At y = 1 every theta factor is 1, so coefficients count fixed points
@@ -208,7 +200,7 @@ def verify_corollary(
 
     euler = yk_euler(r, k, order)
     main_at_one = yk_main(r, k, order).map_coefficients(
-        lambda c: c.evaluate(Fraction(1)) if hasattr(c, "evaluate") else Fraction(c)
+        lambda c: coeff_evaluate(c, Fraction(1))
     )
     if main_at_one.first_difference(euler, order) is not None:
         ok = False
@@ -223,9 +215,7 @@ def verify_corollary(
 
     for seed in seeds:
         for y0, factor in ((Fraction(1), euler), (Fraction(0), hol.main_at_y0)):
-            z, zhat, used_seed = _series_pair(
-                r, k, order, seed, y0, EQUIVARIANT, retries, threads
-            )
+            z, zhat, used_seed = _series_pair(r, k, order, seed, y0, EQUIVARIANT, retries)
             product = factor * z
             bad = zhat.first_difference(product, order)
             if bad is not None:
@@ -252,7 +242,7 @@ def verify_corollary(
 
 
 def verify_limit_consistency(
-    r: int, k: int, order: int | None = None, seeds=None, threads: int = 1
+    r: int, k: int, order: int | None = None, seeds=None
 ) -> VerificationReport:
     """Equivariant-mode and limit-mode quotients agree (cross-multiplied).
 
@@ -270,12 +260,8 @@ def verify_limit_consistency(
     ok = True
     yk = yk_main(r, k, order)
     for seed in seeds:
-        z_eq, zhat_eq, used = _series_pair(
-            r, k, order, seed, None, EQUIVARIANT, retries, threads
-        )
-        z_lim, zhat_lim, used_lim = _series_pair(
-            r, k, order, used, None, LIMIT, retries, threads
-        )
+        z_eq, zhat_eq, used = _series_pair(r, k, order, seed, None, EQUIVARIANT, retries)
+        z_lim, zhat_lim, used_lim = _series_pair(r, k, order, used, None, LIMIT, retries)
         if used_lim != used:
             details.append(f"limit mode reseeded separately at {used_lim}")
         lhs = zhat_eq * z_lim

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from blowup_genera.cli import main
+from blowup_genera.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -97,17 +97,6 @@ def test_compute_w_numeric(capsys):
     assert data["series"]["coeffs"][0] == "1"
 
 
-def test_cache_dir_flag_round_trip(tmp_path, capsys):
-    argv = [
-        "compute-zhat", "--rank", "2", "--k", "1", "--max-n", "1", "--seed", "9",
-        "--cache-dir", str(tmp_path),
-    ]
-    _, cold = run_cli(capsys, *argv)
-    _, warm = run_cli(capsys, *argv)
-    assert cold == warm
-    assert any(tmp_path.iterdir())
-
-
 def test_numeric_y_mode(capsys):
     code, out = run_cli(
         capsys,
@@ -119,3 +108,57 @@ def test_numeric_y_mode(capsys):
     assert data["series"]["coeffs"][0] == "1"
     # at y = 1 the q^2 coefficient counts the single size-1 diagram
     assert data["series"]["coeffs"][2] == "1"
+
+
+def test_numeric_y_mode_defaults_to_y_one(capsys):
+    argv = ["compute-z", "--rank", "1", "--max-n", "2", "--seed", "3", "--y-mode", "numeric"]
+    _, default = run_cli(capsys, *argv)
+    _, explicit = run_cli(capsys, *argv, "--y0", "1")
+    assert default == explicit
+    _, other = run_cli(capsys, *argv, "--y0", "2/3")
+    assert json.loads(other)["params"]["y_mode"] == "numeric:2/3"
+
+
+# A valid invocation of every subcommand; the usage-error cases below add
+# one flag the subcommand does not honour, or a conflicting combination.
+VALID = {
+    "compute-z": ["compute-z", "--rank", "1", "--max-n", "1"],
+    "compute-zhat": ["compute-zhat", "--rank", "1", "--max-n", "1"],
+    "compute-yk": ["compute-yk", "--rank", "1", "--order", "2"],
+    "compute-w": ["compute-w", "--order", "2"],
+    "verify-blowup": ["verify-blowup", "--rank", "1", "--order", "2", "--seeds", "1"],
+    "verify-rank1": ["verify-rank1", "--order", "2", "--seeds", "1"],
+    "verify-corollary": ["verify-corollary", "--rank", "1", "--order", "2", "--seeds", "1"],
+    "verify-limits": ["verify-limits", "--rank", "1", "--order", "2", "--seeds", "1"],
+    "verify-all": ["verify-all", "--seed-list", "53"],
+}
+
+USAGE_ERRORS = (
+    [VALID[c] + ["--threads", "2"] for c in VALID]
+    + [VALID[c] + ["--cache-dir", "fixed-points"] for c in VALID]
+    + [VALID[c] + ["--timing"] for c in ("compute-yk", "compute-w")]
+    + [VALID[c] + ["--verbose"] for c in VALID if c.startswith("compute-")]
+    + [
+        VALID["compute-z"] + ["--order", "4"],
+        VALID["compute-zhat"] + ["--order", "4"],
+        VALID["compute-z"] + ["--y0", "5/7"],
+        VALID["compute-zhat"] + ["--y-mode", "symbolic", "--y0", "1"],
+        VALID["compute-z"] + ["--y-mode", "numeric", "--y0", "half"],
+        ["verify-rank1", "--seeds", "2", "--seed-list", "5"],
+        ["verify-rank1", "--seed-list", "1,x"],
+        ["verify-all", "--seed-base", "3", "--seed-list", "5"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", VALID.values(), ids=list(VALID))
+def test_valid_invocations_parse(argv):
+    build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_unhonoured_or_conflicting_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -20,7 +20,7 @@ from blowup_genera.genera import (
     z_series_limit_closed,
     zhat_series,
 )
-from blowup_genera.partitions import FixedPointCache, enumerate_tuples
+from blowup_genera.partitions import enumerate_blowup_fixed_points, enumerate_tuples
 from blowup_genera.rank1 import w_series
 
 
@@ -141,26 +141,6 @@ def test_symbolic_numeric_cross_mode():
         assert sym.map_coefficients(lambda c: coeff_evaluate(c, y0)) == num
 
 
-def test_threaded_sum_matches_sequential():
-    spec = sample_specialization(2, 6)
-    seq = zhat_series(SeriesRequest(rank=2, max_n=2, spec=spec, k=1))
-    par = zhat_series(SeriesRequest(rank=2, max_n=2, spec=spec, k=1, threads=4))
-    assert seq == par
-
-
-def test_cache_does_not_change_results(tmp_path):
-    spec = sample_specialization(2, 3)
-    plain = zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=1))
-    cache = FixedPointCache(tmp_path)
-    cached_cold = zhat_series(
-        SeriesRequest(rank=2, max_n=1, spec=spec, k=1, cache=cache)
-    )
-    cached_warm = zhat_series(
-        SeriesRequest(rank=2, max_n=1, spec=spec, k=1, cache=cache)
-    )
-    assert plain == cached_cold == cached_warm
-
-
 def test_series_report_schema():
     spec = sample_specialization(1, 5)
     req = SeriesRequest(rank=1, max_n=2, spec=spec)
@@ -174,3 +154,15 @@ def test_series_report_schema():
     assert set(rep["series"]) == {"offset", "order", "coeffs"}
     lean = series_report("zhat", req, include_timing=False)
     assert "wall_clock_seconds" not in lean
+
+
+def test_series_report_enumerates_blowup_points_once():
+    # the series and its fixed_point_counts share one enumeration per degree
+    enumerate_blowup_fixed_points.cache_clear()
+    spec = sample_specialization(2, 6)
+    rep = series_report("zhat", SeriesRequest(rank=2, max_n=2, spec=spec, k=1))
+    assert enumerate_blowup_fixed_points.cache_info().misses == 3
+    assert rep["fixed_point_counts"] == {
+        str(1 + 4 * n): len(enumerate_blowup_fixed_points(2, 1, n)) for n in range(3)
+    }
+    assert "threads" not in rep["params"]

@@ -4,15 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from blowup_genera.characters import Character, make_weight
 from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
     sample_specialization,
 )
-from blowup_genera.partitions import enumerate_partitions
+from blowup_genera.partitions import arm_leg, enumerate_partitions
 from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import (
+    SUBSTITUTIONS,
+    hook_character,
     nekrasov_okounkov_rhs,
     verify_nekrasov_okounkov,
     w_series,
@@ -88,3 +91,32 @@ def test_quotient_independent_of_specialization():
 def test_substitution_validation():
     with pytest.raises(ValueError):
         w_series(spec23(), 3, "q/t")
+    with pytest.raises(ValueError):
+        hook_character(enumerate_partitions(2)[0], "q/t")
+
+
+def reference_hook_character(p, substitution):
+    # per-box hook formula: t1^(-leg) t2^(arm+1) and t1^(leg+1) t2^(-arm),
+    # with the substitution applied to the exponent pair directly
+    remap = {
+        "identity": lambda i1, i2: (i1, i2),
+        "t2/t1": lambda i1, i2: (i1 - i2, i2),
+        "t1/t2": lambda i1, i2: (i1, i2 - i1),
+    }[substitution]
+    items = []
+    for s in p.boxes():
+        arm, leg = arm_leg(p, s)
+        items.append((make_weight(*remap(-leg, arm + 1)), 1))
+        items.append((make_weight(*remap(leg + 1, -arm)), 1))
+    return Character(items)
+
+
+@pytest.mark.parametrize("substitution", SUBSTITUTIONS)
+def test_hook_character_matches_per_box_formula(substitution):
+    for n in range(7):
+        for p in enumerate_partitions(n):
+            got = hook_character(p, substitution)
+            expected = reference_hook_character(p, substitution)
+            assert got == expected
+            assert got.sorted_items() == expected.sorted_items()
+            assert got.rank == 2 * n

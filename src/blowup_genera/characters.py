@@ -19,7 +19,12 @@ variable substitutions (t1, t2/t1), (t1/t2, t2) and a monomial twist.
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
-rational value of the weight.  theta_limit_factor instead applies the
+rational value of the weight.  Written over the integers for x = p/q in
+lowest terms, theta(p/q) = (p - q*y) / (p - q): the factors of one
+character multiply out as an integer coefficient list over one integer
+denominator, and the result becomes a YPoly once per character.  A YRat
+appears only when there is a real y-denominator, which only a negative
+multiplicity produces.  theta_limit_factor instead applies the
 ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case table: a weight
 with denominator slot below the numerator slot contributes 1, the
 opposite order contributes y, and pure t-monomials keep their theta.
@@ -255,42 +260,75 @@ def weight_value(w: Weight, spec: Specialization) -> Fraction:
     return val
 
 
-def _theta_product(factors, spec: Specialization):
-    """Product of theta(x)**m over (weight, x, m) triples, exact in either y mode."""
+def _times_linear(coeffs: list[int], p: int, q: int, m: int) -> list[int]:
+    """coeffs * (p - q*y)**m for an integer coefficient list, lowest power first."""
+    for _ in range(m):
+        out = [p * c for c in coeffs] + [0]
+        for i, c in enumerate(coeffs):
+            out[i + 1] -= q * c
+        coeffs = out
+    return coeffs
+
+
+def _theta_product(factors, spec: Specialization, y_exp: int = 0):
+    """y**y_exp times the product of theta(p/q)**m over (p, q, m) triples.
+
+    Each factor theta(p/q) = (p - q*y) / (p - q) is multiplied out over the
+    integers and the rational result is built once at the end: a YPoly, a
+    YRat only when negative multiplicities leave a real y-denominator, or a
+    Fraction for numeric y.
+    """
     if spec.symbolic:
-        num = YPoly.one()
-        den = YPoly.one()
-        for _w, x, m in factors:
-            lin_num = YPoly((x, -1))  # x - y
-            lin_den = YPoly((x - 1,))
-            if m >= 0:
-                num = num * lin_num**m
-                den = den * lin_den**m
+        num, den, y_den = [1], 1, [1]
+        for p, q, m in factors:
+            if m > 0:
+                num = _times_linear(num, p, q, m)
+                den *= (p - q) ** m
             else:
-                num = num * lin_den ** (-m)
-                den = den * lin_num ** (-m)
-        return YRat(num, den)
-    result = Fraction(1)
-    for _w, x, m in factors:
-        result = result * ((x - spec.y0) / (x - 1)) ** m
-    return result
+                num = [c * (p - q) ** -m for c in num]
+                y_den = _times_linear(y_den, p, q, -m)
+        if y_exp >= 0:
+            num = [0] * y_exp + num
+        else:
+            y_den = [0] * -y_exp + y_den
+        if y_den == [1]:
+            return YPoly(Fraction(c, den) for c in num)
+        return YRat(YPoly(num), YPoly(den * c for c in y_den))
+    # numeric y = a/b: theta(p/q) = (p*b - q*a) / (b*(p - q))
+    a, b = spec.y0.numerator, spec.y0.denominator
+    num, den = (a**y_exp, b**y_exp) if y_exp >= 0 else (b**-y_exp, a**-y_exp)
+    for p, q, m in factors:
+        top, bottom = p * b - q * a, b * (p - q)
+        if m < 0:
+            top, bottom, m = bottom, top, -m
+        num *= top**m
+        den *= bottom**m
+    return Fraction(num, den)
+
+
+def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
+    """The weight's value p/q in lowest terms, after the degeneracy check p != q."""
+    x = weight_value(w, spec)
+    p, q = x.numerator, x.denominator
+    if p == q:
+        raise DegenerateSpecializationError(w, spec.seed)
+    return p, q
 
 
 def theta_eval(c: Character, spec: Specialization):
     """Multiplicative theta genus of a character at a specialization.
 
-    Returns a YRat for symbolic y or a Fraction for numeric y.  Raises
+    Returns a YPoly for symbolic y (a YRat only if a negative multiplicity
+    leaves a y-denominator) or a Fraction for numeric y.  Raises
     TrivialWeightError if the trivial weight is present and
-    DegenerateSpecializationError naming the first weight whose value is 1.
+    DegenerateSpecializationError naming the first weight whose value is 1;
+    both checks run before any factor is multiplied.
     """
     factors = []
     for w, m in c.sorted_items():
         if weight_is_trivial(w):
             raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
-        x = weight_value(w, spec)
-        if x == 1:
-            raise DegenerateSpecializationError(w, spec.seed)
-        factors.append((w, x, m))
+        factors.append(_theta_factor(w, spec) + (m,))
     return _theta_product(factors, spec)
 
 
@@ -307,11 +345,8 @@ def theta_limit_factor(c: Character, spec: Specialization):
         if weight_is_trivial(w):
             raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
         if w.num is None:
-            x = weight_value(w, spec)
-            if x == 1:
-                raise DegenerateSpecializationError(w, spec.seed)
-            factors.append((w, x, m))
+            factors.append(_theta_factor(w, spec) + (m,))
         elif w.den > w.num:
             y_exp += m
         # den < num contributes the factor 1
-    return spec.y_power(y_exp) * _theta_product(factors, spec)
+    return _theta_product(factors, spec, y_exp)

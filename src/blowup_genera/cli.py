@@ -6,7 +6,10 @@ explicit seeds (default base 1729, seeds base..base+count-1), so identical
 invocations produce identical outputs; wall-clock timing is only included
 when --timing is passed.  Each subcommand accepts only the flags it
 honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
-error, including an unknown, conflicting or unused flag.
+error, including an unknown, conflicting or unused flag and an
+out-of-range number.  compute-z and compute-zhat do not reseed: a
+degenerate seed ends them with exit 1 and a DegenerateSpecializationError
+traceback.
 """
 
 from __future__ import annotations
@@ -44,9 +47,26 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(","))
 
 
+def _bounded_int(lowest: int):
+    """An argparse type for integers >= lowest; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive = _bounded_int(1)
+_nonnegative = _bounded_int(0)
+
+
 def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--seeds", type=int, help=f"number of specializations (default {DEFAULT_SEED_COUNT})"
+        "--seeds", type=_positive, help=f"number of specializations (default {DEFAULT_SEED_COUNT})"
     )
     p.add_argument("--seed-base", type=int, help=f"first seed (default {DEFAULT_SEED_BASE})")
     p.add_argument(
@@ -61,8 +81,8 @@ def _verify_flags(p: argparse.ArgumentParser) -> None:
 def _series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED_BASE)
     cutoff = p.add_mutually_exclusive_group(required=True)
-    cutoff.add_argument("--max-n", type=int, help="diagram-weight cutoff")
-    cutoff.add_argument("--order", type=int, help="target q-order")
+    cutoff.add_argument("--max-n", type=_nonnegative, help="diagram-weight cutoff")
+    cutoff.add_argument("--order", type=_nonnegative, help="target q-order")
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
     p.add_argument("--y-mode", choices=("symbolic", "numeric"), default="symbolic")
     p.add_argument(
@@ -79,23 +99,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute-z", help="plane moduli generating series")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive, required=True)
     _series_flags(p)
 
     p = sub.add_parser("compute-zhat", help="blow-up moduli generating series")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive, required=True)
     p.add_argument("--k", type=int, default=0)
     _series_flags(p)
 
     p = sub.add_parser("compute-yk", help="universal blow-up factor")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative, required=True)
     p.add_argument("--form", choices=("main", "gottsche", "euler", "hol"), default="main")
     _output_flags(p, timing=False)
 
     p = sub.add_parser("compute-w", help="rank-one hook series")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_nonnegative, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED_BASE)
     p.add_argument(
         "--substitution", choices=("identity", "t2/t1", "t1/t2"), default="identity"
@@ -103,26 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p, timing=False)
 
     p = sub.add_parser("verify-blowup", help="main blow-up identity zhat = yk * z")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_nonnegative)
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
     _verify_flags(p)
 
     p = sub.add_parser("verify-rank1", help="rank-one infinite-product identity")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_nonnegative, default=8)
     _verify_flags(p)
 
     p = sub.add_parser("verify-corollary", help="Euler and holomorphic branches")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_nonnegative)
     _verify_flags(p)
 
     p = sub.add_parser("verify-limits", help="equivariant vs limit mode quotients")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_positive, required=True)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_nonnegative)
     _verify_flags(p)
 
     p = sub.add_parser("verify-all", help="the documented default verification grid")

@@ -398,10 +398,11 @@ class SplitMix64:
 class Specialization:
     """Exact rational values for t1, t2, e_1..e_r plus the y mode.
 
-    y0 is None for symbolic y (coefficients are YRat) or a Fraction for a
-    numeric run.  Invariants: every value is nonzero, differs from 1 and
-    from every other value, which keeps all single-parameter ratios away
-    from the forbidden weight value 1.
+    y0 is None for symbolic y (coefficients are YPoly, or YRat where a
+    y-denominator occurs) or a Fraction for a numeric run.  Invariants:
+    every value is nonzero, differs from 1 and from every other value,
+    which keeps all single-parameter ratios away from the forbidden weight
+    value 1.
     """
 
     t1: Fraction
@@ -427,9 +428,9 @@ class Specialization:
         return self.y0 is None
 
     def y_power(self, exp: int):
-        """y**exp in this y mode: a YRat monomial, or a Fraction for numeric y."""
+        """y**exp in this y mode: a YPoly monomial, or a Fraction for numeric y."""
         if self.symbolic:
-            return YRat(YPoly.monomial(exp))
+            return YPoly.monomial(exp)
         return self.y0**exp
 
 

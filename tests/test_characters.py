@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup_genera.characters import (
     Character,
@@ -18,9 +19,16 @@ from blowup_genera.characters import (
     theta_eval,
     theta_limit_factor,
     twist,
+    weight_is_trivial,
     weight_value,
 )
-from blowup_genera.coefficients import Specialization, YPoly, YRat, sample_specialization
+from blowup_genera.coefficients import (
+    Specialization,
+    YPoly,
+    YRat,
+    coeff_to_str,
+    sample_specialization,
+)
 from blowup_genera.partitions import (
     LatticeVector,
     Partition,
@@ -203,6 +211,35 @@ def test_theta_eval_negative_multiplicity():
     c = Character([(make_weight(1, 0), -1)])
     val = theta_eval(c, spec23())
     assert val == YRat(YPoly((1,)), YPoly((2, -1)))
+    assert isinstance(val, YRat)
+
+
+def test_theta_eval_of_tangent_characters_is_a_polynomial():
+    # positive multiplicities leave only the constant denominator prod (p - q),
+    # so no YRat is built
+    spec = sample_specialization(2, 1)
+    for fp in enumerate_blowup_fixed_points(2, 1, 2):
+        assert type(theta_eval(tangent_blowup(fp), spec)) is YPoly
+    for fp in enumerate_tuples(2, 2):
+        assert type(theta_eval(tangent_p2(fp), spec)) is YPoly
+        assert type(theta_limit_factor(tangent_p2(fp), spec)) is YPoly
+    assert type(theta_eval(Character.empty(), spec)) is YPoly
+
+
+def test_degenerate_weight_with_e_part_is_named():
+    # e2/e1 * t1 = (6/5) * (5/6) = 1: p == q for that weight only
+    s = Specialization(F(5, 6), F(3), (F(2), F(12, 5)), None, seed=7)
+    bad = make_weight(1, 0, 2, 1)
+    c = Character([(make_weight(0, 1), 2), (bad, 1), (make_weight(1, 1), -1)])
+    with pytest.raises(DegenerateSpecializationError) as err:
+        theta_eval(c, s)
+    assert err.value.weight == bad
+    assert "1 * e2/e1 * t1^1 * t2^0 evaluates to 1" in str(err.value)
+    # the limit keeps theta of pure t-monomials: t1^2 t2^-1 = 4/4
+    limit_spec = Specialization(F(2), F(4), (F(5), F(7)), None, seed=3)
+    with pytest.raises(DegenerateSpecializationError) as err:
+        theta_limit_factor(Character([(make_weight(2, -1), 1)]), limit_spec)
+    assert err.value.weight == make_weight(2, -1)
 
 
 # -- ordered limit --------------------------------------------------------------
@@ -252,3 +289,101 @@ def test_character_serialization():
     c = Character([(make_weight(0, 1, 2, 1), 2), (make_weight(1, 0), 1)])
     assert c.to_str() == "1 * t1^1 * t2^0 + 2 * e2/e1 * t1^0 * t2^1"
     assert Character.empty().to_str() == "0"
+
+
+# -- differential test against the Fraction/YPoly kernel -------------------------
+
+def reference_theta_product(factors, spec):
+    """The theta kernel before integer clearing: one YPoly/Fraction multiply per factor."""
+    if spec.symbolic:
+        num = YPoly.one()
+        den = YPoly.one()
+        for _w, x, m in factors:
+            lin_num = YPoly((x, -1))  # x - y
+            lin_den = YPoly((x - 1,))
+            if m >= 0:
+                num = num * lin_num**m
+                den = den * lin_den**m
+            else:
+                num = num * lin_den ** (-m)
+                den = den * lin_num ** (-m)
+        return YRat(num, den)
+    result = F(1)
+    for _w, x, m in factors:
+        result = result * ((x - spec.y0) / (x - 1)) ** m
+    return result
+
+
+def reference_theta(c, spec, limit=False):
+    y_exp = 0
+    factors = []
+    for w, m in c.sorted_items():
+        if weight_is_trivial(w):
+            raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
+        if limit and w.num is not None:
+            if w.den > w.num:
+                y_exp += m
+            continue
+        x = weight_value(w, spec)
+        if x == 1:
+            raise DegenerateSpecializationError(w, spec.seed)
+        factors.append((w, x, m))
+    y_power = YRat(YPoly.y()) ** y_exp if spec.symbolic else spec.y0**y_exp
+    return y_power * reference_theta_product(factors, spec)
+
+
+def outcome(fn, *args):
+    """Result of fn, or the exception type and message it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateSpecializationError, TrivialWeightError, ZeroDivisionError) as exc:
+        return type(exc), str(exc) if not isinstance(exc, ZeroDivisionError) else ""
+
+
+def assert_same(got, expected):
+    assert got == expected
+    if not isinstance(expected, tuple):
+        assert coeff_to_str(got) == coeff_to_str(expected)
+
+
+Y_MODES = (None, F(0), F(1), F(2, 3))
+
+random_weights = st.tuples(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))),
+).map(lambda t: make_weight(t[0], t[1], *(t[2] or (None, None))))
+random_characters = st.lists(
+    st.tuples(random_weights, st.integers(-3, 3).filter(bool)), max_size=8
+).map(Character)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_characters, st.integers(0, 2**16), st.sampled_from(Y_MODES))
+def test_theta_kernel_matches_fraction_reference(c, seed, y0):
+    spec = sample_specialization(3, seed, y0)
+    assert_same(outcome(theta_eval, c, spec), outcome(reference_theta, c, spec))
+    assert_same(
+        outcome(theta_limit_factor, c, spec), outcome(reference_theta, c, spec, True)
+    )
+
+
+def test_theta_limit_factor_folds_y_exponent():
+    up = make_weight(1, 0, 1, 2)  # contributes y
+    for y0 in Y_MODES:
+        s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
+        for mult in (3, -2):
+            c = Character([(up, mult), (make_weight(1, -1), 1), (make_weight(0, 1), -1)])
+            assert_same(
+                outcome(theta_limit_factor, c, s), outcome(reference_theta, c, s, True)
+            )
+
+
+def test_theta_kernel_matches_reference_on_tangent_characters():
+    for y0 in Y_MODES:
+        spec = sample_specialization(2, 1, y0)
+        for n in range(4):
+            for fp in enumerate_blowup_fixed_points(2, 1, n):
+                c = tangent_blowup(fp)
+                assert_same(theta_eval(c, spec), reference_theta(c, spec))
+                assert_same(theta_limit_factor(c, spec), reference_theta(c, spec, True))

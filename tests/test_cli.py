@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,57 @@ def test_unhonoured_or_conflicting_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+OUT_OF_RANGE = [
+    ["compute-z", "--rank", "0", "--max-n", "1"],
+    ["compute-zhat", "--rank", "0", "--max-n", "1"],
+    ["compute-yk", "--rank", "0", "--order", "2"],
+    ["verify-blowup", "--rank", "0", "--order", "2", "--seeds", "1"],
+    ["verify-corollary", "--rank", "-1", "--order", "2", "--seeds", "1"],
+    ["verify-limits", "--rank", "0", "--order", "2", "--seeds", "1"],
+    ["compute-z", "--rank", "1", "--max-n", "-1"],
+    ["compute-z", "--rank", "1", "--order", "-1"],
+    ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "-1"],
+    ["compute-zhat", "--rank", "2", "--k", "1", "--order", "-5"],
+    ["compute-yk", "--rank", "2", "--order", "-3"],
+    ["compute-w", "--order", "-1"],
+    ["verify-rank1", "--order", "-1", "--seeds", "1"],
+    ["verify-blowup", "--rank", "1", "--order", "-1", "--seeds", "1"],
+    ["verify-corollary", "--rank", "1", "--order", "-1", "--seeds", "1"],
+    ["verify-limits", "--rank", "1", "--order", "-1", "--seeds", "1"],
+    ["verify-rank1", "--order", "2", "--seeds", "0"],
+    ["verify-all", "--seeds", "-2"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_zero_cutoffs_are_valid(capsys):
+    code, out = run_cli(capsys, "compute-z", "--rank", "1", "--max-n", "0")
+    assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
+    code, _ = run_cli(capsys, "compute-yk", "--rank", "2", "--order", "0")
+    assert code == 0
+
+
+def test_degenerate_seed_exits_one_with_typed_error():
+    # compute-* does not reseed: a specialization sending a tangent weight to
+    # 1 ends the call with the typed error as the traceback's last line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "4", "--seed", "53"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blowup_genera.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("blowup_genera.characters.DegenerateSpecializationError:")

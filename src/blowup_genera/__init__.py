@@ -30,7 +30,6 @@ from .characters import (
     tangent_p2,
     theta_eval,
     theta_limit_factor,
-    twist,
     weight_value,
 )
 from .coefficients import (

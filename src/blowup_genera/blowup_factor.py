@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 
 from .coefficients import YPoly, coeff_evaluate
@@ -59,14 +59,12 @@ def lattice_theta_series(r: int, k: int, order: int, y_sign: int = +1) -> QSerie
         raise ValueError("y_sign must be +1 or -1")
     terms: dict[int, YPoly] = {}
     for vec in enumerate_lattice_vectors(r, k, order):
-        ks = vec.entries
-        pairs = [
-            ks[i] - ks[j] for i in range(r) for j in range(i + 1, r)
-        ]
-        q_exp = _check_exponent(sum(d * d for d in pairs), "q")
-        y_exp = _check_exponent(
-            Fraction(sum(d * d for d in pairs) + y_sign * sum(pairs), 2), "y"
-        )
+        q_exp = _check_exponent(vec.pair_form, "q")
+        linear = sum(ki - kj for ki, kj in combinations(vec.entries, 2))
+        twice_y = q_exp + y_sign * linear
+        if twice_y % 2:
+            raise IntegralityViolationError(f"y exponent {twice_y}/2 is not an integer")
+        y_exp = _check_exponent(twice_y // 2, "y")
         if (q_exp - k * (r - k)) % (2 * r) != 0:
             raise IntegralityViolationError(
                 f"lattice exponent {q_exp} is not congruent to k(r-k) mod 2r"

@@ -16,6 +16,9 @@ t-monomials fixed by the difference k_a - k_b (empty when that difference
 is 0 or 1 in the relevant direction).  The tangent space on the plane is
 the double sum of n_blocks; on the blow-up each n_block enters with the
 variable substitutions (t1, t2/t1), (t1/t2, t2) and a monomial twist.
+Both tangent characters are built in one pass from the exponent pairs
+(i1, i2) that hook_exponents and simplex_exponents yield, remapped
+through the SUBSTITUTIONS table: one Character per fixed point.
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -140,65 +143,61 @@ class Character:
         return f"Character({self.to_str()})"
 
 
-def n_block(y_a: Partition, y_b: Partition, a: int, b: int) -> Character:
-    """Tangent block pairing diagram Y_a at slot a with Y_b at slot b."""
-    items = []
+# exponent map (i1, i2) -> (i1', i2') of each variable substitution
+SUBSTITUTIONS = {
+    "identity": lambda i1, i2: (i1, i2),
+    "t2/t1": lambda i1, i2: (i1 - i2, i2),  # (t1, t2) -> (t1, t2/t1)
+    "t1/t2": lambda i1, i2: (i1, i2 - i1),  # (t1, t2) -> (t1/t2, t2)
+}
+
+
+def hook_exponents(y_a: Partition, y_b: Partition):
+    """t-exponents (i1, i2) of the pairing block of Y_a with Y_b, box by box."""
     for s in y_a.boxes():
-        arm = arm_leg(y_a, s)[0]
-        leg = arm_leg(y_b, s)[1]
-        items.append((make_weight(-leg, arm + 1, b, a), 1))
+        yield -arm_leg(y_b, s)[1], arm_leg(y_a, s)[0] + 1
     for s in y_b.boxes():
-        leg = arm_leg(y_a, s)[1]
-        arm = arm_leg(y_b, s)[0]
-        items.append((make_weight(leg + 1, -arm, b, a), 1))
-    return Character(items)
+        yield arm_leg(y_a, s)[1] + 1, -arm_leg(y_b, s)[0]
 
 
-def l_block(kvec, a: int, b: int) -> Character:
-    """Exceptional-divisor tangent block for slots a, b of a lattice vector.
+def simplex_exponents(ka: int, kb: int):
+    """t-exponents (i1, i2) of the exceptional block for degrees k_a, k_b.
 
     Nonempty only when k_a > k_b (simplex of nonpositive exponents) or
     k_a + 1 < k_b (simplex of strictly positive exponents).
     """
-    ka = kvec.entries[a - 1]
-    kb = kvec.entries[b - 1]
-    items = []
     if ka > kb:
         bound = ka - kb - 1
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
-                items.append((make_weight(-i, -j, b, a), 1))
+                yield -i, -j
     elif ka + 1 < kb:
         bound = kb - ka - 2
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
-                items.append((make_weight(i + 1, j + 1, b, a), 1))
-    return Character(items)
+                yield i + 1, j + 1
+
+
+def n_block(y_a: Partition, y_b: Partition, a: int, b: int) -> Character:
+    """Tangent block pairing diagram Y_a at slot a with Y_b at slot b."""
+    return Character((make_weight(i1, i2, b, a), 1) for i1, i2 in hook_exponents(y_a, y_b))
+
+
+def l_block(kvec, a: int, b: int) -> Character:
+    """Exceptional-divisor tangent block for slots a, b of a lattice vector."""
+    ka, kb = kvec.entries[a - 1], kvec.entries[b - 1]
+    return Character((make_weight(i1, i2, b, a), 1) for i1, i2 in simplex_exponents(ka, kb))
 
 
 def substitute(c: Character, kind: str) -> Character:
-    """Apply one of the supported integer-linear variable substitutions.
+    """Apply one of the variable substitutions in SUBSTITUTIONS to every weight.
 
-    kind "t2/t1" sends (t1, t2) to (t1, t2/t1), so (i1, i2) -> (i1 - i2, i2);
-    kind "t1/t2" sends (t1, t2) to (t1/t2, t2), so (i1, i2) -> (i1, i2 - i1).
     Multiplicities are preserved and colliding weights accumulate.
     """
-    if kind == "t2/t1":
-        def remap(w):
-            return make_weight(w.i1 - w.i2, w.i2, w.num, w.den)
-    elif kind == "t1/t2":
-        def remap(w):
-            return make_weight(w.i1, w.i2 - w.i1, w.num, w.den)
-    else:
+    if kind not in SUBSTITUTIONS:
         raise ValueError(f"unsupported substitution {kind!r}")
-    return Character((remap(w), m) for w, m in c.sorted_items())
-
-
-def twist(c: Character, dt1: int = 0, dt2: int = 0) -> Character:
-    """Multiply every weight by the monomial t1**dt1 * t2**dt2."""
+    remap = SUBSTITUTIONS[kind]
     return Character(
-        (make_weight(w.i1 + dt1, w.i2 + dt2, w.num, w.den), m)
-        for w, m in c.sorted_items()
+        (make_weight(*remap(w.i1, w.i2), w.num, w.den), m) for w, m in c._mult.items()
     )
 
 
@@ -209,17 +208,34 @@ def tangent_p2(fp: PartitionTuple) -> Character:
     The rank must equal 2*r*n for the tuple of total size n; a mismatch
     means an index-convention bug and raises rather than warns.
     """
-    r = fp.rank
-    total = Character.empty()
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            total = total + n_block(fp.entries[a - 1], fp.entries[b - 1], a, b)
-    expected = 2 * r * fp.total_size
+    total = Character(
+        (make_weight(i1, i2, b, a), 1)
+        for a, y_a in enumerate(fp.entries, 1)
+        for b, y_b in enumerate(fp.entries, 1)
+        for i1, i2 in hook_exponents(y_a, y_b)
+    )
+    expected = 2 * fp.rank * fp.total_size
     if total.rank != expected:
         raise RankCheckError(
             f"tangent rank {total.rank} != {expected} at {fp!r}"
         )
     return total
+
+
+def _blowup_weights(fp: BlowupFixedPoint):
+    # per slot pair: the exceptional block, the Y block under (t1, t2/t1)
+    # times t1^d and the Z block under (t1/t2, t2) times t2^d, d = k_b - k_a;
+    # each substitution fixes the variable of its twist, so the twist goes first
+    to_y, to_z = SUBSTITUTIONS["t2/t1"], SUBSTITUTIONS["t1/t2"]
+    slots = list(enumerate(zip(fp.kvec.entries, fp.y_tuple.entries, fp.z_tuple.entries), 1))
+    for a, (ka, y_a, z_a) in slots:
+        for b, (kb, y_b, z_b) in slots:
+            for i1, i2 in simplex_exponents(ka, kb):
+                yield make_weight(i1, i2, b, a), 1
+            for i1, i2 in hook_exponents(y_a, y_b):
+                yield make_weight(*to_y(i1 + kb - ka, i2), b, a), 1
+            for i1, i2 in hook_exponents(z_a, z_b):
+                yield make_weight(*to_z(i1, i2 + kb - ka), b, a), 1
 
 
 @lru_cache(maxsize=None)
@@ -231,17 +247,7 @@ def tangent_blowup(fp: BlowupFixedPoint) -> Character:
     2*r*w + pair_form, and the trivial weight must be absent (fixed points
     are isolated); both are hard checks.
     """
-    r = fp.rank
-    kv = fp.kvec
-    total = Character.empty()
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            d = kv.entries[b - 1] - kv.entries[a - 1]
-            total = total + l_block(kv, a, b)
-            ny = n_block(fp.y_tuple.entries[a - 1], fp.y_tuple.entries[b - 1], a, b)
-            total = total + twist(substitute(ny, "t2/t1"), dt1=d)
-            nz = n_block(fp.z_tuple.entries[a - 1], fp.z_tuple.entries[b - 1], a, b)
-            total = total + twist(substitute(nz, "t1/t2"), dt2=d)
+    total = Character(_blowup_weights(fp))
     expected = fp.virtual_dim
     if total.rank != expected:
         raise RankCheckError(

@@ -64,6 +64,14 @@ _positive = _bounded_int(1)
 _nonnegative = _bounded_int(0)
 
 
+def _rational(text: str) -> Fraction:
+    """An argparse type for a rational such as 2/3; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seeds", type=_positive, help=f"number of specializations (default {DEFAULT_SEED_COUNT})"
@@ -86,7 +94,7 @@ def _series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
     p.add_argument("--y-mode", choices=("symbolic", "numeric"), default="symbolic")
     p.add_argument(
-        "--y0", type=Fraction, help="rational y value, e.g. 2/3; numeric y mode only (default 1)"
+        "--y0", type=_rational, help="rational y value, e.g. 2/3; numeric y mode only (default 1)"
     )
     _output_flags(p)
 

@@ -11,8 +11,7 @@ rank-one series raised to the r-th power.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 from .characters import Character, tangent_blowup, tangent_p2, theta_eval, theta_limit_factor
 from .coefficients import Specialization
@@ -33,9 +32,6 @@ class SeriesRequest:
     spec: Specialization
     k: int = 0
     mode: str = EQUIVARIANT
-    tangent_transform: Optional[Callable[[Character], Character]] = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         if self.rank < 1:
@@ -49,8 +45,6 @@ class SeriesRequest:
 
 
 def _contribution(req: SeriesRequest, char: Character):
-    if req.tangent_transform is not None:
-        char = req.tangent_transform(char)
     if req.mode == LIMIT:
         return theta_limit_factor(char, req.spec)
     return theta_eval(char, req.spec)

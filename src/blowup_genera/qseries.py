@@ -29,6 +29,8 @@ def _reciprocal(c):
     if isinstance(c, Fraction):
         return 1 / c
     if isinstance(c, YPoly):
+        if c.degree == 0:
+            return 1 / c.coeffs[0]
         return YRat(YPoly.one(), c)
     if isinstance(c, YRat):
         return c.reciprocal()

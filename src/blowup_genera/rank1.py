@@ -17,8 +17,6 @@ from .coefficients import Specialization
 from .partitions import enumerate_partitions
 from .qseries import QSeries, euler_product
 
-SUBSTITUTIONS = ("identity", "t2/t1", "t1/t2")
-
 
 def hook_character(p, substitution: str = "identity") -> Character:
     """Both hook monomials of every box of one diagram, as a character.
@@ -26,16 +24,13 @@ def hook_character(p, substitution: str = "identity") -> Character:
     This is the single-slot tangent block n_block(p, p, 1, 1), whose e-parts
     cancel, under the given variable substitution.
     """
-    char = n_block(p, p, 1, 1)
-    return char if substitution == "identity" else substitute(char, substitution)
+    return substitute(n_block(p, p, 1, 1), substitution)
 
 
 def w_series(spec: Specialization, order: int, substitution: str = "identity") -> QSeries:
     """Rank-one series with the given variable substitution, valid through q^order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if substitution not in SUBSTITUTIONS:
-        raise ValueError(f"unsupported substitution {substitution!r}")
     terms = {}
     for m in range(order + 1):
         acc = 0

@@ -97,15 +97,13 @@ def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str]):
     raise RuntimeError(f"no nondegenerate specialization found near seed {seed}")
 
 
-def _series_pair(r, k, order, seed, y0, mode, retries, perturb_z=None):
+def _series_pair(r, k, order, seed, y0, mode, retries):
     """Plane and blow-up series at one (possibly reseeded) specialization."""
     z_max_n = _ceil_div(order, 2 * r)
     zhat_max_n = max(_ceil_div(order - k * (r - k), 2 * r), 0)
 
     def build(spec):
-        z_req = SeriesRequest(
-            rank=r, max_n=z_max_n, spec=spec, k=0, mode=mode, tangent_transform=perturb_z
-        )
+        z_req = SeriesRequest(rank=r, max_n=z_max_n, spec=spec, k=0, mode=mode)
         zhat_req = SeriesRequest(rank=r, max_n=zhat_max_n, spec=spec, k=k, mode=mode)
         return z_series(z_req), zhat_series(zhat_req)
 
@@ -119,7 +117,6 @@ def verify_main_theorem(
     order: int | None = None,
     seeds=None,
     mode: str = EQUIVARIANT,
-    _perturb_z=None,
 ) -> VerificationReport:
     """Check zhat == yk_main * z through q^order at every seeded specialization.
 
@@ -141,7 +138,7 @@ def verify_main_theorem(
     yk_minus = yk_main(r, k, order, y_sign=-1)
     sign_matches = {"plus": True, "minus": True}
     for seed in seeds:
-        z, zhat, used_seed = _series_pair(r, k, order, seed, None, mode, retries, _perturb_z)
+        z, zhat, used_seed = _series_pair(r, k, order, seed, None, mode, retries)
         product = yk_plus * z
         bad = zhat.first_difference(product, order)
         if bad is not None:

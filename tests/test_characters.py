@@ -18,7 +18,6 @@ from blowup_genera.characters import (
     tangent_p2,
     theta_eval,
     theta_limit_factor,
-    twist,
     weight_is_trivial,
     weight_value,
 )
@@ -33,6 +32,7 @@ from blowup_genera.partitions import (
     LatticeVector,
     Partition,
     PartitionTuple,
+    arm_leg,
     enumerate_blowup_fixed_points,
     enumerate_tuples,
 )
@@ -93,7 +93,7 @@ def test_substitute_examples():
     c = char_of((1, 0), (0, 1))
     assert substitute(c, "t2/t1") == char_of((1, 0), (-1, 1))
     assert substitute(Character.empty(), "t2/t1") == Character.empty()
-    assert twist(char_of((1, -1)), dt2=2) == char_of((1, 1))
+    assert substitute(char_of((1, -1)), "t1/t2") == char_of((1, -2))
     with pytest.raises(ValueError):
         substitute(c, "t2*t1")
 
@@ -151,11 +151,99 @@ def test_rank_check_fires_on_broken_block(monkeypatch):
     import blowup_genera.characters as characters
 
     fp = enumerate_blowup_fixed_points(2, 1, 0)[0]
-    monkeypatch.setattr(
-        characters, "l_block", lambda kv, a, b: Character.empty()
-    )
+    monkeypatch.setattr(characters, "simplex_exponents", lambda ka, kb: iter(()))
     with pytest.raises(RankCheckError):
         tangent_blowup.__wrapped__(fp)
+
+
+# -- differential test against the block-by-block assembly ----------------------
+# The tangent characters as they were built before the one-pass assembly: one
+# Character per block, substitution and twist, added up as a running sum.
+
+def reference_n_block(y_a, y_b, a, b):
+    items = []
+    for s in y_a.boxes():
+        arm = arm_leg(y_a, s)[0]
+        leg = arm_leg(y_b, s)[1]
+        items.append((make_weight(-leg, arm + 1, b, a), 1))
+    for s in y_b.boxes():
+        leg = arm_leg(y_a, s)[1]
+        arm = arm_leg(y_b, s)[0]
+        items.append((make_weight(leg + 1, -arm, b, a), 1))
+    return Character(items)
+
+
+def reference_l_block(kvec, a, b):
+    ka = kvec.entries[a - 1]
+    kb = kvec.entries[b - 1]
+    items = []
+    if ka > kb:
+        bound = ka - kb - 1
+        for i in range(bound + 1):
+            for j in range(bound + 1 - i):
+                items.append((make_weight(-i, -j, b, a), 1))
+    elif ka + 1 < kb:
+        bound = kb - ka - 2
+        for i in range(bound + 1):
+            for j in range(bound + 1 - i):
+                items.append((make_weight(i + 1, j + 1, b, a), 1))
+    return Character(items)
+
+
+def reference_substitute(c, kind):
+    if kind == "t2/t1":
+        def remap(w):
+            return make_weight(w.i1 - w.i2, w.i2, w.num, w.den)
+    else:
+        def remap(w):
+            return make_weight(w.i1, w.i2 - w.i1, w.num, w.den)
+    return Character((remap(w), m) for w, m in c.sorted_items())
+
+
+def reference_twist(c, dt1=0, dt2=0):
+    return Character(
+        (make_weight(w.i1 + dt1, w.i2 + dt2, w.num, w.den), m)
+        for w, m in c.sorted_items()
+    )
+
+
+def reference_tangent_p2(fp):
+    """The plane tangent character as a running sum of n_blocks."""
+    r = fp.rank
+    total = Character.empty()
+    for a in range(1, r + 1):
+        for b in range(1, r + 1):
+            total = total + reference_n_block(fp.entries[a - 1], fp.entries[b - 1], a, b)
+    return total
+
+
+def reference_tangent_blowup(fp):
+    """The blow-up tangent character as a running sum of substituted, twisted blocks."""
+    r = fp.rank
+    kv = fp.kvec
+    total = Character.empty()
+    for a in range(1, r + 1):
+        for b in range(1, r + 1):
+            d = kv.entries[b - 1] - kv.entries[a - 1]
+            total = total + reference_l_block(kv, a, b)
+            ny = reference_n_block(fp.y_tuple.entries[a - 1], fp.y_tuple.entries[b - 1], a, b)
+            total = total + reference_twist(reference_substitute(ny, "t2/t1"), dt1=d)
+            nz = reference_n_block(fp.z_tuple.entries[a - 1], fp.z_tuple.entries[b - 1], a, b)
+            total = total + reference_twist(reference_substitute(nz, "t1/t2"), dt2=d)
+    return total
+
+
+DIFFERENTIAL_RANGE = ((1, 6), (2, 4), (3, 2))  # (r, largest n)
+
+
+def test_tangent_characters_match_block_sum_reference():
+    for r, max_n in DIFFERENTIAL_RANGE:
+        for n in range(max_n + 1):
+            for fp in enumerate_tuples(r, n):
+                assert tangent_p2.__wrapped__(fp) == reference_tangent_p2(fp)
+            for k in range(r):
+                for fp in enumerate_blowup_fixed_points(r, k, n):
+                    assert tangent_blowup.__wrapped__(fp) == reference_tangent_blowup(fp)
 
 
 # -- theta evaluation ----------------------------------------------------------

@@ -187,6 +187,7 @@ OUT_OF_RANGE = [
     ["verify-limits", "--rank", "1", "--order", "-1", "--seeds", "1"],
     ["verify-rank1", "--order", "2", "--seeds", "0"],
     ["verify-all", "--seeds", "-2"],
+    ["compute-z", "--rank", "1", "--max-n", "0", "--y-mode", "numeric", "--y0", "1/0"],
 ]
 
 

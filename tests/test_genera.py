@@ -21,6 +21,7 @@ from blowup_genera.genera import (
     zhat_series,
 )
 from blowup_genera.partitions import enumerate_blowup_fixed_points, enumerate_tuples
+from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import w_series
 
 
@@ -125,6 +126,15 @@ def test_limit_mode_rank1_equals_equivariant():
 def test_closed_form_requires_limit_mode():
     with pytest.raises(ValueError):
         z_series_limit_closed(SeriesRequest(rank=1, max_n=1, spec=spec23()))
+
+
+def test_plane_series_inverts_without_y_denominators():
+    # Z starts at the constant 1, so its inverse stays a series over Q[y]
+    z = z_series(SeriesRequest(rank=2, max_n=2, spec=sample_specialization(2, 5)))
+    inv = z.invert()
+    assert all(type(c) in (YPoly, F) for c in inv.coeffs if c)
+    assert any(type(c) is YPoly for c in inv.coeffs)
+    assert z * inv == QSeries.one(inv.order)
 
 
 def test_symbolic_numeric_cross_mode():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowup_genera.characters import Character, make_weight
+from blowup_genera.characters import SUBSTITUTIONS, Character, make_weight
 from blowup_genera.coefficients import (
     Specialization,
     YPoly,
@@ -14,7 +14,6 @@ from blowup_genera.coefficients import (
 from blowup_genera.partitions import arm_leg, enumerate_partitions
 from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import (
-    SUBSTITUTIONS,
     hook_character,
     nekrasov_okounkov_rhs,
     verify_nekrasov_okounkov,

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from blowup_genera.characters import Character, make_weight, twist
+from blowup_genera import genera
+from blowup_genera.characters import Character, make_weight, tangent_p2
 from blowup_genera.verify import (
     VerificationReport,
     _build_with_reseed,
@@ -79,17 +80,22 @@ def test_reports_byte_identical_across_runs():
     assert payload["outcome"] == "pass"
 
 
-def test_negative_control_single_weight_perturbation():
+def test_negative_control_single_weight_perturbation(monkeypatch):
     # shifting one weight of one plane tangent character must flip the check
     state = {"done": False}
 
-    def perturb(char: Character) -> Character:
+    def perturbed(fp):
+        char = tangent_p2(fp)
         if not state["done"] and char.rank > 0:
             state["done"] = True
-            return twist(char, dt1=1)
+            w, _m = char.sorted_items()[0]
+            shifted = make_weight(w.i1 + 1, w.i2, w.num, w.den)
+            return char + Character([(w, -1), (shifted, 1)])
         return char
 
-    rep = verify_main_theorem(1, 0, 6, default_seeds(1), _perturb_z=perturb)
+    monkeypatch.setattr(genera, "tangent_p2", perturbed)
+    rep = verify_main_theorem(1, 0, 6, default_seeds(1))
+    assert state["done"]
     assert not rep.outcome
     assert rep.details
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import isqrt
 
 from .coefficients import YPoly, coeff_evaluate
@@ -47,6 +47,12 @@ def _check_exponent(value, label: str) -> int:
     return int(value)
 
 
+def _exact_quotient(num: int, den: int, label: str) -> int:
+    if num % den:
+        raise IntegralityViolationError(f"{label} exponent {Fraction(num, den)} is not an integer")
+    return _check_exponent(num // den, label)
+
+
 def lattice_theta_series(r: int, k: int, order: int, y_sign: int = +1) -> QSeries:
     """Lattice sum of yk_main as a q-series over YPoly, valid through q^order.
 
@@ -61,10 +67,7 @@ def lattice_theta_series(r: int, k: int, order: int, y_sign: int = +1) -> QSerie
     for vec in enumerate_lattice_vectors(r, k, order):
         q_exp = _check_exponent(vec.pair_form, "q")
         linear = sum(ki - kj for ki, kj in combinations(vec.entries, 2))
-        twice_y = q_exp + y_sign * linear
-        if twice_y % 2:
-            raise IntegralityViolationError(f"y exponent {twice_y}/2 is not an integer")
-        y_exp = _check_exponent(twice_y // 2, "y")
+        y_exp = _exact_quotient(q_exp + y_sign * linear, 2, "y")
         if (q_exp - k * (r - k)) % (2 * r) != 0:
             raise IntegralityViolationError(
                 f"lattice exponent {q_exp} is not congruent to k(r-k) mod 2r"
@@ -84,28 +87,42 @@ def yk_main(r: int, k: int, order: int, y_sign: int = +1) -> QSeries:
 
 def _gottsche_lattice(r: int, k: int, order: int) -> QSeries:
     # vectors v = m + (k/r)(1,..,1), m integral, with v^T A v <= order/(2r);
-    # A upper-triangular ones gives v^T A v = ((sum v)^2 + sum v^2)/2, so
-    # each coordinate satisfies |v_i| <= sqrt(2 * bound)
-    bound = Fraction(order, 2 * r)
+    # A upper-triangular ones gives v^T A v = ((sum v)^2 + sum v^2)/2.  In
+    # the scaled coordinates w = r*v, each w_i = r*m_i + k, the bound reads
+    # F(w) = (sum w)^2 + sum w^2 <= r*order, with q-exponent F/r and
+    # y-exponent (F + 2*sum (r-i) w_i)/(2r).  The recursion picks w_1, w_2,
+    # ... in turn: with j - 1 coordinates still open after a prefix of sum s
+    # and square sum S, the smallest real completion of F is S + s^2/j, so
+    # the prefix is kept only while j*S + s^2 <= j*r*order (exact at j = 1).
     if r == 1:
         # empty lattice, the sum is the single term 1
         return QSeries.one(order + 1)
-    shift = Fraction(k, r)
-    coord_cap = isqrt(int(2 * bound)) + 1
-    lo = -coord_cap - 1
-    hi = coord_cap + 1
+    cap = r * order
     terms: dict[int, YPoly] = {}
-    for m in product(range(lo, hi + 1), repeat=r - 1):
-        v = [mi + shift for mi in m]
-        s = sum(v)
-        vav = (s * s + sum(x * x for x in v)) / 2
-        if vav > bound:
-            continue
-        vai = sum((r - i) * v[i - 1] for i in range(1, r))
-        q_exp = _check_exponent(2 * r * vav, "q")
-        y_exp = _check_exponent(r * vav + vai, "y")
-        mono = YPoly.monomial(y_exp)
-        terms[q_exp] = terms.get(q_exp, YPoly.zero()) + mono
+
+    def add_term(ws: tuple[int, ...], form: int) -> None:
+        q_exp = _exact_quotient(form, r, "q")
+        linear = sum((r - i) * w for i, w in enumerate(ws, start=1))
+        y_exp = _exact_quotient(form + 2 * linear, 2 * r, "y")
+        terms[q_exp] = terms.get(q_exp, YPoly.zero()) + YPoly.monomial(y_exp)
+
+    def extend(ws: tuple[int, ...], s: int, sq: int) -> None:
+        j = r - 1 - len(ws)  # open coordinates after this one, plus one
+        # j*(sq + x^2) + (s + x)^2 <= j*cap, a quadratic in x = r*m + k
+        disc = s * s - (j + 1) * (s * s + j * sq - j * cap)
+        if disc < 0:
+            return
+        root = isqrt(disc)
+        x_lo = -((root + s) // (j + 1))
+        x_hi = (root - s) // (j + 1)
+        for m in range(-((k - x_lo) // r), (x_hi - k) // r + 1):
+            x = r * m + k
+            if j == 1:
+                add_term(ws + (x,), (s + x) ** 2 + sq + x * x)
+            else:
+                extend(ws + (x,), s + x, sq + x * x)
+
+    extend((), 0, 0)
     return QSeries.from_terms(terms, order + 1)
 
 

@@ -128,9 +128,6 @@ class Character:
             return self._mult == other._mult
         return NotImplemented
 
-    def multiplicity(self, w: Weight) -> int:
-        return self._mult.get(w, 0)
-
     def contains_trivial(self) -> bool:
         return any(weight_is_trivial(w) for w in self._mult)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from fractions import Fraction
 
@@ -159,11 +160,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_atomic(path: str, text: str) -> None:
+    # write beside the target and rename over it, so the path never holds
+    # a partial report and a failed write leaves the old file in place
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_atomic(args.output, text + "\n")
     else:
         print(text)
 

@@ -187,9 +187,17 @@ def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[Lattice
     """All integer vectors with sum k and pair_form at most qform_bound.
 
     The form is positive definite on the sum-k affine sublattice, so the
-    set is finite.  Every coordinate of a valid vector deviates from k/r
-    by at most sqrt(qform_bound); the scan box uses that bound and
-    filters, which is complete at desk scale.
+    set is finite.  Since pair_form = r*sum(k_i**2) - k**2, a prefix with
+    sum s and square sum S extends by x, with m coordinates left to
+    choose (x included) and rest = k - s, only if the balanced real
+    completion fits:
+
+        r*((m - 1)*(S + x**2) + (rest - x)**2) <= (m - 1)*(qform_bound + k**2).
+
+    The recursion takes each coordinate from the integer interval of
+    that quadratic inequality in x; for m = 2 the test is exact and the
+    last coordinate is forced, so every leaf is a valid vector.  The
+    result is ordered lexicographically in the first r - 1 coordinates.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -197,15 +205,25 @@ def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[Lattice
         raise ValueError("qform_bound must be nonnegative")
     if r == 1:
         return (LatticeVector((k,)),)
-    slack = isqrt(qform_bound) + 1
-    lo = -(-k // r) - slack  # ceil(k/r) - slack
-    hi = k // r + slack
+    cap = qform_bound + k * k
     out = []
-    for head in product(range(lo, hi + 1), repeat=r - 1):
-        last = k - sum(head)
-        vec = LatticeVector(head + (last,))
-        if vec.pair_form <= qform_bound:
-            out.append(vec)
+
+    def extend(prefix: tuple[int, ...], rest: int, sq: int) -> None:
+        m = r - len(prefix)
+        # r*m*x^2 - 2*r*rest*x + r*(rest^2 + (m-1)*sq) - (m-1)*cap <= 0
+        disc = (r * rest) ** 2 - r * m * (r * (rest * rest + (m - 1) * sq) - (m - 1) * cap)
+        if disc < 0:
+            return
+        root = isqrt(disc)
+        lo = -((root - r * rest) // (r * m))
+        hi = (r * rest + root) // (r * m)
+        for x in range(lo, hi + 1):
+            if m == 2:
+                out.append(LatticeVector(prefix + (x, rest - x)))
+            else:
+                extend(prefix + (x,), rest - x, sq + x * x)
+
+    extend((), k, 0)
     return tuple(out)
 
 

@@ -1,12 +1,17 @@
 """The universal blow-up factor in its three presentations."""
 
 from fractions import Fraction as F
+from itertools import product
+from math import isqrt
 
 import pytest
 
+from blowup_genera import blowup_factor
 from blowup_genera.blowup_factor import (
     IntegralityViolationError,
     _check_exponent,
+    _exact_quotient,
+    _gottsche_lattice,
     lattice_theta_series,
     yk_euler,
     yk_gottsche,
@@ -56,6 +61,54 @@ def test_yk_gottsche_matches_yk_main():
         for k in range(r):
             order = 2 * r * 4
             assert yk_gottsche(r, k, order) == yk_main(r, k, order)
+
+
+def fraction_scan_gottsche_lattice(r: int, k: int, order: int) -> QSeries:
+    """The original shifted-lattice sum: scan a box of integer m, form
+    v = m + k/r over Fraction, and keep v^T A v <= order/(2r)."""
+    bound = F(order, 2 * r)
+    if r == 1:
+        return QSeries.one(order + 1)
+    shift = F(k, r)
+    coord_cap = isqrt(int(2 * bound)) + 1
+    terms = {}
+    for m in product(range(-coord_cap - 1, coord_cap + 2), repeat=r - 1):
+        v = [mi + shift for mi in m]
+        s = sum(v)
+        vav = (s * s + sum(x * x for x in v)) / 2
+        if vav > bound:
+            continue
+        vai = sum((r - i) * v[i - 1] for i in range(1, r))
+        q_exp = _check_exponent(2 * r * vav, "q")
+        y_exp = _check_exponent(r * vav + vai, "y")
+        terms[q_exp] = terms.get(q_exp, YPoly.zero()) + YPoly.monomial(y_exp)
+    return QSeries.from_terms(terms, order + 1)
+
+
+# every order below 30 for r <= 3; the Fraction scan costs about 40 us per
+# box point, so ranks 4 and 5 take the orders on both sides of each widening
+# of the box (orders 4 and 16 for r = 4, order 5 for r = 5)
+GOTTSCHE_ORDERS = {
+    1: range(30), 2: range(30), 3: range(30), 4: (0, 3, 4, 15, 16, 29), 5: (0, 4, 5, 19)
+}
+
+
+@pytest.mark.parametrize("r", sorted(GOTTSCHE_ORDERS))
+def test_gottsche_lattice_matches_fraction_scan(r):
+    for k in range(-3, r + 3):
+        for order in GOTTSCHE_ORDERS[r]:
+            got = _gottsche_lattice(r, k, order).to_json()
+            assert got == fraction_scan_gottsche_lattice(r, k, order).to_json(), (r, k, order)
+
+
+@pytest.mark.parametrize(
+    "r, k, order", [(4, 0, 24), (4, 1, 24), (4, 2, 24), (4, 3, 24), (5, 2, 30), (6, 3, 35)]
+)
+def test_higher_rank_forms_cross_check(r, k, order):
+    main = yk_main(r, k, order)
+    assert yk_gottsche(r, k, order) == main
+    at_one = main.map_coefficients(lambda c: coeff_evaluate(c, F(1)))
+    assert at_one == yk_euler(r, k, order)
 
 
 def test_yk_euler_examples():
@@ -111,3 +164,29 @@ def test_integrality_guard():
         _check_exponent(F(1, 2), "q")
     with pytest.raises(IntegralityViolationError):
         _check_exponent(-1, "y")
+
+
+def test_exact_quotient_guard():
+    assert _exact_quotient(12, 4, "q") == 3
+    assert _exact_quotient(0, 6, "y") == 0
+    with pytest.raises(IntegralityViolationError, match="q exponent 7/2 is not an integer"):
+        _exact_quotient(7, 2, "q")
+    with pytest.raises(IntegralityViolationError, match="y exponent -2 is negative"):
+        _exact_quotient(-4, 2, "y")
+
+
+def test_gottsche_exponents_pass_the_guard(monkeypatch):
+    # every q- and y-exponent of the shifted-lattice sum goes through the
+    # checked quotient, by r and by 2r
+    seen = []
+
+    def spy(num, den, label):
+        seen.append((label, den))
+        return _exact_quotient(num, den, label)
+
+    monkeypatch.setattr(blowup_factor, "_exact_quotient", spy)
+    r, k, order = 3, 1, 18
+    theta = _gottsche_lattice(r, k, order)
+    vectors = int(sum(coeff_evaluate(c, F(1)) for _, c in theta.items()))
+    assert vectors > 1
+    assert seen == [("q", r), ("y", 2 * r)] * vectors

@@ -94,6 +94,31 @@ def test_compute_z_order_flag_and_output_file(tmp_path, capsys):
     assert data["series"]["offset"] == 0
 
 
+def test_output_file_replaced_whole_and_no_temporary_left(tmp_path, capsys):
+    argv = ("compute-yk", "--rank", "3", "--k", "1", "--order", "12", "--form", "main")
+    _, expected = run_cli(capsys, *argv)
+    out_file = tmp_path / "yk.json"
+    out_file.write_text("stale\n")
+    code, out = run_cli(capsys, *argv, "--output", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_text() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["yk.json"]
+
+
+def test_failed_output_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "yk.json"
+    out_file.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        main(["compute-yk", "--rank", "2", "--k", "1", "--order", "4", "--output", str(out_file)])
+    assert out_file.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["yk.json"]
+
+
 def test_compute_w_numeric(capsys):
     code, out = run_cli(capsys, "compute-w", "--order", "3", "--seed", "4")
     assert code == 0

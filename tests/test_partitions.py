@@ -3,6 +3,7 @@ independent oracles (pentagonal recurrence, brute-force generation,
 generating-function convolution)."""
 
 from itertools import product
+from math import isqrt
 
 import pytest
 
@@ -165,6 +166,40 @@ def test_lattice_vectors_complete_against_wide_scan():
         if vec.pair_form <= bound:
             wide.add(vec.entries)
     assert got == wide
+
+
+def box_scan_lattice_vectors(r: int, k: int, bound: int) -> tuple[LatticeVector, ...]:
+    """The original enumerator: scan the box of heads within isqrt(bound) + 1
+    of k/r in r - 1 coordinates, complete the sum, and filter.  The filter
+    uses pair_form = r*sum(k_i**2) - k**2 on plain ints to stay fast;
+    test_pair_form_identity checks that identity against the definition."""
+    if r == 1:
+        return (LatticeVector((k,)),)
+    slack = isqrt(bound) + 1
+    heads = product(range(-(-k // r) - slack, k // r + slack + 1), repeat=r - 1)
+    out = []
+    for head in heads:
+        vec = head + (k - sum(head),)
+        if r * sum(x * x for x in vec) - k * k <= bound:
+            out.append(LatticeVector(vec))
+    return tuple(out)
+
+
+def test_pair_form_identity():
+    for r in range(1, 5):
+        for vec in product(range(-3, 4), repeat=r):
+            k = sum(vec)
+            assert LatticeVector(vec).pair_form == r * sum(x * x for x in vec) - k * k
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_lattice_vectors_match_box_scan(r):
+    # same tuple in the same order, also for k outside [0, r)
+    for k in range(-3, r + 3):
+        for bound in range(30):
+            assert enumerate_lattice_vectors(r, k, bound) == box_scan_lattice_vectors(
+                r, k, bound
+            ), (r, k, bound)
 
 
 def test_pair_form_values():

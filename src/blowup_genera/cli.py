@@ -22,8 +22,9 @@ import sys
 from fractions import Fraction
 
 from .blowup_factor import yk_euler, yk_gottsche, yk_hol, yk_main
-from .coefficients import sample_specialization
+from .coefficients import PRNG_NAME, sample_specialization
 from .genera import SeriesRequest, series_report
+from .partitions import blowup_max_n
 from .verify import (
     DEFAULT_SEED_BASE,
     DEFAULT_SEED_COUNT,
@@ -48,13 +49,20 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(","))
 
 
-def _bounded_int(lowest: int):
-    """An argparse type for integers >= lowest; anything else is a usage error."""
+# The lattice and composition recursions go about rank deep: keep far below the
+# recursion limit (1000), far above the largest rank in use (6).
+MAX_RANK = 100
+
+
+def _bounded_int(lowest: int, highest: int | None = None):
+    """An argparse type for integers in [lowest, highest]; anything else is a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(f"must be at most {highest}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -63,6 +71,7 @@ def _bounded_int(lowest: int):
 
 _positive = _bounded_int(1)
 _nonnegative = _bounded_int(0)
+_rank = _bounded_int(1, MAX_RANK)
 
 
 def _rational(text: str) -> Fraction:
@@ -108,16 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute-z", help="plane moduli generating series")
-    p.add_argument("--rank", type=_positive, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     _series_flags(p)
 
     p = sub.add_parser("compute-zhat", help="blow-up moduli generating series")
-    p.add_argument("--rank", type=_positive, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--k", type=int, default=0)
     _series_flags(p)
 
     p = sub.add_parser("compute-yk", help="universal blow-up factor")
-    p.add_argument("--rank", type=_positive, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=_nonnegative, required=True)
     p.add_argument("--form", choices=("main", "gottsche", "euler", "hol"), default="main")
@@ -132,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p, timing=False)
 
     p = sub.add_parser("verify-blowup", help="main blow-up identity zhat = yk * z")
-    p.add_argument("--rank", type=_positive, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=_nonnegative)
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
@@ -143,13 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     _verify_flags(p)
 
     p = sub.add_parser("verify-corollary", help="Euler and holomorphic branches")
-    p.add_argument("--rank", type=_positive, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=_nonnegative)
     _verify_flags(p)
 
     p = sub.add_parser("verify-limits", help="equivariant vs limit mode quotients")
-    p.add_argument("--rank", type=_positive, required=True)
+    p.add_argument("--rank", type=_rank, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--order", type=_nonnegative)
     _verify_flags(p)
@@ -201,7 +210,7 @@ def _check_k(parser, r: int, k: int) -> None:
 def _max_n_from(args, r: int, k: int = 0) -> int:
     if args.max_n is not None:
         return args.max_n
-    return max(-(-(args.order - k * (r - k)) // (2 * r)), 0)
+    return blowup_max_n(r, k, args.order)
 
 
 def _specialization(parser, args, r: int):
@@ -270,7 +279,7 @@ def main(argv=None) -> int:
                     "order": args.order,
                     "seed": args.seed,
                     "substitution": args.substitution,
-                    "prng": "splitmix64",
+                    "prng": PRNG_NAME,
                 },
                 "series": series.to_json(),
             },

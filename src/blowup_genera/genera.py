@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .characters import Character, tangent_blowup, tangent_p2, theta_eval, theta_limit_factor
-from .coefficients import Specialization
+from .coefficients import PRNG_NAME, Specialization
 from .partitions import blowup_virtual_dim, enumerate_blowup_fixed_points, enumerate_tuples
 from .qseries import QSeries
 from .rank1 import w_series
@@ -139,7 +139,7 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
             "mode": req.mode,
             "seed": req.spec.seed,
             "y_mode": "symbolic" if req.spec.symbolic else f"numeric:{req.spec.y0}",
-            "prng": "splitmix64",
+            "prng": PRNG_NAME,
         },
         "series": series.to_json(),
         "fixed_point_counts": counts,

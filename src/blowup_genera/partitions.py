@@ -232,6 +232,11 @@ def blowup_virtual_dim(r: int, k: int, n: int) -> int:
     return 2 * r * n + k * (r - k)
 
 
+def blowup_max_n(r: int, k: int, order: int) -> int:
+    """Smallest n >= 0 with blowup_virtual_dim(r, k, n) >= order: the cutoff reaching q**order."""
+    return max(-(-(order - k * (r - k)) // (2 * r)), 0)
+
+
 @dataclass(frozen=True)
 class BlowupFixedPoint:
     """Triple (Y-tuple, Z-tuple, kvec) indexing a blow-up fixed point."""

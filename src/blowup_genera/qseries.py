@@ -10,7 +10,6 @@ Coefficient values may be int, Fraction, YPoly or YRat, mixed freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .coefficients import YPoly, YRat, coeff_to_str
 
@@ -249,43 +248,31 @@ class QSeries:
         return f"QSeries(O(q^{self.order}); {terms}{more})"
 
 
-def _factor_power(q_exp: int, coeff, power: int, order: int) -> QSeries:
-    """(1 - coeff * q**q_exp) ** power expanded below ``order``.
-
-    Negative powers expand through the binomial series, so no coefficient
-    division is ever needed.
-    """
-    terms = {0: 1}
-    top = (order - 1) // q_exp
-    if power >= 0:
-        for j in range(1, min(power, top) + 1):
-            terms[j * q_exp] = comb(power, j) * ((-1) ** j) * coeff**j
-    else:
-        p = -power
-        for j in range(1, top + 1):
-            terms[j * q_exp] = comb(p - 1 + j, j) * coeff**j
-    return QSeries.from_terms(terms, order)
-
-
 def euler_product(q_step: int, y_step: int, power: int, order: int, y0=None) -> QSeries:
     """prod_{n>0} (1 - q**(q_step*n) * y**(y_step*n)) ** power, valid below ``order``.
 
-    With y0=None the y powers stay symbolic (YPoly coefficients); a
-    Fraction y0 folds them into rational coefficients.
+    power must be <= 0.  The x**m coefficient of prod (1 - x**n)**power is
+    the number c(m) of (-power)-colored partitions of m, counted over the
+    integers by one running sum with stride n per color and part size n.
+    Each c(m) goes to q**(q_step*m) times y**(y_step*m): a YPoly for y0=None,
+    a rational for a Fraction y0.
     """
     if q_step < 1:
         raise ValueError("q_step must be positive so the product is a power series")
-    result = QSeries.one(order)
-    if power == 0:
-        return result
-    n = 1
-    while n * q_step < order:
+    if power > 0:
+        raise ValueError(f"power must be at most 0, got {power}")
+    top = (order - 1) // q_step
+    counts = [1] + [0] * top
+    for n in range(1, top + 1):
+        for _ in range(-power):
+            for m in range(n, top + 1):
+                counts[m] += counts[m - n]
+    terms = {0: 1}
+    for m in range(1, top + 1):
         if y_step == 0:
-            c = 1
+            terms[q_step * m] = counts[m]
         elif y0 is None:
-            c = YPoly.monomial(y_step * n)
+            terms[q_step * m] = YPoly.monomial(y_step * m, counts[m])
         else:
-            c = Fraction(y0) ** (y_step * n)
-        result = result * _factor_power(n * q_step, c, power, order)
-        n += 1
-    return result
+            terms[q_step * m] = counts[m] * Fraction(y0) ** (y_step * m)
+    return QSeries.from_terms(terms, order)

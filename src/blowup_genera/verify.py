@@ -24,8 +24,9 @@ from fractions import Fraction
 from . import rank1
 from .blowup_factor import yk_euler, yk_hol, yk_main
 from .characters import DegenerateSpecializationError
-from .coefficients import coeff_evaluate, sample_specialization
+from .coefficients import PRNG_NAME, coeff_evaluate, sample_specialization
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
+from .partitions import blowup_max_n
 
 logger = logging.getLogger("blowup_genera")
 
@@ -36,7 +37,7 @@ MAX_RESEEDS = 64
 CONVENTIONS = {
     "grading": "blow-up degree = 2*r*(|Y|+|Z|) + sum_{i<j}(k_i-k_j)^2 = 2*r*n + k*(r-k)",
     "theta": "theta(x) = (x - y)/(x - 1)",
-    "prng": "splitmix64",
+    "prng": PRNG_NAME,
     "lattice_y_sign": "y^((Q+L)/2) with L = sum_{i<j}(k_i - k_j); both signs match",
 }
 
@@ -77,10 +78,6 @@ class VerificationReport:
         return json.dumps(self.to_json(include_timing), indent=2, sort_keys=True)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str]):
     """Run ``build(spec)``, resampling at seed+1 on degenerate collisions."""
     current = seed
@@ -99,8 +96,8 @@ def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str]):
 
 def _series_pair(r, k, order, seed, y0, mode, retries):
     """Plane and blow-up series at one (possibly reseeded) specialization."""
-    z_max_n = _ceil_div(order, 2 * r)
-    zhat_max_n = max(_ceil_div(order - k * (r - k), 2 * r), 0)
+    z_max_n = blowup_max_n(r, 0, order)
+    zhat_max_n = blowup_max_n(r, k, order)
 
     def build(spec):
         z_req = SeriesRequest(rank=r, max_n=z_max_n, spec=spec, k=0, mode=mode)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blowup_genera.cli import build_parser, main
+from blowup_genera.cli import MAX_RANK, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +213,14 @@ OUT_OF_RANGE = [
     ["verify-rank1", "--order", "2", "--seeds", "0"],
     ["verify-all", "--seeds", "-2"],
     ["compute-z", "--rank", "1", "--max-n", "0", "--y-mode", "numeric", "--y0", "1/0"],
+    # above cli.MAX_RANK, where the lattice recursions would hit the recursion limit
+    ["compute-yk", "--rank", "1200", "--k", "0", "--order", "0"],
+    ["compute-z", "--rank", "1200", "--max-n", "0"],
+    ["compute-zhat", "--rank", "1200", "--k", "0", "--max-n", "0"],
+    ["verify-blowup", "--rank", "1200", "--order", "0", "--seeds", "1"],
+    ["verify-corollary", "--rank", "1200", "--order", "0", "--seeds", "1"],
+    ["verify-limits", "--rank", "1200", "--order", "0", "--seeds", "1"],
+    ["compute-z", "--rank", str(MAX_RANK + 1), "--max-n", "0"],
 ]
 
 
@@ -231,6 +239,13 @@ def test_zero_cutoffs_are_valid(capsys):
     assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
     code, _ = run_cli(capsys, "compute-yk", "--rank", "2", "--order", "0")
     assert code == 0
+
+
+def test_rank_cap_is_valid(capsys):
+    code, out = run_cli(capsys, "compute-yk", "--rank", str(MAX_RANK), "--k", "0", "--order", "0")
+    assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
+    code, out = run_cli(capsys, "compute-z", "--rank", str(MAX_RANK), "--max-n", "0")
+    assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
 
 
 def test_degenerate_seed_exits_one_with_typed_error():

@@ -1,6 +1,7 @@
 """Truncated series ring: exactness, truncation tracking, product expansions."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +138,52 @@ def test_euler_product_zero_power():
 def test_euler_product_power_matches_repeated_product():
     base = euler_product(1, 0, -1, 9)
     assert euler_product(1, 0, -3, 9) == base * base * base
+
+
+def reference_euler_product(q_step, y_step, power, order, y0=None):
+    """The factor-by-factor expansion that euler_product replaced.
+
+    Each factor (1 - c * q**(q_step*n))**power, c = y**(y_step*n), is expanded
+    by the binomial series and multiplied into the running QSeries product.
+    """
+    result = QSeries.one(order)
+    if power == 0:
+        return result
+    n = 1
+    while n * q_step < order:
+        if y_step == 0:
+            c = 1
+        elif y0 is None:
+            c = YPoly.monomial(y_step * n)
+        else:
+            c = F(y0) ** (y_step * n)
+        q_exp = n * q_step
+        terms = {0: 1}
+        for j in range(1, (order - 1) // q_exp + 1):
+            terms[j * q_exp] = comb(-power - 1 + j, j) * c**j
+        result = result * QSeries.from_terms(terms, order)
+        n += 1
+    return result
+
+
+@pytest.mark.parametrize("power", (0, -1, -2, -6))
+@pytest.mark.parametrize("y_step", (0, 1, 3))
+@pytest.mark.parametrize("q_step", (1, 2, 3, 6))
+def test_euler_product_matches_factor_by_factor_reference(q_step, y_step, power):
+    for order in (0, 1, 2, 7, 19, 40):
+        for y0 in (None, F(0), F(1), F(2, 3)):
+            got = euler_product(q_step, y_step, power, order, y0=y0)
+            want = reference_euler_product(q_step, y_step, power, order, y0=y0)
+            assert got.to_json() == want.to_json()
+            # same coefficient types too: downstream products depend on them
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_euler_product_rejects_positive_power_and_step():
+    with pytest.raises(ValueError, match="power"):
+        euler_product(1, 0, 1, 5)
+    with pytest.raises(ValueError, match="q_step"):
+        euler_product(0, 1, -1, 5)
 
 
 def test_euler_product_numeric_y():

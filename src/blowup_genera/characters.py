@@ -14,11 +14,18 @@ framed at slots a, b the pairing block is
 and for a lattice vector the exceptional block l_block is a simplex of
 t-monomials fixed by the difference k_a - k_b (empty when that difference
 is 0 or 1 in the relevant direction).  The tangent space on the plane is
-the double sum of n_blocks; on the blow-up each n_block enters with the
-variable substitutions (t1, t2/t1), (t1/t2, t2) and a monomial twist.
-Both tangent characters are built in one pass from the exponent pairs
-(i1, i2) that hook_exponents and simplex_exponents yield, remapped
-through the SUBSTITUTIONS table: one Character per fixed point.
+the double sum of n_blocks.  On the blow-up (Nakajima-Yoshioka) a fixed
+point (Y, Z, kvec) has three blocks, each one double sum over slot pairs:
+the simplex of kvec, the Y block (the n_blocks of Y under (t1, t2/t1),
+twisted by t1^(k_b - k_a)) and the Z block (those of Z under (t1/t2, t2),
+twisted by t2^(k_b - k_a)).  BLOWUP_SIDES holds the substitution and twist
+of each side, and simplex_weights and plane_block_weights are the only
+generators of blow-up weights: simplex_block and plane_block check and
+count one block, which the factored blow-up series evaluates on its own,
+and tangent_blowup counts all three into the full character.  Every
+character is built in one pass from the exponent pairs (i1, i2) that
+hook_exponents and simplex_exponents yield, remapped through the
+SUBSTITUTIONS table.
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -37,10 +44,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .coefficients import Specialization, YPoly, YRat
-from .partitions import BlowupFixedPoint, Partition, PartitionTuple, arm_leg
+from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple, arm_leg
 
 
 class TrivialWeightError(ValueError):
@@ -219,40 +227,75 @@ def tangent_p2(fp: PartitionTuple) -> Character:
     return total
 
 
-def _blowup_weights(fp: BlowupFixedPoint):
-    # per slot pair: the exceptional block, the Y block under (t1, t2/t1)
-    # times t1^d and the Z block under (t1/t2, t2) times t2^d, d = k_b - k_a;
-    # each substitution fixes the variable of its twist, so the twist goes first
-    to_y, to_z = SUBSTITUTIONS["t2/t1"], SUBSTITUTIONS["t1/t2"]
-    slots = list(enumerate(zip(fp.kvec.entries, fp.y_tuple.entries, fp.z_tuple.entries), 1))
-    for a, (ka, y_a, z_a) in slots:
-        for b, (kb, y_b, z_b) in slots:
+# blow-up side -> (substitution, twisted exponent): the Y-tuple sits in the
+# chart (t1, t2/t1) twisted by t1^d, the Z-tuple in (t1/t2, t2) twisted by
+# t2^d, d = k_b - k_a; each substitution fixes the variable of its twist, so
+# the twist goes first
+BLOWUP_SIDES = {"y": ("t2/t1", (1, 0)), "z": ("t1/t2", (0, 1))}
+
+
+def simplex_weights(kvec: LatticeVector):
+    """(weight, 1) pairs of the exceptional block of a lattice vector, slot pair by slot pair."""
+    slots = list(enumerate(kvec.entries, 1))
+    for a, ka in slots:
+        for b, kb in slots:
             for i1, i2 in simplex_exponents(ka, kb):
                 yield make_weight(i1, i2, b, a), 1
-            for i1, i2 in hook_exponents(y_a, y_b):
-                yield make_weight(*to_y(i1 + kb - ka, i2), b, a), 1
-            for i1, i2 in hook_exponents(z_a, z_b):
-                yield make_weight(*to_z(i1, i2 + kb - ka), b, a), 1
+
+
+def plane_block_weights(pt: PartitionTuple, kvec: LatticeVector, side: str):
+    """(weight, 1) pairs of the Y block (side "y") or Z block (side "z") of a tuple.
+
+    The plane tangent character of the tuple, substituted and twisted as
+    BLOWUP_SIDES says for that side of the blow-up.
+    """
+    kind, (u1, u2) = BLOWUP_SIDES[side]
+    remap = SUBSTITUTIONS[kind]
+    slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
+    for a, (ka, p_a) in slots:
+        for b, (kb, p_b) in slots:
+            d = kb - ka
+            for i1, i2 in hook_exponents(p_a, p_b):
+                yield make_weight(*remap(i1 + u1 * d, i2 + u2 * d), b, a), 1
+
+
+def _checked(char: Character, expected: int, where: str) -> Character:
+    if char.rank != expected:
+        raise RankCheckError(f"tangent rank {char.rank} != {expected} at {where}")
+    if char.contains_trivial():
+        raise TrivialWeightError(f"trivial weight in tangent character at {where}")
+    return char
+
+
+def simplex_block(kvec: LatticeVector) -> Character:
+    """Exceptional block of a lattice vector; its rank must equal pair_form."""
+    return _checked(Character(simplex_weights(kvec)), kvec.pair_form, f"simplex of {kvec!r}")
+
+
+def plane_block(pt: PartitionTuple, kvec: LatticeVector, side: str) -> Character:
+    """Y or Z block of a blow-up fixed point; its rank must equal 2*r*|pt|."""
+    return _checked(
+        Character(plane_block_weights(pt, kvec, side)),
+        2 * pt.rank * pt.total_size,
+        f"{side} block of {pt!r} under {kvec!r}",
+    )
 
 
 @lru_cache(maxsize=None)
 def tangent_blowup(fp: BlowupFixedPoint) -> Character:
     """Tangent character at a blow-up fixed point.
 
-    Sum over slot pairs of the exceptional block plus the two substituted
-    and twisted diagram blocks.  The rank must equal the q-degree
-    2*r*w + pair_form, and the trivial weight must be absent (fixed points
-    are isolated); both are hard checks.
+    The exceptional block plus the Y and Z blocks, counted into one
+    Character.  The rank must equal the q-degree 2*r*w + pair_form, and
+    the trivial weight must be absent (fixed points are isolated); both
+    are hard checks.
     """
-    total = Character(_blowup_weights(fp))
-    expected = fp.virtual_dim
-    if total.rank != expected:
-        raise RankCheckError(
-            f"tangent rank {total.rank} != {expected} at {fp!r}"
-        )
-    if total.contains_trivial():
-        raise TrivialWeightError(f"trivial weight in tangent character at {fp!r}")
-    return total
+    weights = chain(
+        simplex_weights(fp.kvec),
+        plane_block_weights(fp.y_tuple, fp.kvec, "y"),
+        plane_block_weights(fp.z_tuple, fp.kvec, "z"),
+    )
+    return _checked(Character(weights), fp.virtual_dim, repr(fp))
 
 
 def weight_value(w: Weight, spec: Specialization) -> Fraction:

@@ -2,20 +2,37 @@
 
 z_series sums theta contributions of diagram tuples into degrees q^(2rn);
 zhat_series sums blow-up fixed points into degrees
-q^(2r(|Y|+|Z|) + pair_form).  Both run in equivariant mode (full theta
-evaluation) or limit mode (exact ordered e -> 0 case table), and limit
-mode has the independent closed form z_series_limit_closed built from the
-rank-one series raised to the r-th power.
+q^(2r(|Y|+|Z|) + pair_form), factored over lattice vectors: theta of the
+exceptional simplex times the convolution of the Y-block and Z-block theta
+sums, so no full blow-up tangent character is built.  Both run in
+equivariant mode (full theta evaluation) or limit mode (exact ordered
+e -> 0 case table), and limit mode has the independent closed form
+z_series_limit_closed built from the rank-one series raised to the r-th
+power.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import count
 
-from .characters import Character, tangent_blowup, tangent_p2, theta_eval, theta_limit_factor
+from .characters import (
+    Character,
+    plane_block,
+    simplex_block,
+    tangent_p2,
+    theta_eval,
+    theta_limit_factor,
+)
 from .coefficients import PRNG_NAME, Specialization
-from .partitions import blowup_virtual_dim, enumerate_blowup_fixed_points, enumerate_tuples
+from .partitions import (
+    LatticeVector,
+    blowup_virtual_dim,
+    enumerate_blowup_fixed_points,
+    enumerate_lattice_vectors,
+    enumerate_tuples,
+)
 from .qseries import QSeries
 from .rank1 import w_series
 
@@ -72,22 +89,55 @@ def z_series(req: SeriesRequest) -> QSeries:
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
+def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
+    """Yield the share of kvec in the blow-up coefficient of weight w = 0, 1, 2, ...
+
+    A fixed point (Y, Z, kvec) has the tangent character simplex + Y block
+    + Z block, and theta is multiplicative, so the share at weight w is
+    theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
+    Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
+    """
+    r = req.rank
+    simplex = _contribution(req, simplex_block(kvec))
+    a, b = [], []
+    for w in count():
+        tuples = enumerate_tuples(r, w)
+        a.append(_accumulate(req, [plane_block(t, kvec, "y") for t in tuples]))
+        b.append(_accumulate(req, [plane_block(t, kvec, "z") for t in tuples]))
+        yield simplex * sum(a[i] * b[w - i] for i in range(w + 1))
+
+
 def zhat_series(req: SeriesRequest) -> QSeries:
     """Blow-up series over fixed points with instanton number n <= max_n.
 
     Support lies on exponents congruent to k(r-k) mod 2r, starting at
     k(r-k); valid below q^(k(r-k) + 2r*max_n + 1).
+
+    The sum is factored over lattice vectors (Nakajima-Yoshioka): each
+    vector's theta(simplex) times the convolution of its Y- and Z-block
+    sums, see _lattice_vector_shares.  Since pair_form = k(r-k) mod 2r, a
+    vector first counts at weight 0 in the degree where pair_form equals
+    the q-exponent and then at weights 1, 2, ... in the following degrees.
+    Degrees are filled in ascending order, within a degree the vectors in
+    enumeration order, and for each vector the Y blocks of its new weight
+    before the Z blocks.  The per-fixed-point sum over
+    enumerate_blowup_fixed_points first meets every weight in that same
+    order, at (Y, empty, kvec) and then (empty, Z, kvec), so a degenerate
+    specialization names the same weight.
     """
     r, k = req.rank, req.k
     if not 0 <= k < r:
         raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+    top = blowup_virtual_dim(r, k, req.max_n)
+    kvecs = enumerate_lattice_vectors(r, k, top)
+    shares = [_lattice_vector_shares(req, kvec) for kvec in kvecs]
     terms = {}
     for n in range(req.max_n + 1):
         exp = blowup_virtual_dim(r, k, n)
-        terms[exp] = _accumulate(
-            req, [tangent_blowup(fp) for fp in enumerate_blowup_fixed_points(r, k, n)]
+        terms[exp] = sum(
+            next(share) for kvec, share in zip(kvecs, shares) if kvec.pair_form <= exp
         )
-    return QSeries.from_terms(terms, blowup_virtual_dim(r, k, req.max_n) + 1)
+    return QSeries.from_terms(terms, top + 1)
 
 
 def z_series_limit_closed(req: SeriesRequest) -> QSeries:

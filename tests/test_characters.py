@@ -13,6 +13,8 @@ from blowup_genera.characters import (
     l_block,
     make_weight,
     n_block,
+    plane_block,
+    simplex_block,
     substitute,
     tangent_blowup,
     tangent_p2,
@@ -154,6 +156,23 @@ def test_rank_check_fires_on_broken_block(monkeypatch):
     monkeypatch.setattr(characters, "simplex_exponents", lambda ka, kb: iter(()))
     with pytest.raises(RankCheckError):
         tangent_blowup.__wrapped__(fp)
+
+
+def test_tangent_blowup_is_the_sum_of_its_three_blocks():
+    # the factorization the blow-up series uses: simplex + Y block + Z block
+    for r, max_n in ((1, 4), (2, 3), (3, 2)):
+        for k in range(r):
+            for n in range(max_n + 1):
+                for fp in enumerate_blowup_fixed_points(r, k, n):
+                    blocks = (
+                        simplex_block(fp.kvec),
+                        plane_block(fp.y_tuple, fp.kvec, "y"),
+                        plane_block(fp.z_tuple, fp.kvec, "z"),
+                    )
+                    assert blocks[0].rank == fp.kvec.pair_form
+                    assert blocks[1].rank == 2 * r * fp.y_tuple.total_size
+                    assert blocks[2].rank == 2 * r * fp.z_tuple.total_size
+                    assert blocks[0] + blocks[1] + blocks[2] == tangent_blowup(fp)
 
 
 # -- differential test against the block-by-block assembly ----------------------

@@ -4,7 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowup_genera.characters import DegenerateSpecializationError
+from blowup_genera.characters import (
+    DegenerateSpecializationError,
+    RankCheckError,
+    TrivialWeightError,
+    tangent_blowup,
+    theta_eval,
+    theta_limit_factor,
+)
 from blowup_genera.coefficients import (
     Specialization,
     YPoly,
@@ -13,6 +20,7 @@ from blowup_genera.coefficients import (
     sample_specialization,
 )
 from blowup_genera.genera import (
+    EQUIVARIANT,
     LIMIT,
     SeriesRequest,
     series_report,
@@ -20,7 +28,11 @@ from blowup_genera.genera import (
     z_series_limit_closed,
     zhat_series,
 )
-from blowup_genera.partitions import enumerate_blowup_fixed_points, enumerate_tuples
+from blowup_genera.partitions import (
+    blowup_virtual_dim,
+    enumerate_blowup_fixed_points,
+    enumerate_tuples,
+)
 from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import w_series
 
@@ -167,7 +179,8 @@ def test_series_report_schema():
 
 
 def test_series_report_enumerates_blowup_points_once():
-    # the series and its fixed_point_counts share one enumeration per degree
+    # fixed_point_counts enumerates each degree once; the factored series
+    # itself enumerates no blow-up fixed points
     enumerate_blowup_fixed_points.cache_clear()
     spec = sample_specialization(2, 6)
     rep = series_report("zhat", SeriesRequest(rank=2, max_n=2, spec=spec, k=1))
@@ -176,3 +189,78 @@ def test_series_report_enumerates_blowup_points_once():
         str(1 + 4 * n): len(enumerate_blowup_fixed_points(2, 1, n)) for n in range(3)
     }
     assert "threads" not in rep["params"]
+
+
+# -- differential test against the per-fixed-point sum --------------------------
+# zhat_series as it was before the factored sum: theta of the full tangent
+# character of every blow-up fixed point, summed degree by degree.
+
+def reference_zhat_series(req):
+    r, k = req.rank, req.k
+    theta = theta_limit_factor if req.mode == LIMIT else theta_eval
+    terms = {}
+    for n in range(req.max_n + 1):
+        acc = 0
+        for fp in enumerate_blowup_fixed_points(r, k, n):
+            acc = acc + theta(tangent_blowup.__wrapped__(fp), req.spec)
+        terms[blowup_virtual_dim(r, k, n)] = acc
+    return QSeries.from_terms(terms, blowup_virtual_dim(r, k, req.max_n) + 1)
+
+
+ZHAT_DIFFERENTIAL_RANGE = ((1, 4), (2, 3), (3, 2))  # (r, largest n)
+
+
+@pytest.mark.parametrize("mode", [EQUIVARIANT, LIMIT])
+@pytest.mark.parametrize("y0", [None, F(0), F(1), F(2, 3)])
+def test_zhat_series_matches_per_fixed_point_reference(mode, y0):
+    for r, max_n in ZHAT_DIFFERENTIAL_RANGE:
+        spec = sample_specialization(r, 1729, y0)
+        for k in range(r):
+            for n in range(max_n + 1):
+                req = SeriesRequest(rank=r, max_n=n, spec=spec, k=k, mode=mode)
+                got, want = zhat_series(req), reference_zhat_series(req)
+                assert got.to_json() == want.to_json()
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("seed", [53, 192])
+@pytest.mark.parametrize("max_n", [4, 5])
+def test_zhat_series_degeneracy_names_the_reference_weight(seed, max_n):
+    # both sums evaluate each weight first at the same fixed point
+    req = SeriesRequest(rank=2, max_n=max_n, spec=sample_specialization(2, seed), k=1)
+    with pytest.raises(DegenerateSpecializationError) as got:
+        zhat_series(req)
+    with pytest.raises(DegenerateSpecializationError) as want:
+        reference_zhat_series(req)
+    assert str(got.value) == str(want.value)
+
+
+def _no_pairs(*_args):
+    return iter(())
+
+
+def _trivial_pairs(y_a, y_b):
+    # as many pairs as the hook formula, all (0, 0): trivial on the diagonal slots
+    return iter([(0, 0)] * (y_a.size + y_b.size))
+
+
+@pytest.mark.parametrize(
+    "attr, replacement, error",
+    [
+        ("simplex_exponents", _no_pairs, RankCheckError),
+        ("hook_exponents", _no_pairs, RankCheckError),
+        ("hook_exponents", _trivial_pairs, TrivialWeightError),
+    ],
+)
+def test_zhat_series_checks_each_block(monkeypatch, attr, replacement, error):
+    import blowup_genera.characters as characters
+
+    monkeypatch.setattr(characters, attr, replacement)
+    with pytest.raises(error):
+        zhat_series(SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 4), k=1))
+
+
+def test_zhat_series_builds_no_full_tangent_character():
+    before = tangent_blowup.cache_info()
+    zhat_series(SeriesRequest(rank=2, max_n=3, spec=sample_specialization(2, 6), k=1))
+    assert tangent_blowup.cache_info() == before

@@ -22,10 +22,7 @@ from .characters import (
     RankCheckError,
     TrivialWeightError,
     Weight,
-    l_block,
     make_weight,
-    n_block,
-    substitute,
     tangent_blowup,
     tangent_p2,
     theta_eval,

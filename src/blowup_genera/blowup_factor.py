@@ -29,7 +29,7 @@ from itertools import combinations
 from math import isqrt
 
 from .coefficients import YPoly, coeff_evaluate
-from .partitions import enumerate_lattice_vectors
+from .partitions import check_k, enumerate_lattice_vectors
 from .qseries import QSeries, euler_product
 
 
@@ -37,14 +37,10 @@ class IntegralityViolationError(ArithmeticError):
     """A combined lattice exponent failed to be a nonnegative integer."""
 
 
-def _check_exponent(value, label: str) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise IntegralityViolationError(f"{label} exponent {value} is not an integer")
-        value = value.numerator
+def _check_exponent(value: int, label: str) -> int:
     if value < 0:
         raise IntegralityViolationError(f"{label} exponent {value} is negative")
-    return int(value)
+    return value
 
 
 def _exact_quotient(num: int, den: int, label: str) -> int:
@@ -79,8 +75,7 @@ def lattice_theta_series(r: int, k: int, order: int, y_sign: int = +1) -> QSerie
 
 def yk_main(r: int, k: int, order: int, y_sign: int = +1) -> QSeries:
     """Blow-up factor in its Euler-product-times-lattice-sum form, over YPoly."""
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+    check_k(r, k)
     prefactor = euler_product(2 * r, r, -r, order + 1)
     return prefactor * lattice_theta_series(r, k, order, y_sign)
 
@@ -128,16 +123,14 @@ def _gottsche_lattice(r: int, k: int, order: int) -> QSeries:
 
 def yk_gottsche(r: int, k: int, order: int) -> QSeries:
     """Blow-up factor in the eta-quotient and shifted-lattice presentation."""
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+    check_k(r, k)
     prefactor = euler_product(2 * r, r, -r, order + 1)
     return prefactor * _gottsche_lattice(r, k, order)
 
 
 def yk_euler(r: int, k: int, order: int) -> QSeries:
     """Euler-characteristic branch: the blow-up factor at y = 1, over Fraction."""
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+    check_k(r, k)
     prefactor = euler_product(2 * r, 0, -r, order + 1)
     terms: dict[int, int] = {}
     for vec in enumerate_lattice_vectors(r, k, order):

@@ -8,24 +8,25 @@ integer-multiplicity combination of weights.
 Tangent characters come from two closed formulas.  For diagrams Y_a, Y_b
 framed at slots a, b the pairing block is
 
-    n_block = e_b/e_a * ( sum over s in Y_a of t1^(-leg_{Y_b}(s)) * t2^(arm_{Y_a}(s)+1)
-                        + sum over s in Y_b of t1^(leg_{Y_a}(s)+1) * t2^(-arm_{Y_b}(s)) ),
+    e_b/e_a * ( sum over s in Y_a of t1^(-leg_{Y_b}(s)) * t2^(arm_{Y_a}(s)+1)
+              + sum over s in Y_b of t1^(leg_{Y_a}(s)+1) * t2^(-arm_{Y_b}(s)) ),
 
-and for a lattice vector the exceptional block l_block is a simplex of
-t-monomials fixed by the difference k_a - k_b (empty when that difference
-is 0 or 1 in the relevant direction).  The tangent space on the plane is
-the double sum of n_blocks.  On the blow-up (Nakajima-Yoshioka) a fixed
-point (Y, Z, kvec) has three blocks, each one double sum over slot pairs:
-the simplex of kvec, the Y block (the n_blocks of Y under (t1, t2/t1),
-twisted by t1^(k_b - k_a)) and the Z block (those of Z under (t1/t2, t2),
-twisted by t2^(k_b - k_a)).  BLOWUP_SIDES holds the substitution and twist
+whose t-exponents hook_exponents yields, and for a lattice vector the
+exceptional block of slots a, b is e_b/e_a times a simplex of t-monomials
+fixed by the difference k_a - k_b (empty when that difference is 0 or 1
+in the relevant direction), whose t-exponents simplex_exponents yields.
+The tangent space on the plane is the double sum of pairing blocks.  On
+the blow-up (Nakajima-Yoshioka) a fixed point (Y, Z, kvec) has three
+blocks, each one double sum over slot pairs: the simplex of kvec, the Y
+block (the pairing blocks of Y under (t1, t2/t1), twisted by
+t1^(k_b - k_a)) and the Z block (those of Z under (t1/t2, t2), twisted
+by t2^(k_b - k_a)).  BLOWUP_SIDES holds the substitution and twist
 of each side, and simplex_weights and plane_block_weights are the only
 generators of blow-up weights: simplex_block and plane_block check and
 count one block, which the factored blow-up series evaluates on its own,
 and tangent_blowup counts all three into the full character.  Every
-character is built in one pass from the exponent pairs (i1, i2) that
-hook_exponents and simplex_exponents yield, remapped through the
-SUBSTITUTIONS table.
+character is built in one pass from those exponent pairs (i1, i2),
+remapped through the SUBSTITUTIONS table.
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -180,30 +181,6 @@ def simplex_exponents(ka: int, kb: int):
         for i in range(bound + 1):
             for j in range(bound + 1 - i):
                 yield i + 1, j + 1
-
-
-def n_block(y_a: Partition, y_b: Partition, a: int, b: int) -> Character:
-    """Tangent block pairing diagram Y_a at slot a with Y_b at slot b."""
-    return Character((make_weight(i1, i2, b, a), 1) for i1, i2 in hook_exponents(y_a, y_b))
-
-
-def l_block(kvec, a: int, b: int) -> Character:
-    """Exceptional-divisor tangent block for slots a, b of a lattice vector."""
-    ka, kb = kvec.entries[a - 1], kvec.entries[b - 1]
-    return Character((make_weight(i1, i2, b, a), 1) for i1, i2 in simplex_exponents(ka, kb))
-
-
-def substitute(c: Character, kind: str) -> Character:
-    """Apply one of the variable substitutions in SUBSTITUTIONS to every weight.
-
-    Multiplicities are preserved and colliding weights accumulate.
-    """
-    if kind not in SUBSTITUTIONS:
-        raise ValueError(f"unsupported substitution {kind!r}")
-    remap = SUBSTITUTIONS[kind]
-    return Character(
-        (make_weight(*remap(w.i1, w.i2), w.num, w.den), m) for w, m in c._mult.items()
-    )
 
 
 @lru_cache(maxsize=None)

@@ -24,11 +24,10 @@ from fractions import Fraction
 from .blowup_factor import yk_euler, yk_gottsche, yk_hol, yk_main
 from .coefficients import PRNG_NAME, sample_specialization
 from .genera import SeriesRequest, series_report
-from .partitions import blowup_max_n
+from .partitions import blowup_max_n, check_k
 from .verify import (
     DEFAULT_SEED_BASE,
     DEFAULT_SEED_COUNT,
-    default_order,
     default_seeds,
     verify_corollary,
     verify_limit_consistency,
@@ -140,27 +139,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _output_flags(p, timing=False)
 
-    p = sub.add_parser("verify-blowup", help="main blow-up identity zhat = yk * z")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=_nonnegative)
-    p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
-    _verify_flags(p)
+    # the rank-r verify subcommands, each driver called as (rank, k, order, seeds)
+    # plus --mode for verify-blowup; the drivers are looked up when the parser
+    # is built, so a wrapper installed on the module attribute sees the call
+    for name, help_text, driver in (
+        ("verify-blowup", "main blow-up identity zhat = yk * z", verify_main_theorem),
+        ("verify-corollary", "Euler and holomorphic branches", verify_corollary),
+        ("verify-limits", "equivariant vs limit mode quotients", verify_limit_consistency),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--rank", type=_rank, required=True)
+        p.add_argument("--k", type=int, default=0)
+        p.add_argument("--order", type=_nonnegative)
+        if name == "verify-blowup":
+            p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
+        _verify_flags(p)
+        p.set_defaults(driver=driver)
 
     p = sub.add_parser("verify-rank1", help="rank-one infinite-product identity")
     p.add_argument("--order", type=_nonnegative, default=8)
-    _verify_flags(p)
-
-    p = sub.add_parser("verify-corollary", help="Euler and holomorphic branches")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=_nonnegative)
-    _verify_flags(p)
-
-    p = sub.add_parser("verify-limits", help="equivariant vs limit mode quotients")
-    p.add_argument("--rank", type=_rank, required=True)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=_nonnegative)
     _verify_flags(p)
 
     p = sub.add_parser("verify-all", help="the documented default verification grid")
@@ -203,8 +200,10 @@ def _seeds_from(parser, args) -> tuple[int, ...]:
 
 
 def _check_k(parser, r: int, k: int) -> None:
-    if not 0 <= k < r:
-        parser.error(f"--k must satisfy 0 <= k < rank, got k={k}, rank={r}")
+    try:
+        check_k(r, k)
+    except ValueError as exc:
+        parser.error(f"--k: {exc}")
 
 
 def _max_n_from(args, r: int, k: int = 0) -> int:
@@ -249,20 +248,15 @@ def main(argv=None) -> int:
 
     if args.command == "compute-yk":
         _check_k(parser, args.rank, args.k)
-        form = args.form
+        # built per call, so a wrapper installed on these module attributes sees the call
+        forms = {"main": yk_main, "gottsche": yk_gottsche, "euler": yk_euler, "hol": yk_hol}
+        key = "holomorphic" if args.form == "hol" else "series"
         payload = {
             "schema": "series-report/1",
-            "kind": f"yk-{form}",
+            "kind": f"yk-{args.form}",
             "params": {"rank": args.rank, "k": args.k, "order": args.order},
+            key: forms[args.form](args.rank, args.k, args.order).to_json(),
         }
-        if form == "main":
-            payload["series"] = yk_main(args.rank, args.k, args.order).to_json()
-        elif form == "gottsche":
-            payload["series"] = yk_gottsche(args.rank, args.k, args.order).to_json()
-        elif form == "euler":
-            payload["series"] = yk_euler(args.rank, args.k, args.order).to_json()
-        else:
-            payload["holomorphic"] = yk_hol(args.rank, args.k, args.order).to_json()
         _emit(payload, args)
         return 0
 
@@ -287,12 +281,10 @@ def main(argv=None) -> int:
         )
         return 0
 
-    if args.command == "verify-blowup":
+    if "driver" in args:
         _check_k(parser, args.rank, args.k)
-        order = args.order if args.order is not None else default_order(args.rank, args.k)
-        report = verify_main_theorem(
-            args.rank, args.k, order, _seeds_from(parser, args), mode=args.mode
-        )
+        options = {"mode": args.mode} if "mode" in args else {}
+        report = args.driver(args.rank, args.k, args.order, _seeds_from(parser, args), **options)
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
@@ -301,27 +293,13 @@ def main(argv=None) -> int:
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
-    if args.command == "verify-corollary":
-        _check_k(parser, args.rank, args.k)
-        report = verify_corollary(args.rank, args.k, args.order, _seeds_from(parser, args))
-        _emit(report.to_json(include_timing=args.timing), args)
-        return 0 if report.outcome else 1
-
-    if args.command == "verify-limits":
-        _check_k(parser, args.rank, args.k)
-        report = verify_limit_consistency(
-            args.rank, args.k, args.order, _seeds_from(parser, args)
-        )
-        _emit(report.to_json(include_timing=args.timing), args)
-        return 0 if report.outcome else 1
-
     if args.command == "verify-all":
         seeds = _seeds_from(parser, args)
         reports = [verify_rank1_identity(8, seeds[:3])]
         for r in (1, 2, 3):
             for k in range(r):
-                reports.append(verify_main_theorem(r, k, default_order(r, k), seeds))
-                reports.append(verify_corollary(r, k, default_order(r, k), seeds))
+                reports.append(verify_main_theorem(r, k, seeds=seeds))
+                reports.append(verify_corollary(r, k, seeds=seeds))
                 lim_order = 2 * r * min(2, 8 // r) + k * (r - k)
                 reports.append(verify_limit_consistency(r, k, lim_order, seeds))
         payload = {

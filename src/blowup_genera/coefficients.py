@@ -427,6 +427,11 @@ class Specialization:
     def symbolic(self) -> bool:
         return self.y0 is None
 
+    @property
+    def y_mode(self) -> str:
+        """The y mode as reports name it: "symbolic" or "numeric:<y0>"."""
+        return "symbolic" if self.symbolic else f"numeric:{self.y0}"
+
     def y_power(self, exp: int):
         """y**exp in this y mode: a YPoly monomial, or a Fraction for numeric y."""
         if self.symbolic:

@@ -29,6 +29,7 @@ from .coefficients import PRNG_NAME, Specialization
 from .partitions import (
     LatticeVector,
     blowup_virtual_dim,
+    check_k,
     enumerate_blowup_fixed_points,
     enumerate_lattice_vectors,
     enumerate_tuples,
@@ -126,8 +127,7 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     specialization names the same weight.
     """
     r, k = req.rank, req.k
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+    check_k(r, k)
     top = blowup_virtual_dim(r, k, req.max_n)
     kvecs = enumerate_lattice_vectors(r, k, top)
     shares = [_lattice_vector_shares(req, kvec) for kvec in kvecs]
@@ -188,7 +188,7 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
             "max_n": req.max_n,
             "mode": req.mode,
             "seed": req.spec.seed,
-            "y_mode": "symbolic" if req.spec.symbolic else f"numeric:{req.spec.y0}",
+            "y_mode": req.spec.y_mode,
             "prng": PRNG_NAME,
         },
         "series": series.to_json(),

@@ -227,6 +227,12 @@ def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[Lattice
     return tuple(out)
 
 
+def check_k(r: int, k: int) -> None:
+    """Raise ValueError unless 0 <= k < r."""
+    if not 0 <= k < r:
+        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+
+
 def blowup_virtual_dim(r: int, k: int, n: int) -> int:
     """q-degree of the blow-up moduli component with invariants (r, k, n)."""
     return 2 * r * n + k * (r - k)
@@ -286,8 +292,7 @@ def enumerate_blowup_fixed_points(r: int, k: int, n: int) -> tuple[BlowupFixedPo
     excluded (the congruence makes the multiple automatic when sum(kvec)
     equals k, the check is a guard against convention drift).
     """
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
+    check_k(r, k)
     if n < 0:
         raise ValueError("n must be nonnegative")
     vdim = blowup_virtual_dim(r, k, n)

@@ -183,10 +183,6 @@ class QSeries:
     def scale(self, c) -> "QSeries":
         return QSeries(self.offset, [c * a for a in self.coeffs], self.order)
 
-    def shift(self, m: int) -> "QSeries":
-        """Multiply by q**m."""
-        return QSeries(self.offset + m, self.coeffs, self.order + m)
-
     def invert(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series.
 

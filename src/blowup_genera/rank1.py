@@ -12,7 +12,7 @@ verified coefficient-by-coefficient at exact rational specializations.
 
 from __future__ import annotations
 
-from .characters import Character, n_block, substitute, theta_eval
+from .characters import SUBSTITUTIONS, Character, hook_exponents, make_weight, theta_eval
 from .coefficients import Specialization
 from .partitions import enumerate_partitions
 from .qseries import QSeries, euler_product
@@ -21,10 +21,13 @@ from .qseries import QSeries, euler_product
 def hook_character(p, substitution: str = "identity") -> Character:
     """Both hook monomials of every box of one diagram, as a character.
 
-    This is the single-slot tangent block n_block(p, p, 1, 1), whose e-parts
+    This is the single-slot pairing block of p with itself, whose e-parts
     cancel, under the given variable substitution.
     """
-    return substitute(n_block(p, p, 1, 1), substitution)
+    if substitution not in SUBSTITUTIONS:
+        raise ValueError(f"unsupported substitution {substitution!r}")
+    remap = SUBSTITUTIONS[substitution]
+    return Character((make_weight(*remap(i1, i2)), 1) for i1, i2 in hook_exponents(p, p))
 
 
 def w_series(spec: Specialization, order: int, substitution: str = "identity") -> QSeries:
@@ -63,7 +66,7 @@ def verify_nekrasov_okounkov(spec: Specialization, order: int) -> dict:
         "check": "rank1-product-identity",
         "order": order,
         "seed": spec.seed,
-        "y_mode": "symbolic" if spec.symbolic else f"numeric:{spec.y0}",
+        "y_mode": spec.y_mode,
         "pass": first_bad is None,
         "first_failure": first_bad,
     }

@@ -26,7 +26,7 @@ from .blowup_factor import yk_euler, yk_hol, yk_main
 from .characters import DegenerateSpecializationError
 from .coefficients import PRNG_NAME, coeff_evaluate, sample_specialization
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
-from .partitions import blowup_max_n
+from .partitions import blowup_max_n, check_k
 
 logger = logging.getLogger("blowup_genera")
 
@@ -108,6 +108,33 @@ def _series_pair(r, k, order, seed, y0, mode, retries):
     return z, zhat, used_seed
 
 
+def _start(r: int, k: int, order: int | None, seeds, seed_count: int = DEFAULT_SEED_COUNT):
+    """Check k; return the order and seeds of one driver run (defaults for None) and its start."""
+    check_k(r, k)
+    return (
+        default_order(r, k) if order is None else order,
+        tuple(seeds) if seeds is not None else default_seeds(seed_count),
+        time.perf_counter(),
+    )
+
+
+def _finish(
+    name: str, params: dict, ok: bool, details: list[str], seeds, retries: list[str], t0: float
+) -> VerificationReport:
+    """The report of one driver run, with its seeds, reseeds and wall time, logged."""
+    report = VerificationReport(
+        name=name,
+        params={**params, "seeds": list(seeds), "reseeds": retries},
+        outcome=ok,
+        details=details,
+    )
+    report.timing_seconds = time.perf_counter() - t0
+    logger.info("%s: %s (%.2fs)", name, "pass" if ok else "FAIL", report.timing_seconds)
+    for line in details:
+        logger.info("  %s", line)
+    return report
+
+
 def verify_main_theorem(
     r: int,
     k: int,
@@ -122,12 +149,7 @@ def verify_main_theorem(
     inversion route zhat * z^-1 and records which lattice y-sign
     convention the quotient matches (both, by the reversal symmetry).
     """
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
-    if order is None:
-        order = default_order(r, k)
-    seeds = tuple(seeds) if seeds is not None else default_seeds()
-    t0 = time.perf_counter()
+    order, seeds, t0 = _start(r, k, order, seeds)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -152,23 +174,12 @@ def verify_main_theorem(
         if quotient.first_difference(yk_minus, order) is not None:
             sign_matches["minus"] = False
             details.append(f"seed {used_seed}: quotient disagrees with the - sign variant")
-    report = VerificationReport(
-        name="main-theorem-blowup-factor",
-        params={
-            "r": r,
-            "k": k,
-            "order": order,
-            "seeds": list(seeds),
-            "mode": mode,
-            "y_mode": "symbolic",
-            "reseeds": retries,
-        },
-        outcome=ok,
-        details=details,
+    report = _finish(
+        "main-theorem-blowup-factor",
+        {"r": r, "k": k, "order": order, "mode": mode, "y_mode": "symbolic"},
+        ok, details, seeds, retries, t0,
     )
     report.conventions["lattice_y_sign_match"] = sign_matches
-    report.timing_seconds = time.perf_counter() - t0
-    _log_outcome(report)
     return report
 
 
@@ -182,12 +193,7 @@ def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> Ve
     and the stated table value 0 for 0 < k < r as a documented
     discrepancy rather than a failure.
     """
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
-    if order is None:
-        order = default_order(r, k)
-    seeds = tuple(seeds) if seeds is not None else default_seeds()
-    t0 = time.perf_counter()
+    order, seeds, t0 = _start(r, k, order, seeds)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -217,22 +223,11 @@ def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> Ve
                 details.append(
                     f"seed {used_seed}, y={y0}: zhat != yk*z first at q^{bad}"
                 )
-    report = VerificationReport(
-        name="corollary-euler-and-holomorphic",
-        params={
-            "r": r,
-            "k": k,
-            "order": order,
-            "seeds": list(seeds),
-            "y_modes": ["numeric:1", "numeric:0"],
-            "reseeds": retries,
-        },
-        outcome=ok,
-        details=details,
+    return _finish(
+        "corollary-euler-and-holomorphic",
+        {"r": r, "k": k, "order": order, "y_modes": ["numeric:1", "numeric:0"]},
+        ok, details, seeds, retries, t0,
     )
-    report.timing_seconds = time.perf_counter() - t0
-    _log_outcome(report)
-    return report
 
 
 def verify_limit_consistency(
@@ -243,12 +238,7 @@ def verify_limit_consistency(
     Checks zhat_eq * z_lim == zhat_lim * z_eq through q^order and that the
     limit-mode pair reproduces the same yk_main factor.
     """
-    if not 0 <= k < r:
-        raise ValueError(f"k must satisfy 0 <= k < r, got k={k}, r={r}")
-    if order is None:
-        order = default_order(r, k)
-    seeds = tuple(seeds) if seeds is not None else default_seeds()
-    t0 = time.perf_counter()
+    order, seeds, t0 = _start(r, k, order, seeds)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -268,27 +258,16 @@ def verify_limit_consistency(
         if bad_lim is not None:
             ok = False
             details.append(f"seed {used}: limit-mode factor differs first at q^{bad_lim}")
-    report = VerificationReport(
-        name="limit-mode-consistency",
-        params={
-            "r": r,
-            "k": k,
-            "order": order,
-            "seeds": list(seeds),
-            "reseeds": retries,
-        },
-        outcome=ok,
-        details=details,
+    return _finish(
+        "limit-mode-consistency",
+        {"r": r, "k": k, "order": order},
+        ok, details, seeds, retries, t0,
     )
-    report.timing_seconds = time.perf_counter() - t0
-    _log_outcome(report)
-    return report
 
 
 def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
     """Run the rank-one product identity at each seed and collect a report."""
-    seeds = tuple(seeds) if seeds is not None else default_seeds(3)
-    t0 = time.perf_counter()
+    order, seeds, t0 = _start(1, 0, order, seeds, seed_count=3)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -305,23 +284,6 @@ def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
             details.append(
                 f"seed {used}: first failure at q^{sub_report['first_failure']}"
             )
-    report = VerificationReport(
-        name="rank1-product-identity",
-        params={"order": order, "seeds": list(seeds), "reseeds": retries},
-        outcome=ok,
-        details=details,
+    return _finish(
+        "rank1-product-identity", {"order": order}, ok, details, seeds, retries, t0
     )
-    report.timing_seconds = time.perf_counter() - t0
-    _log_outcome(report)
-    return report
-
-
-def _log_outcome(report: VerificationReport) -> None:
-    logger.info(
-        "%s: %s (%.2fs)",
-        report.name,
-        "pass" if report.outcome else "FAIL",
-        report.timing_seconds,
-    )
-    for line in report.details:
-        logger.info("  %s", line)

@@ -10,12 +10,11 @@ from blowup_genera.characters import (
     DegenerateSpecializationError,
     RankCheckError,
     TrivialWeightError,
-    l_block,
+    hook_exponents,
     make_weight,
-    n_block,
     plane_block,
     simplex_block,
-    substitute,
+    simplex_exponents,
     tangent_blowup,
     tangent_p2,
     theta_eval,
@@ -56,54 +55,40 @@ def test_weight_canonicalization():
         make_weight(0, 0, 1, None)
 
 
-def test_n_block_single_boxes():
-    got = n_block(Partition((1,)), Partition((1,)), 1, 1)
-    assert got == char_of((1, 0), (0, 1))  # t1 + t2
+def test_hook_exponents_single_boxes():
+    got = hook_exponents(Partition((1,)), Partition((1,)))
+    assert sorted(got) == [(0, 1), (1, 0)]  # t2 + t1
 
 
-def test_n_block_empty():
-    assert n_block(Partition(), Partition(), 1, 2) == Character.empty()
+def test_hook_exponents_empty():
+    assert list(hook_exponents(Partition(), Partition())) == []
 
 
-def test_n_block_row_of_two():
-    got = n_block(Partition((2,)), Partition((2,)), 1, 1)
-    expected = char_of((0, 2), (0, 1), (1, -1), (1, 0))
-    assert got == expected  # t2^2 + t2 + t1 t2^-1 + t1
+def test_hook_exponents_row_of_two():
+    got = hook_exponents(Partition((2,)), Partition((2,)))
+    assert sorted(got) == [(0, 1), (0, 2), (1, -1), (1, 0)]  # t2 + t2^2 + t1 t2^-1 + t1
 
 
-def test_n_block_carries_e_part():
+def test_pairing_block_carries_e_part():
     # single box of Y_a against the empty Y_b: leg in the empty diagram is
     # -1, so the weight is e2/e1 * t1 * t2
-    got = n_block(Partition((1,)), Partition(), 1, 2)
-    assert got == Character([(make_weight(1, 1, 2, 1), 1)])
+    assert list(hook_exponents(Partition((1,)), Partition())) == [(1, 1)]
+    got = tangent_p2(PartitionTuple((Partition((1,)), Partition())))
+    assert got == Character(
+        (make_weight(*w), 1) for w in ((1, 0), (0, 1), (1, 1, 2, 1), (0, 0, 1, 2))
+    )
 
 
-def test_l_block_cases():
-    assert l_block(LatticeVector((1, 1)), 1, 2) == Character.empty()
-    # k_a - k_b = 1: single constant weight with the e-part
-    got = l_block(LatticeVector((1, 0)), 1, 2)
-    assert got == Character([(make_weight(0, 0, 2, 1), 1)])
+def test_simplex_exponents_cases():
+    assert list(simplex_exponents(1, 1)) == []
+    # k_a - k_b = 1: single constant weight, with the e-part in the block
+    assert list(simplex_exponents(1, 0)) == [(0, 0)]
+    assert simplex_block(LatticeVector((1, 0))) == Character([(make_weight(0, 0, 2, 1), 1)])
     # k_b - k_a = 2: single t1 t2 weight
-    got = l_block(LatticeVector((0, 2)), 1, 2)
-    assert got == Character([(make_weight(1, 1, 2, 1), 1)])
-    # rank grows as a simplex: difference d > 0 gives d(d+1)/2 weights
-    assert l_block(LatticeVector((3, 0)), 1, 2).rank == 6
-    assert l_block(LatticeVector((0, 3)), 1, 2).rank == 3
-
-
-def test_substitute_examples():
-    c = char_of((1, 0), (0, 1))
-    assert substitute(c, "t2/t1") == char_of((1, 0), (-1, 1))
-    assert substitute(Character.empty(), "t2/t1") == Character.empty()
-    assert substitute(char_of((1, -1)), "t1/t2") == char_of((1, -2))
-    with pytest.raises(ValueError):
-        substitute(c, "t2*t1")
-
-
-def test_substitution_collisions_accumulate():
-    c = char_of((2, 1), (1, 0))
-    got = substitute(c, "t2/t1")  # (2,1) -> (1,1)... and (1,0) -> (1,0)
-    assert got.rank == 2
+    assert list(simplex_exponents(0, 2)) == [(1, 1)]
+    # size grows as a simplex: difference d > 0 gives d(d+1)/2 weights
+    assert len(list(simplex_exponents(3, 0))) == 6
+    assert len(list(simplex_exponents(0, 3))) == 3
 
 
 # -- tangent characters -------------------------------------------------------

@@ -2,11 +2,15 @@
 independent oracles (pentagonal recurrence, brute-force generation,
 generating-function convolution)."""
 
+import re
 from itertools import product
 from math import isqrt
 
 import pytest
 
+from blowup_genera.blowup_factor import yk_euler, yk_gottsche, yk_main
+from blowup_genera.coefficients import sample_specialization
+from blowup_genera.genera import SeriesRequest, zhat_series
 from blowup_genera.partitions import (
     Box,
     LatticeVector,
@@ -18,6 +22,7 @@ from blowup_genera.partitions import (
     enumerate_partitions,
     enumerate_tuples,
 )
+from blowup_genera.verify import verify_corollary, verify_limit_consistency, verify_main_theorem
 
 
 # -- oracles ---------------------------------------------------------------
@@ -238,6 +243,29 @@ def test_blowup_k_range_rejected():
         enumerate_blowup_fixed_points(2, 2, 1)
     with pytest.raises(ValueError):
         enumerate_blowup_fixed_points(2, -1, 1)
+
+
+# every caller of check_k, as a function of (r, k)
+CHECK_K_CALLERS = {
+    "yk_main": lambda r, k: yk_main(r, k, 4),
+    "yk_gottsche": lambda r, k: yk_gottsche(r, k, 4),
+    "yk_euler": lambda r, k: yk_euler(r, k, 4),
+    "zhat_series": lambda r, k: zhat_series(
+        SeriesRequest(rank=r, max_n=1, spec=sample_specialization(r, 1), k=k)
+    ),
+    "enumerate_blowup_fixed_points": lambda r, k: enumerate_blowup_fixed_points(r, k, 1),
+    "verify_main_theorem": lambda r, k: verify_main_theorem(r, k, 4, (1,)),
+    "verify_corollary": lambda r, k: verify_corollary(r, k, 4, (1,)),
+    "verify_limit_consistency": lambda r, k: verify_limit_consistency(r, k, 4, (1,)),
+}
+
+
+@pytest.mark.parametrize("k", [2, -1])
+@pytest.mark.parametrize("caller", CHECK_K_CALLERS)
+def test_check_k_callers_reject_out_of_range_k(caller, k):
+    message = f"k must satisfy 0 <= k < r, got k={k}, r=2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CHECK_K_CALLERS[caller](2, k)
 
 
 def test_enumerations_are_deterministic():

@@ -92,7 +92,6 @@ def test_pow_and_scale():
     assert a**0 == QSeries.one(4)
     assert (a**-1) * a == QSeries.one(4)
     assert a.scale(F(1, 2)).coefficient(1) == F(1, 2)
-    assert (a.shift(3)).offset == 3
 
 
 def agree(x, y):

@@ -11,7 +11,7 @@ from blowup_genera.coefficients import (
     YRat,
     sample_specialization,
 )
-from blowup_genera.partitions import arm_leg, enumerate_partitions
+from blowup_genera.partitions import Partition, arm_leg, enumerate_partitions
 from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import (
     hook_character,
@@ -23,6 +23,10 @@ from blowup_genera.rank1 import (
 
 def spec23(y0=None):
     return Specialization(F(2), F(3), (F(5),), y0, seed=0)
+
+
+def char_of(*weights):
+    return Character((make_weight(*w), 1) for w in weights)
 
 
 def test_w_series_base_and_first_coefficient():
@@ -92,6 +96,32 @@ def test_substitution_validation():
         w_series(spec23(), 3, "q/t")
     with pytest.raises(ValueError):
         hook_character(enumerate_partitions(2)[0], "q/t")
+
+
+def test_hook_character_substitution_examples():
+    assert hook_character(Partition((1,)), "t2/t1") == char_of((1, 0), (-1, 1))
+    assert hook_character(Partition(), "t2/t1") == Character()
+    # the row (2) has t1 t2^-1, which (t1/t2, t2) sends to t1 t2^-2
+    assert hook_character(Partition((2,)), "t1/t2") == char_of((0, 2), (0, 1), (1, -2), (1, -1))
+    with pytest.raises(ValueError):
+        hook_character(Partition((1,)), "t2*t1")
+
+
+def test_substitution_table_examples():
+    assert SUBSTITUTIONS["t2/t1"](2, 1) == (1, 1)
+    assert SUBSTITUTIONS["t2/t1"](1, 0) == (1, 0)
+    assert SUBSTITUTIONS["t1/t2"](1, -1) == (1, -2)
+
+
+def test_hook_character_collisions_accumulate():
+    # the two corner boxes of (2, 1) give t1 and t2 twice; the multiplicity
+    # 2 survives the substitution
+    got = hook_character(Partition((2, 1)), "t2/t1")
+    assert got == Character(
+        [(make_weight(-3, 2), 1), (make_weight(3, -1), 1),
+         (make_weight(-1, 1), 2), (make_weight(1, 0), 2)]
+    )
+    assert got.rank == 6 and len(got) == 4
 
 
 def reference_hook_character(p, substitution):

@@ -30,15 +30,21 @@ remapped through the SUBSTITUTIONS table.
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
-rational value of the weight.  Written over the integers for x = p/q in
-lowest terms, theta(p/q) = (p - q*y) / (p - q): the factors of one
-character multiply out as an integer coefficient list over one integer
-denominator, and the result becomes a YPoly once per character.  A YRat
-appears only when there is a real y-denominator, which only a negative
-multiplicity produces.  theta_limit_factor instead applies the
+rational value of the weight.  Each Specialization memoizes that value
+as the lowest-terms pair (p, q), keyed by weight.  Written over the
+integers, theta(p/q) = (p - q*y) / (p - q): the factors of one character
+multiply out as a cleared pair, an integer coefficient list in y over
+one integer denominator (for numeric y = a/b the list holds the single
+numerator of (p*b - q*a) / (b*(p - q))).  With cleared=True theta_eval
+and theta_limit_factor return that pair, which the series code sums and
+multiplies in integers; otherwise it becomes a YPoly, or a Fraction for
+numeric y, once per character.  A YRat appears only when there is a real
+y-denominator, which only a negative multiplicity produces; a cleared
+pair takes positive multiplicities only.  theta_limit_factor applies the
 ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case table: a weight
 with denominator slot below the numerator slot contributes 1, the
-opposite order contributes y, and pure t-monomials keep their theta.
+opposite order contributes y = theta(0), and pure t-monomials keep their
+theta.
 """
 
 from __future__ import annotations
@@ -293,83 +299,122 @@ def _times_linear(coeffs: list[int], p: int, q: int, m: int) -> list[int]:
     return coeffs
 
 
-def _theta_product(factors, spec: Specialization, y_exp: int = 0):
-    """y**y_exp times the product of theta(p/q)**m over (p, q, m) triples.
+# a cleared pair: integer coefficients, lowest power of y first, over one integer denominator
+Cleared = tuple[list[int], int]
 
-    Each factor theta(p/q) = (p - q*y) / (p - q) is multiplied out over the
-    integers and the rational result is built once at the end: a YPoly, a
-    YRat only when negative multiplicities leave a real y-denominator, or a
-    Fraction for numeric y.
+
+def _cleared(factors, spec: Specialization) -> Cleared:
+    """The product of theta(p/q)**m over (p, q, m) triples as a cleared pair.
+
+    Each factor theta(p/q) = (p - q*y) / (p - q) is multiplied out over
+    the integers; for numeric y = a/b it is (p*b - q*a) / (b*(p - q)) and
+    the list holds the one numerator.  Every m must be positive: a
+    negative one would leave a y-denominator, which a cleared pair cannot
+    hold.
     """
     if spec.symbolic:
-        num, den, y_den = [1], 1, [1]
+        num, den = [1], 1
         for p, q, m in factors:
-            if m > 0:
-                num = _times_linear(num, p, q, m)
-                den *= (p - q) ** m
-            else:
-                num = [c * (p - q) ** -m for c in num]
-                y_den = _times_linear(y_den, p, q, -m)
-        if y_exp >= 0:
-            num = [0] * y_exp + num
-        else:
-            y_den = [0] * -y_exp + y_den
-        if y_den == [1]:
-            return YPoly(Fraction(c, den) for c in num)
-        return YRat(YPoly(num), YPoly(den * c for c in y_den))
-    # numeric y = a/b: theta(p/q) = (p*b - q*a) / (b*(p - q))
+            num = _times_linear(num, p, q, m)
+            den *= (p - q) ** m
+        return num, den
     a, b = spec.y0.numerator, spec.y0.denominator
-    num, den = (a**y_exp, b**y_exp) if y_exp >= 0 else (b**-y_exp, a**-y_exp)
+    num, den = 1, 1
     for p, q, m in factors:
-        top, bottom = p * b - q * a, b * (p - q)
-        if m < 0:
-            top, bottom, m = bottom, top, -m
-        num *= top**m
-        den *= bottom**m
-    return Fraction(num, den)
+        num *= (p * b - q * a) ** m
+        den *= (b * (p - q)) ** m
+    return [num], den
+
+
+def cleared_value(pair: Cleared, spec: Specialization):
+    """The coefficient a cleared pair stands for: a YPoly, or a Fraction for numeric y."""
+    num, den = pair
+    if spec.symbolic:
+        return YPoly(Fraction(c, den) for c in num)
+    return Fraction(num[0] if num else 0, den)
+
+
+def _theta_product(factors, spec: Specialization):
+    """The product of theta(p/q)**m over (p, q, m) triples as a coefficient.
+
+    The positive and the negative multiplicities each multiply out as one
+    cleared pair, and the rational result is built once at the end: a
+    YPoly or a Fraction, or a YRat when negative multiplicities leave a
+    real y-denominator.
+    """
+    pair = _cleared([f for f in factors if f[2] > 0], spec)
+    negative = [(p, q, -m) for p, q, m in factors if m < 0]
+    if not negative:
+        return cleared_value(pair, spec)
+    # theta(p/q)**m for m < 0 is the reciprocal of a cleared pair
+    (num, den), (y_den, y_num) = pair, _cleared(negative, spec)
+    if spec.symbolic:
+        return YRat(YPoly(c * y_num for c in num), YPoly(den * c for c in y_den))
+    return Fraction(num[0] * y_num, den * y_den[0])
 
 
 def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
-    """The weight's value p/q in lowest terms, after the degeneracy check p != q."""
-    x = weight_value(w, spec)
-    p, q = x.numerator, x.denominator
-    if p == q:
-        raise DegenerateSpecializationError(w, spec.seed)
-    return p, q
+    """The weight's value p/q in lowest terms, after the degeneracy check p != q.
 
-
-def theta_eval(c: Character, spec: Specialization):
-    """Multiplicative theta genus of a character at a specialization.
-
-    Returns a YPoly for symbolic y (a YRat only if a negative multiplicity
-    leaves a y-denominator) or a Fraction for numeric y.  Raises
-    TrivialWeightError if the trivial weight is present and
-    DegenerateSpecializationError naming the first weight whose value is 1;
-    both checks run before any factor is multiplied.
+    The value comes from the specialization's weight memo; the check runs
+    on every lookup, so a degenerate weight raises each time it is met.
     """
-    factors = []
+    pq = spec.weight_memo.get(w)
+    if pq is None:
+        x = weight_value(w, spec)
+        pq = spec.weight_memo[w] = (x.numerator, x.denominator)
+    if pq[0] == pq[1]:
+        raise DegenerateSpecializationError(w, spec.seed)
+    return pq
+
+
+def _theta_factors(c: Character, spec: Specialization, limit: bool, cleared: bool):
+    """(p, q, m) triples of theta over the weights of c, each weight checked.
+
+    A negative multiplicity raises ValueError when the product is to be
+    cleared (see _cleared).  In limit mode a weight with an e-part tends
+    to 0 when its denominator slot is above its numerator slot, where
+    theta(0) = y, and to infinity otherwise, where theta tends to 1; the
+    first kind adds its multiplicity to one exponent of y, which gives the
+    single triple (0, 1, exponent), and the second kind gives no triple.
+    """
+    factors, y_exp = [], 0
     for w, m in c.sorted_items():
         if weight_is_trivial(w):
             raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
-        factors.append(_theta_factor(w, spec) + (m,))
-    return _theta_product(factors, spec)
+        if cleared and m < 0:
+            raise ValueError(f"a cleared theta product needs positive multiplicities: {c!r}")
+        if not limit or w.num is None:
+            factors.append(_theta_factor(w, spec) + (m,))
+        elif w.den > w.num:
+            y_exp += m
+    if y_exp:
+        factors.append((0, 1, y_exp))
+    return factors
 
 
-def theta_limit_factor(c: Character, spec: Specialization):
+def theta_eval(c: Character, spec: Specialization, cleared: bool = False):
+    """Multiplicative theta genus of a character at a specialization.
+
+    Returns a YPoly for symbolic y (a YRat only if a negative multiplicity
+    leaves a y-denominator) or a Fraction for numeric y; with cleared=True
+    it returns the cleared pair (num, den) instead, and a negative
+    multiplicity raises ValueError.  Raises TrivialWeightError if the
+    trivial weight is present and DegenerateSpecializationError naming the
+    first weight whose value is 1; both checks run before any factor is
+    multiplied.
+    """
+    factors = _theta_factors(c, spec, limit=False, cleared=cleared)
+    return _cleared(factors, spec) if cleared else _theta_product(factors, spec)
+
+
+def theta_limit_factor(c: Character, spec: Specialization, cleared: bool = False):
     """Theta genus after the ordered limit e_r -> 0, ..., e_1 -> 0.
 
     Case table per weight: denominator slot below numerator slot gives 1,
     above gives y, and pure t-monomials keep theta of their t-value.  The
     limit is exact by construction, no values are actually driven to 0.
+    Results and the cleared keyword are as for theta_eval.
     """
-    y_exp = 0
-    factors = []
-    for w, m in c.sorted_items():
-        if weight_is_trivial(w):
-            raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
-        if w.num is None:
-            factors.append(_theta_factor(w, spec) + (m,))
-        elif w.den > w.num:
-            y_exp += m
-        # den < num contributes the factor 1
-    return _theta_product(factors, spec, y_exp)
+    factors = _theta_factors(c, spec, limit=True, cleared=cleared)
+    return _cleared(factors, spec) if cleared else _theta_product(factors, spec)

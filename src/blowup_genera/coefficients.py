@@ -17,7 +17,7 @@ are redrawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -403,6 +403,10 @@ class Specialization:
     every value is nonzero, differs from 1 and from every other value,
     which keeps all single-parameter ratios away from the forbidden weight
     value 1.
+
+    weight_memo maps each weight met so far to its value p/q as the
+    lowest-terms pair (p, q); it belongs to this specialization alone and
+    takes no part in equality, hashing or repr.
     """
 
     t1: Fraction
@@ -410,6 +414,9 @@ class Specialization:
     e: tuple[Fraction, ...]
     y0: Fraction | None
     seed: int
+    weight_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         vals = (self.t1, self.t2) + self.e

@@ -4,11 +4,20 @@ z_series sums theta contributions of diagram tuples into degrees q^(2rn);
 zhat_series sums blow-up fixed points into degrees
 q^(2r(|Y|+|Z|) + pair_form), factored over lattice vectors: theta of the
 exceptional simplex times the convolution of the Y-block and Z-block theta
-sums, so no full blow-up tangent character is built.  Both run in
-equivariant mode (full theta evaluation) or limit mode (exact ordered
-e -> 0 case table), and limit mode has the independent closed form
-z_series_limit_closed built from the rank-one series raised to the r-th
-power.
+sums, so no full blow-up tangent character is built.
+
+Both sum in integers: theta of every character arrives as a cleared pair
+(an integer coefficient list in y over one integer denominator, see
+characters.theta_eval), the sums run over a running common denominator,
+the convolution and the simplex factor multiply integer lists, and each
+q-coefficient becomes one YPoly, or one Fraction for numeric y, at the
+end.  Numeric y is the same pair with a list of at most one entry, so
+every mode takes the same path.
+
+Both run in equivariant mode (full theta evaluation) or limit mode (exact
+ordered e -> 0 case table), and limit mode has the independent closed
+form z_series_limit_closed built from the rank-one series raised to the
+r-th power.
 """
 
 from __future__ import annotations
@@ -16,9 +25,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import count
+from math import gcd
 
 from .characters import (
     Character,
+    Cleared,
+    cleared_value,
     plane_block,
     simplex_block,
     tangent_p2,
@@ -62,18 +74,46 @@ class SeriesRequest:
             raise ValueError("specialization rank does not match the request")
 
 
-def _contribution(req: SeriesRequest, char: Character):
+def _theta(req: SeriesRequest, char: Character) -> Cleared:
+    """Theta of a tangent block as a cleared pair (see characters._cleared)."""
+    # looked up as module attributes at call time, so a wrapper installed on
+    # them (perfbench/spans.py) sees every block
     if req.mode == LIMIT:
-        return theta_limit_factor(char, req.spec)
-    return theta_eval(char, req.spec)
+        return theta_limit_factor(char, req.spec, cleared=True)
+    return theta_eval(char, req.spec, cleared=True)
 
 
-def _accumulate(req: SeriesRequest, chars):
-    """Sum contributions in enumeration order."""
-    acc = 0
-    for c in chars:
-        acc = acc + _contribution(req, c)
-    return acc
+def _sum(pairs) -> Cleared:
+    """Sum of cleared pairs over a running common denominator."""
+    num, den = [], 1
+    for xs, d in pairs:
+        g = gcd(den, d)
+        up, scale = d // g, den // g
+        out = [c * up for c in num] + [0] * (len(xs) - len(num))
+        for i, c in enumerate(xs):
+            out[i] += c * scale
+        num, den = out, den * up
+    return num, den
+
+
+def _product(a, b) -> Cleared:
+    """Product of two cleared pairs."""
+    (xs, d), (ys, e) = a, b
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out, d * e
+
+
+def _convolution(a, b) -> Cleared:
+    """sum_{i+j=w} a[i] * b[j] for two lists of w + 1 cleared pairs."""
+    return _sum(_product(x, y) for x, y in zip(a, reversed(b)))
+
+
+def _accumulate(req: SeriesRequest, chars) -> Cleared:
+    """Sum the theta of each character in enumeration order, as a cleared pair."""
+    return _sum(_theta(req, c) for c in chars)
 
 
 def z_series(req: SeriesRequest) -> QSeries:
@@ -84,9 +124,8 @@ def z_series(req: SeriesRequest) -> QSeries:
     r = req.rank
     terms = {}
     for n in range(req.max_n + 1):
-        terms[2 * r * n] = _accumulate(
-            req, [tangent_p2(fp) for fp in enumerate_tuples(r, n)]
-        )
+        pair = _accumulate(req, [tangent_p2(fp) for fp in enumerate_tuples(r, n)])
+        terms[2 * r * n] = cleared_value(pair, req.spec)
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
@@ -99,13 +138,13 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
     """
     r = req.rank
-    simplex = _contribution(req, simplex_block(kvec))
+    simplex = _theta(req, simplex_block(kvec))
     a, b = [], []
     for w in count():
         tuples = enumerate_tuples(r, w)
         a.append(_accumulate(req, [plane_block(t, kvec, "y") for t in tuples]))
         b.append(_accumulate(req, [plane_block(t, kvec, "z") for t in tuples]))
-        yield simplex * sum(a[i] * b[w - i] for i in range(w + 1))
+        yield _product(simplex, _convolution(a, b))
 
 
 def zhat_series(req: SeriesRequest) -> QSeries:
@@ -134,9 +173,8 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     terms = {}
     for n in range(req.max_n + 1):
         exp = blowup_virtual_dim(r, k, n)
-        terms[exp] = sum(
-            next(share) for kvec, share in zip(kvecs, shares) if kvec.pair_form <= exp
-        )
+        pair = _sum(next(share) for kvec, share in zip(kvecs, shares) if kvec.pair_form <= exp)
+        terms[exp] = cleared_value(pair, req.spec)
     return QSeries.from_terms(terms, top + 1)
 
 

@@ -10,6 +10,7 @@ from blowup_genera.characters import (
     DegenerateSpecializationError,
     RankCheckError,
     TrivialWeightError,
+    cleared_value,
     hook_exponents,
     make_weight,
     plane_block,
@@ -332,6 +333,73 @@ def test_degenerate_weight_with_e_part_is_named():
     with pytest.raises(DegenerateSpecializationError) as err:
         theta_limit_factor(Character([(make_weight(2, -1), 1)]), limit_spec)
     assert err.value.weight == make_weight(2, -1)
+
+
+def test_cleared_theta_rejects_negative_multiplicities():
+    s = Specialization(F(2), F(3), (F(5), F(7)), None, seed=0)
+    negative = [
+        Character([(make_weight(1, 0), 1), (make_weight(0, 1), -1)]),
+        # limit mode drops this weight (its value tends to infinity), yet it is rejected
+        Character([(make_weight(1, 0), 1), (make_weight(0, 0, 2, 1), -1)]),
+    ]
+    for c in negative:
+        for theta in (theta_eval, theta_limit_factor):
+            with pytest.raises(ValueError, match="positive multiplicities") as err:
+                theta(c, s, cleared=True)
+            assert type(err.value) is ValueError
+            # the public result is unchanged
+            assert theta(c, s) == reference_theta(c, s, limit=theta is theta_limit_factor)
+
+
+def test_cleared_theta_is_the_public_value_over_one_denominator():
+    c = Character([(make_weight(1, 0), 2), (make_weight(0, 1, 1, 2), 1)])
+    for y0 in (None, F(0), F(2, 3)):
+        s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
+        for theta in (theta_eval, theta_limit_factor):
+            num, den = theta(c, s, cleared=True)
+            assert all(type(x) is int for x in num + [den])
+            assert len(num) == (4 if y0 is None else 1)
+            assert cleared_value((num, den), s) == theta(c, s)
+
+
+# -- the weight-value memo of a specialization ------------------------------------
+
+def test_weight_memo_leaves_equality_hash_and_repr_alone():
+    used, fresh = sample_specialization(2, 5), sample_specialization(2, 5)
+    before = (hash(used), repr(used))
+    theta_eval(tangent_p2(enumerate_tuples(2, 2)[0]), used)
+    assert used.weight_memo
+    assert used == fresh and hash(used) == hash(fresh)
+    assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
+    assert "weight_memo" not in repr(used)
+
+
+def test_weight_memo_belongs_to_one_specialization():
+    a = sample_specialization(2, 5)
+    b = sample_specialization(2, 5)
+    c = sample_specialization(2, 6)
+    char = tangent_p2(enumerate_tuples(2, 2)[0])
+    theta_eval(char, a)
+    assert a.weight_memo is not b.weight_memo and not b.weight_memo
+    theta_eval(char, c)
+    assert set(c.weight_memo) == set(a.weight_memo)
+    for spec in (a, c):
+        for w, (p, q) in spec.weight_memo.items():
+            assert F(p, q) == weight_value(w, spec) and (p, q) == (F(p, q).numerator, q)
+    assert a.weight_memo != c.weight_memo
+
+
+def test_degenerate_weight_raises_again_from_the_memo():
+    s = Specialization(F(2), F(4), (F(5),), None, seed=11)
+    bad = make_weight(2, -1)  # 2^2 / 4 = 1
+    messages = []
+    for theta in (theta_eval, theta_eval, theta_limit_factor):
+        with pytest.raises(DegenerateSpecializationError) as err:
+            theta(Character([(make_weight(1, 0), 1), (bad, 1)]), s)
+        assert err.value.weight == bad
+        messages.append(str(err.value))
+        assert s.weight_memo[bad] == (1, 1)
+    assert len(set(messages)) == 1
 
 
 # -- ordered limit --------------------------------------------------------------

@@ -3,11 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup_genera.characters import (
+    Character,
     DegenerateSpecializationError,
     RankCheckError,
     TrivialWeightError,
+    cleared_value,
+    make_weight,
     tangent_blowup,
     theta_eval,
     theta_limit_factor,
@@ -17,12 +21,17 @@ from blowup_genera.coefficients import (
     YPoly,
     YRat,
     coeff_evaluate,
+    coeff_to_str,
     sample_specialization,
 )
 from blowup_genera.genera import (
     EQUIVARIANT,
     LIMIT,
     SeriesRequest,
+    _accumulate,
+    _convolution,
+    _product,
+    _theta,
     series_report,
     z_series,
     z_series_limit_closed,
@@ -264,3 +273,108 @@ def test_zhat_series_builds_no_full_tangent_character():
     before = tangent_blowup.cache_info()
     zhat_series(SeriesRequest(rank=2, max_n=3, spec=sample_specialization(2, 6), k=1))
     assert tangent_blowup.cache_info() == before
+
+
+# -- differential test of the cleared kernel against plain theta sums ---------
+# The series code sums theta of tangent blocks as cleared pairs: per weight
+# the Y- and Z-block sums A(i) and B(j), then theta(simplex) times the
+# convolution sum_{i+j=w} A(i) * B(j).  The reference is the same formula
+# over the public theta_eval / theta_limit_factor values, summed with +.
+
+Y_MODES = (None, F(0), F(1), F(2, 3))
+
+positive_characters = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))),
+        st.integers(1, 3),
+    ),
+    max_size=6,
+).map(
+    lambda items: Character(
+        (make_weight(i1, i2, *(e or (None, None))), m) for i1, i2, e, m in items
+    )
+).filter(lambda c: not c.contains_trivial())
+block_sums = st.lists(st.lists(positive_characters, max_size=3), min_size=1, max_size=3)
+
+
+def _zero(spec):
+    return spec.y_power(0) * 0  # YPoly() for symbolic y, Fraction(0) for numeric y
+
+
+def cleared_share(req, simplex, a_blocks, b_blocks):
+    s = _theta(req, simplex)
+    a = [_accumulate(req, chars) for chars in a_blocks]
+    b = [_accumulate(req, chars) for chars in b_blocks]
+    return cleared_value(_product(s, _convolution(a, b)), req.spec)
+
+
+def plain_share(req, simplex, a_blocks, b_blocks):
+    theta = theta_limit_factor if req.mode == LIMIT else theta_eval
+    zero = _zero(req.spec)
+    s = theta(simplex, req.spec)
+    a = [sum((theta(c, req.spec) for c in chars), zero) for chars in a_blocks]
+    b = [sum((theta(c, req.spec) for c in chars), zero) for chars in b_blocks]
+    return s * sum((x * y for x, y in zip(a, reversed(b))), zero)
+
+
+def share_outcome(share, *args):
+    try:
+        return share(*args)
+    except DegenerateSpecializationError as exc:
+        return str(exc)
+
+
+def assert_same_coefficient(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):  # both named the same degenerate weight
+        assert got == want
+    else:
+        assert coeff_to_str(got) == coeff_to_str(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    positive_characters,
+    block_sums,
+    block_sums,
+    st.integers(0, 2**16),
+    st.sampled_from(Y_MODES),
+    st.sampled_from([EQUIVARIANT, LIMIT]),
+)
+def test_cleared_kernel_matches_plain_theta_sums(simplex, a_blocks, b_blocks, seed, y0, mode):
+    n = min(len(a_blocks), len(b_blocks))
+    req = SeriesRequest(rank=3, max_n=0, spec=sample_specialization(3, seed, y0), mode=mode)
+    args = (req, simplex, a_blocks[:n], b_blocks[:n])
+    assert_same_coefficient(share_outcome(cleared_share, *args), share_outcome(plain_share, *args))
+
+
+def test_cleared_kernel_on_an_empty_sum_and_a_cancelling_sum():
+    # at y = 0, theta(2) = 2 and theta(2/3) = -2: t1 and t2 cancel
+    cancelling = [Character([(make_weight(1, 0), 1)]), Character([(make_weight(0, 1), 1)])]
+    simplex = Character([(make_weight(1, 1), 1)])
+    for mode in (EQUIVARIANT, LIMIT):
+        for y0 in Y_MODES:
+            spec = Specialization(F(2), F(2, 3), (F(5), F(7)), y0, seed=0)
+            req = SeriesRequest(rank=2, max_n=0, spec=spec, mode=mode)
+            for blocks in ([[]], [[], cancelling], [cancelling, cancelling]):
+                args = (req, simplex, blocks, blocks)
+                assert_same_coefficient(cleared_share(*args), plain_share(*args))
+            empty = cleared_value(_accumulate(req, []), spec)
+            assert_same_coefficient(empty, _zero(spec))
+            if y0 == 0:
+                total = cleared_value(_accumulate(req, cancelling), spec)
+                assert_same_coefficient(total, F(0))
+
+
+def test_cleared_kernel_names_the_same_degenerate_weight():
+    # t1^2 * t2^-1 = 4/4 in the second Y block, after the simplex and the first blocks
+    spec = Specialization(F(2), F(4), (F(5), F(7), F(11)), None, seed=3)
+    ok, bad = Character([(make_weight(1, 0), 1)]), Character([(make_weight(2, -1), 1)])
+    for mode in (EQUIVARIANT, LIMIT):
+        req = SeriesRequest(rank=3, max_n=0, spec=spec, mode=mode)
+        args = (req, ok, [[ok], [ok, bad]], [[ok], [ok]])
+        got = share_outcome(cleared_share, *args)
+        assert "t1^2 * t2^-1 evaluates to 1" in got
+        assert_same_coefficient(got, share_outcome(plain_share, *args))

@@ -50,6 +50,7 @@ from .genera import (
 from .partitions import (
     BlowupFixedPoint,
     Box,
+    LatticeTooLargeError,
     LatticeVector,
     Partition,
     PartitionTuple,

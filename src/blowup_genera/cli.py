@@ -6,10 +6,11 @@ explicit seeds (default base 1729, seeds base..base+count-1), so identical
 invocations produce identical outputs; wall-clock timing is only included
 when --timing is passed.  Each subcommand accepts only the flags it
 honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
-error, including an unknown, conflicting or unused flag and an
-out-of-range number.  compute-z and compute-zhat do not reseed: a
-degenerate seed ends them with exit 1 and a DegenerateSpecializationError
-traceback.
+error, including an unknown, conflicting or unused flag, an out-of-range
+number and a request whose lowest lattice layer holds more than
+partitions.MAX_LATTICE_LAYER vectors.  compute-z and compute-zhat do not
+reseed: a degenerate seed ends them with exit 1 and a
+DegenerateSpecializationError traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .blowup_factor import yk_euler, yk_gottsche, yk_hol, yk_main
 from .coefficients import PRNG_NAME, sample_specialization
 from .genera import SeriesRequest, series_report
-from .partitions import blowup_max_n, check_k
+from .partitions import LatticeTooLargeError, blowup_max_n, check_k
 from .verify import (
     DEFAULT_SEED_BASE,
     DEFAULT_SEED_COUNT,
@@ -228,7 +229,13 @@ def main(argv=None) -> int:
         level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
+    try:
+        return _run(parser, args)
+    except LatticeTooLargeError as exc:
+        parser.error(str(exc))
 
+
+def _run(parser, args) -> int:
     if args.command == "compute-z":
         req = SeriesRequest(
             rank=args.rank, max_n=_max_n_from(args, args.rank),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator, NamedTuple
 
 
@@ -183,6 +183,20 @@ class LatticeVector:
         return f"LatticeVector({list(self.entries)})"
 
 
+# The lowest layer of the sum-k lattice holds the balanced vectors, whose
+# k0 = k mod r largest entries exceed the others by one: C(r, k0) vectors at
+# the minimum pair_form k0*(r - k0).  An enumeration reaching that layer
+# with more vectors than this is refused before it starts.  At r = 100 the
+# layer holds 4,950 vectors for k = 2 and about 10**29 for k = 50; at
+# (r, k) = (30, 4) it holds 27,405, and compute-yk to that layer takes
+# about 3 s on a 2-core machine.
+MAX_LATTICE_LAYER = 10**5
+
+
+class LatticeTooLargeError(ValueError):
+    """The lowest layer of a lattice enumeration exceeds MAX_LATTICE_LAYER vectors."""
+
+
 def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[LatticeVector, ...]:
     """All integer vectors with sum k and pair_form at most qform_bound.
 
@@ -198,11 +212,22 @@ def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[Lattice
     that quadratic inequality in x; for m = 2 the test is exact and the
     last coordinate is forced, so every leaf is a valid vector.  The
     result is ordered lexicographically in the first r - 1 coordinates.
+    A bound below the lowest layer gives no vectors; one that reaches it
+    raises LatticeTooLargeError when that layer alone holds more than
+    MAX_LATTICE_LAYER vectors.
     """
     if r < 1:
         raise ValueError("r must be positive")
     if qform_bound < 0:
         raise ValueError("qform_bound must be nonnegative")
+    k0 = k % r
+    if qform_bound < k0 * (r - k0):
+        return ()
+    if comb(r, k0) > MAX_LATTICE_LAYER:
+        raise LatticeTooLargeError(
+            f"the lowest lattice layer at r={r}, k={k} holds C({r}, {k0}) = {comb(r, k0):.3e} "
+            f"vectors, more than MAX_LATTICE_LAYER = {MAX_LATTICE_LAYER}"
+        )
     if r == 1:
         return (LatticeVector((k,)),)
     cap = qform_bound + k * k

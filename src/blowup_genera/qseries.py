@@ -244,25 +244,35 @@ class QSeries:
         return f"QSeries(O(q^{self.order}); {terms}{more})"
 
 
+def colored_partition_counts(colors: int, top: int) -> list[int]:
+    """[c(0), ..., c(top)], c(m) the number of ``colors``-colored partitions of m.
+
+    c(m) is the x**m coefficient of prod_{n>0} (1 - x**n)**(-colors), counted
+    over the integers by one running sum with stride n per color and part
+    size n.
+    """
+    counts = [1] + [0] * top
+    for n in range(1, top + 1):
+        for _ in range(colors):
+            for m in range(n, top + 1):
+                counts[m] += counts[m - n]
+    return counts
+
+
 def euler_product(q_step: int, y_step: int, power: int, order: int, y0=None) -> QSeries:
     """prod_{n>0} (1 - q**(q_step*n) * y**(y_step*n)) ** power, valid below ``order``.
 
-    power must be <= 0.  The x**m coefficient of prod (1 - x**n)**power is
-    the number c(m) of (-power)-colored partitions of m, counted over the
-    integers by one running sum with stride n per color and part size n.
-    Each c(m) goes to q**(q_step*m) times y**(y_step*m): a YPoly for y0=None,
-    a rational for a Fraction y0.
+    power must be <= 0.  The x**m coefficient of the product is
+    c(m) = colored_partition_counts(-power, ...)[m], placed at
+    q**(q_step*m) times y**(y_step*m): a YPoly for y0=None, a rational for a
+    Fraction y0.
     """
     if q_step < 1:
         raise ValueError("q_step must be positive so the product is a power series")
     if power > 0:
         raise ValueError(f"power must be at most 0, got {power}")
     top = (order - 1) // q_step
-    counts = [1] + [0] * top
-    for n in range(1, top + 1):
-        for _ in range(-power):
-            for m in range(n, top + 1):
-                counts[m] += counts[m - n]
+    counts = colored_partition_counts(-power, top)
     terms = {0: 1}
     for m in range(1, top + 1):
         if y_step == 0:

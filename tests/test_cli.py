@@ -221,6 +221,9 @@ OUT_OF_RANGE = [
     ["verify-corollary", "--rank", "1200", "--order", "0", "--seeds", "1"],
     ["verify-limits", "--rank", "1200", "--order", "0", "--seeds", "1"],
     ["compute-z", "--rank", str(MAX_RANK + 1), "--max-n", "0"],
+    # a lowest lattice layer of C(100, 50), about 10**29 vectors
+    ["compute-yk", "--rank", "100", "--k", "50", "--order", "2500"],
+    ["verify-blowup", "--rank", "100", "--k", "50", "--seeds", "1"],
 ]
 
 
@@ -246,6 +249,25 @@ def test_rank_cap_is_valid(capsys):
     assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
     code, out = run_cli(capsys, "compute-z", "--rank", str(MAX_RANK), "--max-n", "0")
     assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
+    code, out = run_cli(capsys, "compute-zhat", "--rank", str(MAX_RANK), "--order", "0")
+    assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]
+    # the lowest layer of k = 99 holds C(100, 99) = 100 vectors, within the cap
+    code, out = run_cli(
+        capsys, "compute-yk", "--rank", str(MAX_RANK), "--k", "99", "--order", "99"
+    )
+    assert code == 0 and json.loads(out)["series"]["offset"] == 99
+
+
+def test_oversized_lattice_exits_two_within_seconds():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["compute-zhat", "--rank", "100", "--k", "50", "--order", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blowup_genera.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "MAX_LATTICE_LAYER" in proc.stderr
 
 
 def test_degenerate_seed_exits_one_with_typed_error():

@@ -100,11 +100,6 @@ def test_zhat_support_congruence():
             assert (e - k * (r - k)) % (2 * r) == 0
 
 
-def test_zhat_rejects_bad_k():
-    with pytest.raises(ValueError):
-        zhat_series(SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 1), k=2))
-
-
 def test_degenerate_specialization_propagates():
     # t2 = t1^2 collides with the hook weight t1^2/t2 of the row diagram (3)
     bad = Specialization(F(4), F(16), (F(5),), None, seed=77)

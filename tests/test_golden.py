@@ -26,6 +26,18 @@ GOLDEN = {
         "89109941443c3d11031b0c510fa674223add42b26873a60d8747c99f05385a1e",
     ("compute-z", "--rank", "2", "--max-n", "3", "--seed", "1729"):
         "b8fc256a1706921c61d8f5889a695698afa95e4b143f427d8e6efe79cd1b65c4",
+    ("compute-yk", "--rank", "6", "--k", "3", "--order", "35", "--form", "main"):
+        "e5a319dc3db096564b59bcf14f13f5410189bffb38dc722f79fae500aef17d4e",
+    ("compute-yk", "--rank", "6", "--k", "3", "--order", "35", "--form", "gottsche"):
+        "a7e6a030b2987ab7838ebf437ba045f138c5768c4d6ea15eee1f991c9696fec8",
+    ("compute-yk", "--rank", "6", "--k", "3", "--order", "35", "--form", "euler"):
+        "a2f7845369d5a5091586221a710579b6b9e795731346746bc71d9cfa4c700ccb",
+    ("compute-yk", "--rank", "3", "--k", "1", "--order", "200", "--form", "main"):
+        "4a954c8784c580992c4512ba82c2af86ee90102971fd19cda74ed5412bdd0564",
+    ("compute-yk", "--rank", "3", "--k", "1", "--order", "200", "--form", "gottsche"):
+        "e61c096805bfdad1f812e638c93fd112f14e242f67b1d448a86542ddceb9d4dd",
+    ("compute-yk", "--rank", "3", "--k", "1", "--order", "200", "--form", "euler"):
+        "a5ad28e17e7d96df8ead0dbb77d54f738b1643342c3dbe8e0a62ada2e6f5c5bb",
 }
 
 

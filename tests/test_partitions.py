@@ -8,11 +8,13 @@ from math import isqrt
 
 import pytest
 
+from blowup_genera import partitions
 from blowup_genera.blowup_factor import yk_euler, yk_gottsche, yk_main
 from blowup_genera.coefficients import sample_specialization
 from blowup_genera.genera import SeriesRequest, zhat_series
 from blowup_genera.partitions import (
     Box,
+    LatticeTooLargeError,
     LatticeVector,
     Partition,
     arm_leg,
@@ -213,6 +215,20 @@ def test_pair_form_values():
     assert LatticeVector((1, 0, 0)).pair_form == 2
 
 
+def test_lowest_lattice_layer_cap(monkeypatch):
+    # C(6, 3) = 20 balanced vectors at pair_form 9 are within a cap of 20;
+    # C(7, 3) = 35 at pair_form 12 are not, for k = 3 and k = 3 + 7 alike
+    monkeypatch.setattr(partitions, "MAX_LATTICE_LAYER", 20)
+    assert len(enumerate_lattice_vectors(6, 3, 9)) == 20
+    for k in (3, 10):
+        with pytest.raises(LatticeTooLargeError, match=r"C\(7, 3\) = 3\.500e\+01"):
+            enumerate_lattice_vectors(7, k, 12)
+    # a bound below the lowest layer has no vectors and is never refused; at
+    # (100, 50) the pruned recursion alone would search for minutes to find none
+    assert enumerate_lattice_vectors(7, 3, 11) == ()
+    assert enumerate_lattice_vectors(100, 50, 2499) == ()
+
+
 # -- blow-up fixed points -----------------------------------------------------
 
 def test_blowup_fixed_point_examples():
@@ -236,13 +252,6 @@ def test_blowup_fixed_point_constraint_and_n_roundtrip():
                     assert fp.virtual_dim == blowup_virtual_dim(r, k, n)
                     assert fp.k == k
                     assert fp.instanton_number() == n
-
-
-def test_blowup_k_range_rejected():
-    with pytest.raises(ValueError):
-        enumerate_blowup_fixed_points(2, 2, 1)
-    with pytest.raises(ValueError):
-        enumerate_blowup_fixed_points(2, -1, 1)
 
 
 # every caller of check_k, as a function of (r, k)

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from blowup_genera import genera
 from blowup_genera.characters import Character, make_weight, tangent_p2
 from blowup_genera.verify import (
@@ -62,11 +60,6 @@ def test_limit_consistency_small():
 
 def test_rank1_identity_driver():
     assert verify_rank1_identity(5, default_seeds(2)).outcome
-
-
-def test_k_range_validation():
-    with pytest.raises(ValueError):
-        verify_main_theorem(2, 2, 4, SEEDS)
 
 
 def test_reports_byte_identical_across_runs():

@@ -9,6 +9,7 @@ Fraction or a polynomial in y; nothing is ever rounded.
 
 from blowup_genera import (
     SeriesRequest,
+    cleared_value,
     sample_specialization,
     theta_eval,
     tangent_p2,
@@ -25,7 +26,7 @@ print("specialization:", spec)
 # One contribution: the tangent character of one fixed point, evaluated.
 fp = enumerate_tuples(2, 1)[0]
 print("\ncontribution of", fp)
-print("  ", theta_eval(tangent_p2(fp), spec))
+print("  ", cleared_value(theta_eval(tangent_p2(fp), spec), spec))
 
 # The plane series in degrees q^(2rn) and the blow-up series, whose
 # support starts at k(r-k) and moves in steps of 2r.

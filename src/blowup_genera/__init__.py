@@ -22,6 +22,7 @@ from .characters import (
     RankCheckError,
     TrivialWeightError,
     Weight,
+    cleared_value,
     make_weight,
     tangent_blowup,
     tangent_p2,

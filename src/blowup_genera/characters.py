@@ -35,12 +35,12 @@ as the lowest-terms pair (p, q), keyed by weight.  Written over the
 integers, theta(p/q) = (p - q*y) / (p - q): the factors of one character
 multiply out as a cleared pair, an integer coefficient list in y over
 one integer denominator (for numeric y = a/b the list holds the single
-numerator of (p*b - q*a) / (b*(p - q))).  With cleared=True theta_eval
-and theta_limit_factor return that pair, which the series code sums and
-multiplies in integers; otherwise it becomes a YPoly, or a Fraction for
-numeric y, once per character.  A YRat appears only when there is a real
-y-denominator, which only a negative multiplicity produces; a cleared
-pair takes positive multiplicities only.  theta_limit_factor applies the
+numerator of (p*b - q*a) / (b*(p - q))).  theta_eval and
+theta_limit_factor return that pair, and a negative multiplicity, which
+would leave a y-denominator, raises ValueError.  The series code sums,
+multiplies and convolves pairs with cleared_sum, cleared_product and
+cleared_convolution, and cleared_value turns a pair into its coefficient,
+a YPoly or a Fraction for numeric y.  theta_limit_factor applies the
 ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case table: a weight
 with denominator slot below the numerator slot contributes 1, the
 opposite order contributes y = theta(0), and pure t-monomials keep their
@@ -52,9 +52,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 from typing import NamedTuple
 
-from .coefficients import Specialization, YPoly, YRat
+from .coefficients import Specialization, YPoly
 from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple, arm_leg
 
 
@@ -121,10 +122,6 @@ class Character:
             acc[w] = acc.get(w, 0) + m
         self._mult = {w: m for w, m in acc.items() if m}
 
-    @classmethod
-    def empty(cls) -> "Character":
-        return cls()
-
     def sorted_items(self) -> list[tuple[Weight, int]]:
         return sorted(self._mult.items(), key=lambda wm: _sort_key(wm[0]))
 
@@ -134,9 +131,6 @@ class Character:
 
     def __len__(self):
         return len(self._mult)
-
-    def __add__(self, other: "Character") -> "Character":
-        return Character(list(self._mult.items()) + list(other._mult.items()))
 
     def __eq__(self, other):
         if isinstance(other, Character):
@@ -334,23 +328,32 @@ def cleared_value(pair: Cleared, spec: Specialization):
     return Fraction(num[0] if num else 0, den)
 
 
-def _theta_product(factors, spec: Specialization):
-    """The product of theta(p/q)**m over (p, q, m) triples as a coefficient.
+def cleared_sum(pairs) -> Cleared:
+    """Sum of cleared pairs over a running common denominator."""
+    num, den = [], 1
+    for xs, d in pairs:
+        g = gcd(den, d)
+        up, scale = d // g, den // g
+        out = [c * up for c in num] + [0] * (len(xs) - len(num))
+        for i, c in enumerate(xs):
+            out[i] += c * scale
+        num, den = out, den * up
+    return num, den
 
-    The positive and the negative multiplicities each multiply out as one
-    cleared pair, and the rational result is built once at the end: a
-    YPoly or a Fraction, or a YRat when negative multiplicities leave a
-    real y-denominator.
-    """
-    pair = _cleared([f for f in factors if f[2] > 0], spec)
-    negative = [(p, q, -m) for p, q, m in factors if m < 0]
-    if not negative:
-        return cleared_value(pair, spec)
-    # theta(p/q)**m for m < 0 is the reciprocal of a cleared pair
-    (num, den), (y_den, y_num) = pair, _cleared(negative, spec)
-    if spec.symbolic:
-        return YRat(YPoly(c * y_num for c in num), YPoly(den * c for c in y_den))
-    return Fraction(num[0] * y_num, den * y_den[0])
+
+def cleared_product(a: Cleared, b: Cleared) -> Cleared:
+    """Product of two cleared pairs."""
+    (xs, d), (ys, e) = a, b
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out, d * e
+
+
+def cleared_convolution(a, b) -> Cleared:
+    """sum_{i+j=w} a[i] * b[j] for two lists of w + 1 cleared pairs."""
+    return cleared_sum(cleared_product(x, y) for x, y in zip(a, reversed(b)))
 
 
 def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
@@ -368,22 +371,22 @@ def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
     return pq
 
 
-def _theta_factors(c: Character, spec: Specialization, limit: bool, cleared: bool):
+def _theta_factors(c: Character, spec: Specialization, limit: bool):
     """(p, q, m) triples of theta over the weights of c, each weight checked.
 
-    A negative multiplicity raises ValueError when the product is to be
-    cleared (see _cleared).  In limit mode a weight with an e-part tends
-    to 0 when its denominator slot is above its numerator slot, where
-    theta(0) = y, and to infinity otherwise, where theta tends to 1; the
-    first kind adds its multiplicity to one exponent of y, which gives the
-    single triple (0, 1, exponent), and the second kind gives no triple.
+    A negative multiplicity raises ValueError (see _cleared).  In limit
+    mode a weight with an e-part tends to 0 when its denominator slot is
+    above its numerator slot, where theta(0) = y, and to infinity
+    otherwise, where theta tends to 1; the first kind adds its
+    multiplicity to one exponent of y, which gives the single triple
+    (0, 1, exponent), and the second kind gives no triple.
     """
     factors, y_exp = [], 0
     for w, m in c.sorted_items():
         if weight_is_trivial(w):
             raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
-        if cleared and m < 0:
-            raise ValueError(f"a cleared theta product needs positive multiplicities: {c!r}")
+        if m < 0:
+            raise ValueError(f"theta needs positive multiplicities: {c!r}")
         if not limit or w.num is None:
             factors.append(_theta_factor(w, spec) + (m,))
         elif w.den > w.num:
@@ -393,28 +396,24 @@ def _theta_factors(c: Character, spec: Specialization, limit: bool, cleared: boo
     return factors
 
 
-def theta_eval(c: Character, spec: Specialization, cleared: bool = False):
-    """Multiplicative theta genus of a character at a specialization.
+def theta_eval(c: Character, spec: Specialization) -> Cleared:
+    """Multiplicative theta genus of a character at a specialization, as a cleared pair.
 
-    Returns a YPoly for symbolic y (a YRat only if a negative multiplicity
-    leaves a y-denominator) or a Fraction for numeric y; with cleared=True
-    it returns the cleared pair (num, den) instead, and a negative
-    multiplicity raises ValueError.  Raises TrivialWeightError if the
+    cleared_value gives its YPoly, or its Fraction for numeric y.  Raises
+    ValueError for a negative multiplicity, TrivialWeightError if the
     trivial weight is present and DegenerateSpecializationError naming the
-    first weight whose value is 1; both checks run before any factor is
-    multiplied.
+    first weight whose value is 1; all checks run, weight by weight in
+    sorted order, before any factor is multiplied.
     """
-    factors = _theta_factors(c, spec, limit=False, cleared=cleared)
-    return _cleared(factors, spec) if cleared else _theta_product(factors, spec)
+    return _cleared(_theta_factors(c, spec, limit=False), spec)
 
 
-def theta_limit_factor(c: Character, spec: Specialization, cleared: bool = False):
+def theta_limit_factor(c: Character, spec: Specialization) -> Cleared:
     """Theta genus after the ordered limit e_r -> 0, ..., e_1 -> 0.
 
     Case table per weight: denominator slot below numerator slot gives 1,
     above gives y, and pure t-monomials keep theta of their t-value.  The
     limit is exact by construction, no values are actually driven to 0.
-    Results and the cleared keyword are as for theta_eval.
+    The result and the errors are as for theta_eval.
     """
-    factors = _theta_factors(c, spec, limit=True, cleared=cleared)
-    return _cleared(factors, spec) if cleared else _theta_product(factors, spec)
+    return _cleared(_theta_factors(c, spec, limit=True), spec)

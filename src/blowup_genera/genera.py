@@ -8,11 +8,11 @@ sums, so no full blow-up tangent character is built.
 
 Both sum in integers: theta of every character arrives as a cleared pair
 (an integer coefficient list in y over one integer denominator, see
-characters.theta_eval), the sums run over a running common denominator,
-the convolution and the simplex factor multiply integer lists, and each
-q-coefficient becomes one YPoly, or one Fraction for numeric y, at the
-end.  Numeric y is the same pair with a list of at most one entry, so
-every mode takes the same path.
+characters.theta_eval), and the pair helpers of characters sum them over
+a running common denominator and multiply integer lists for the
+convolution and the simplex factor; each q-coefficient becomes one YPoly,
+or one Fraction for numeric y, at the end.  Numeric y is the same pair
+with a list of at most one entry, so every mode takes the same path.
 
 Both run in equivariant mode (full theta evaluation) or limit mode (exact
 ordered e -> 0 case table), and limit mode has the independent closed
@@ -25,11 +25,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import count
-from math import gcd
 
 from .characters import (
     Character,
     Cleared,
+    cleared_convolution,
+    cleared_product,
+    cleared_sum,
     cleared_value,
     plane_block,
     simplex_block,
@@ -42,11 +44,10 @@ from .partitions import (
     LatticeVector,
     blowup_virtual_dim,
     check_k,
-    enumerate_blowup_fixed_points,
     enumerate_lattice_vectors,
     enumerate_tuples,
 )
-from .qseries import QSeries
+from .qseries import QSeries, colored_partition_counts
 from .rank1 import w_series
 
 EQUIVARIANT = "equivariant"
@@ -79,41 +80,13 @@ def _theta(req: SeriesRequest, char: Character) -> Cleared:
     # looked up as module attributes at call time, so a wrapper installed on
     # them (perfbench/spans.py) sees every block
     if req.mode == LIMIT:
-        return theta_limit_factor(char, req.spec, cleared=True)
-    return theta_eval(char, req.spec, cleared=True)
-
-
-def _sum(pairs) -> Cleared:
-    """Sum of cleared pairs over a running common denominator."""
-    num, den = [], 1
-    for xs, d in pairs:
-        g = gcd(den, d)
-        up, scale = d // g, den // g
-        out = [c * up for c in num] + [0] * (len(xs) - len(num))
-        for i, c in enumerate(xs):
-            out[i] += c * scale
-        num, den = out, den * up
-    return num, den
-
-
-def _product(a, b) -> Cleared:
-    """Product of two cleared pairs."""
-    (xs, d), (ys, e) = a, b
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            out[i + j] += x * y
-    return out, d * e
-
-
-def _convolution(a, b) -> Cleared:
-    """sum_{i+j=w} a[i] * b[j] for two lists of w + 1 cleared pairs."""
-    return _sum(_product(x, y) for x, y in zip(a, reversed(b)))
+        return theta_limit_factor(char, req.spec)
+    return theta_eval(char, req.spec)
 
 
 def _accumulate(req: SeriesRequest, chars) -> Cleared:
     """Sum the theta of each character in enumeration order, as a cleared pair."""
-    return _sum(_theta(req, c) for c in chars)
+    return cleared_sum(_theta(req, c) for c in chars)
 
 
 def z_series(req: SeriesRequest) -> QSeries:
@@ -144,7 +117,7 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
         tuples = enumerate_tuples(r, w)
         a.append(_accumulate(req, [plane_block(t, kvec, "y") for t in tuples]))
         b.append(_accumulate(req, [plane_block(t, kvec, "z") for t in tuples]))
-        yield _product(simplex, _convolution(a, b))
+        yield cleared_product(simplex, cleared_convolution(a, b))
 
 
 def zhat_series(req: SeriesRequest) -> QSeries:
@@ -173,7 +146,9 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     terms = {}
     for n in range(req.max_n + 1):
         exp = blowup_virtual_dim(r, k, n)
-        pair = _sum(next(share) for kvec, share in zip(kvecs, shares) if kvec.pair_form <= exp)
+        pair = cleared_sum(
+            next(share) for kvec, share in zip(kvecs, shares) if kvec.pair_form <= exp
+        )
         terms[exp] = cleared_value(pair, req.spec)
     return QSeries.from_terms(terms, top + 1)
 
@@ -197,6 +172,24 @@ def z_series_limit_closed(req: SeriesRequest) -> QSeries:
     return mapped**r
 
 
+def _blowup_fixed_point_counts(r: int, k: int, max_n: int) -> dict[str, int]:
+    """Number of blow-up fixed points per degree, counted without enumerating them.
+
+    A fixed point (Y, Z, kvec) in degree exp pairs a lattice vector with
+    pair_form <= exp with a 2r-tuple of diagrams of total size
+    (exp - pair_form) / 2r, and c_2r(w) such tuples have size w.
+    """
+    kvecs = enumerate_lattice_vectors(r, k, blowup_virtual_dim(r, k, max_n))
+    tuples = colored_partition_counts(2 * r, max_n)
+    counts = {}
+    for n in range(max_n + 1):
+        exp = blowup_virtual_dim(r, k, n)
+        counts[str(exp)] = sum(
+            tuples[(exp - kvec.pair_form) // (2 * r)] for kvec in kvecs if kvec.pair_form <= exp
+        )
+    return counts
+
+
 def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) -> dict:
     """Compute one series and wrap it in the JSON report schema."""
     t0 = time.perf_counter()
@@ -208,12 +201,7 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
         }
     elif kind == "zhat":
         series = zhat_series(req)
-        counts = {
-            str(blowup_virtual_dim(req.rank, req.k, n)): len(
-                enumerate_blowup_fixed_points(req.rank, req.k, n)
-            )
-            for n in range(req.max_n + 1)
-        }
+        counts = _blowup_fixed_point_counts(req.rank, req.k, req.max_n)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     elapsed = time.perf_counter() - t0

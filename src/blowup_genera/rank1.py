@@ -12,7 +12,15 @@ verified coefficient-by-coefficient at exact rational specializations.
 
 from __future__ import annotations
 
-from .characters import SUBSTITUTIONS, Character, hook_exponents, make_weight, theta_eval
+from .characters import (
+    SUBSTITUTIONS,
+    Character,
+    cleared_sum,
+    cleared_value,
+    hook_exponents,
+    make_weight,
+    theta_eval,
+)
 from .coefficients import Specialization
 from .partitions import enumerate_partitions
 from .qseries import QSeries, euler_product
@@ -36,10 +44,10 @@ def w_series(spec: Specialization, order: int, substitution: str = "identity") -
         raise ValueError("order must be nonnegative")
     terms = {}
     for m in range(order + 1):
-        acc = 0
-        for p in enumerate_partitions(m):
-            acc = acc + theta_eval(hook_character(p, substitution), spec)
-        terms[m] = acc
+        pair = cleared_sum(
+            theta_eval(hook_character(p, substitution), spec) for p in enumerate_partitions(m)
+        )
+        terms[m] = cleared_value(pair, spec)
     return QSeries.from_terms(terms, order + 1)
 
 

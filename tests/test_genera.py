@@ -4,17 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_characters import reference_theta
 
 from blowup_genera.characters import (
     Character,
     DegenerateSpecializationError,
     RankCheckError,
     TrivialWeightError,
+    cleared_convolution,
+    cleared_product,
     cleared_value,
     make_weight,
     tangent_blowup,
-    theta_eval,
-    theta_limit_factor,
 )
 from blowup_genera.coefficients import (
     Specialization,
@@ -29,8 +30,6 @@ from blowup_genera.genera import (
     LIMIT,
     SeriesRequest,
     _accumulate,
-    _convolution,
-    _product,
     _theta,
     series_report,
     z_series,
@@ -182,15 +181,17 @@ def test_series_report_schema():
     assert "wall_clock_seconds" not in lean
 
 
-def test_series_report_enumerates_blowup_points_once():
-    # fixed_point_counts enumerates each degree once; the factored series
-    # itself enumerates no blow-up fixed points
-    enumerate_blowup_fixed_points.cache_clear()
-    spec = sample_specialization(2, 6)
-    rep = series_report("zhat", SeriesRequest(rank=2, max_n=2, spec=spec, k=1))
-    assert enumerate_blowup_fixed_points.cache_info().misses == 3
+@pytest.mark.parametrize("r, k, max_n", [(2, 1, 5), (3, 1, 3), (4, 2, 2), (1, 0, 6), (3, 0, 3)])
+def test_series_report_counts_blowup_points_without_enumerating(r, k, max_n):
+    # fixed_point_counts is counted from lattice vectors and colored-partition
+    # counts, and the factored series enumerates no blow-up fixed points
+    spec = sample_specialization(r, 6, F(1))
+    before = enumerate_blowup_fixed_points.cache_info()
+    rep = series_report("zhat", SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
+    assert enumerate_blowup_fixed_points.cache_info() == before
     assert rep["fixed_point_counts"] == {
-        str(1 + 4 * n): len(enumerate_blowup_fixed_points(2, 1, n)) for n in range(3)
+        str(blowup_virtual_dim(r, k, n)): len(enumerate_blowup_fixed_points(r, k, n))
+        for n in range(max_n + 1)
     }
     assert "threads" not in rep["params"]
 
@@ -200,13 +201,12 @@ def test_series_report_enumerates_blowup_points_once():
 # character of every blow-up fixed point, summed degree by degree.
 
 def reference_zhat_series(req):
-    r, k = req.rank, req.k
-    theta = theta_limit_factor if req.mode == LIMIT else theta_eval
+    r, k, limit = req.rank, req.k, req.mode == LIMIT
     terms = {}
     for n in range(req.max_n + 1):
         acc = 0
         for fp in enumerate_blowup_fixed_points(r, k, n):
-            acc = acc + theta(tangent_blowup.__wrapped__(fp), req.spec)
+            acc = acc + reference_theta(tangent_blowup.__wrapped__(fp), req.spec, limit)
         terms[blowup_virtual_dim(r, k, n)] = acc
     return QSeries.from_terms(terms, blowup_virtual_dim(r, k, req.max_n) + 1)
 
@@ -274,7 +274,7 @@ def test_zhat_series_builds_no_full_tangent_character():
 # The series code sums theta of tangent blocks as cleared pairs: per weight
 # the Y- and Z-block sums A(i) and B(j), then theta(simplex) times the
 # convolution sum_{i+j=w} A(i) * B(j).  The reference is the same formula
-# over the public theta_eval / theta_limit_factor values, summed with +.
+# over the YPoly / Fraction values of reference_theta, summed with +.
 
 Y_MODES = (None, F(0), F(1), F(2, 3))
 
@@ -302,15 +302,17 @@ def cleared_share(req, simplex, a_blocks, b_blocks):
     s = _theta(req, simplex)
     a = [_accumulate(req, chars) for chars in a_blocks]
     b = [_accumulate(req, chars) for chars in b_blocks]
-    return cleared_value(_product(s, _convolution(a, b)), req.spec)
+    return cleared_value(cleared_product(s, cleared_convolution(a, b)), req.spec)
 
 
 def plain_share(req, simplex, a_blocks, b_blocks):
-    theta = theta_limit_factor if req.mode == LIMIT else theta_eval
+    def theta(c):
+        return reference_theta(c, req.spec, req.mode == LIMIT)
+
     zero = _zero(req.spec)
-    s = theta(simplex, req.spec)
-    a = [sum((theta(c, req.spec) for c in chars), zero) for chars in a_blocks]
-    b = [sum((theta(c, req.spec) for c in chars), zero) for chars in b_blocks]
+    s = theta(simplex)
+    a = [sum((theta(c) for c in chars), zero) for chars in a_blocks]
+    b = [sum((theta(c) for c in chars), zero) for chars in b_blocks]
     return s * sum((x * y for x, y in zip(a, reversed(b))), zero)
 
 

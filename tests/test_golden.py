@@ -38,6 +38,14 @@ GOLDEN = {
         "e61c096805bfdad1f812e638c93fd112f14e242f67b1d448a86542ddceb9d4dd",
     ("compute-yk", "--rank", "3", "--k", "1", "--order", "200", "--form", "euler"):
         "a5ad28e17e7d96df8ead0dbb77d54f738b1643342c3dbe8e0a62ada2e6f5c5bb",
+    ("compute-w", "--order", "8", "--seed", "4"):
+        "4431829d3584e80237e257d88fe61f288be2ae2aca9adccb7100bfc275fba929",
+    ("compute-w", "--order", "8", "--seed", "4", "--substitution", "t2/t1"):
+        "5e6db1e26e57f13c2e37946d55e94a137147f15dfc86caf27e941bffe9856df4",
+    ("compute-w", "--order", "8", "--seed", "4", "--substitution", "t1/t2"):
+        "4d9022313909bbc4927df10415ae917e4ab648fdba266273d2d7dcd24b77047b",
+    ("verify-rank1", "--order", "10", "--seed-list", "53,192,101"):
+        "3061ff0d2cee2867abf8d128099ba6d6f969ca1f622f5d8f956214bdcaa543fc",
 }
 
 

@@ -45,3 +45,10 @@ def test_traced_limit_call_records_theta_limit_factor(tmp_path, kind):
     spans = traced(tmp_path, *argv, *(["--k", "1"] if kind == "compute-zhat" else []))
     assert spans_under_series(spans, "characters.theta_limit_factor")
     assert not [rec for rec in spans if rec[0] == "characters.theta_eval"]
+
+
+def test_traced_rank1_call_records_theta_under_w_series(tmp_path):
+    # w_series, too, reaches theta through the wrapped name
+    spans = traced(tmp_path, "verify-rank1", "--order", "2", "--seeds", "1")
+    assert [rec for rec in spans
+            if rec[0] == "characters.theta_eval" and spans[rec[3]][0] == "rank1.w_series"]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from blowup_genera import genera
 from blowup_genera.characters import Character, make_weight, tangent_p2
 from blowup_genera.verify import (
@@ -15,6 +17,7 @@ from blowup_genera.verify import (
     verify_rank1_identity,
 )
 from blowup_genera.characters import DegenerateSpecializationError
+from blowup_genera.partitions import blowup_virtual_dim
 
 
 SEEDS = default_seeds(2)
@@ -58,6 +61,38 @@ def test_limit_consistency_small():
     assert verify_limit_consistency(2, 1, 7, SEEDS).outcome
 
 
+@pytest.mark.parametrize(
+    "r, max_n",
+    [
+        (4, 3),
+        (5, 2),
+        (6, 2),
+    ],
+)
+def test_main_theorem_high_ranks(r, max_n):
+    # zhat == yk_main * z by localization, for every k, at seed 101
+    for k in range(r):
+        assert verify_main_theorem(r, k, blowup_virtual_dim(r, k, max_n), (101,)).outcome
+
+
+@pytest.mark.parametrize(
+    "r, max_n",
+    [
+        (4, 2),
+        (5, 1),
+    ],
+)
+def test_corollary_and_limit_high_ranks(r, max_n):
+    for k in range(r):
+        order = blowup_virtual_dim(r, k, max_n)
+        rep = verify_corollary(r, k, order, (101,))
+        assert rep.outcome
+        # yk_main at y = 0 is q^(k(r-k)), the stated table value 0
+        discrepant = any("documented discrepancy" in line for line in rep.details)
+        assert discrepant == (k > 0)
+        assert verify_limit_consistency(r, k, order, (101,)).outcome
+
+
 def test_rank1_identity_driver():
     assert verify_rank1_identity(5, default_seeds(2)).outcome
 
@@ -83,7 +118,7 @@ def test_negative_control_single_weight_perturbation(monkeypatch):
             state["done"] = True
             w, _m = char.sorted_items()[0]
             shifted = make_weight(w.i1 + 1, w.i2, w.num, w.den)
-            return char + Character([(w, -1), (shifted, 1)])
+            return Character(char.sorted_items() + [(w, -1), (shifted, 1)])
         return char
 
     monkeypatch.setattr(genera, "tangent_p2", perturbed)

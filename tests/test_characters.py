@@ -312,14 +312,6 @@ def test_theta_eval_numeric_matches_symbolic():
         assert sym.evaluate(y0) == num
 
 
-def test_theta_eval_negative_multiplicity():
-    # theta of a negative multiplicity would leave a y-denominator
-    c = Character([(make_weight(1, 0), -1)])
-    for y0 in (None, F(2, 3)):
-        with pytest.raises(ValueError, match="positive multiplicities"):
-            theta_eval(c, spec23(y0))
-
-
 def test_theta_eval_of_tangent_characters_is_a_polynomial():
     # positive multiplicities leave only the constant denominator prod (p - q):
     # an integer list over an integer, whose value is a YPoly
@@ -350,19 +342,22 @@ def test_degenerate_weight_with_e_part_is_named():
 
 
 def test_cleared_theta_rejects_negative_multiplicities():
-    s = Specialization(F(2), F(3), (F(5), F(7)), None, seed=0)
+    # theta of a negative multiplicity would leave a y-denominator
     negative = [
+        Character([(make_weight(1, 0), -1)]),
         Character([(make_weight(1, 0), 1), (make_weight(0, 1), -1)]),
         # limit mode drops this weight (its value tends to infinity), yet it is rejected
         Character([(make_weight(1, 0), 1), (make_weight(0, 0, 2, 1), -1)]),
     ]
-    for c in negative:
-        for limit in (False, True):
-            theta = theta_limit_factor if limit else theta_eval
-            with pytest.raises(ValueError, match="positive multiplicities") as err:
-                theta(c, s)
-            assert type(err.value) is ValueError
-            assert outcome(theta, c, s) == outcome(reference_theta, c, s, limit)
+    for y0 in (None, F(2, 3)):
+        s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
+        for c in negative:
+            for limit in (False, True):
+                theta = theta_limit_factor if limit else theta_eval
+                with pytest.raises(ValueError, match="positive multiplicities") as err:
+                    theta(c, s)
+                assert type(err.value) is ValueError
+                assert outcome(theta, c, s) == outcome(reference_theta, c, s, limit)
 
 
 def test_cleared_theta_is_the_reference_value_over_one_denominator():
@@ -540,23 +535,40 @@ random_weights = st.tuples(
 random_characters = st.lists(
     st.tuples(random_weights, st.integers(-3, 3).filter(bool)), max_size=8
 ).map(Character)
+# theta's values: no negative multiplicity, no trivial weight
+positive_characters = (
+    st.lists(st.tuples(random_weights, st.integers(1, 3)), min_size=1, max_size=8)
+    .map(Character)
+    .filter(lambda c: not c.contains_trivial())
+)
+
+
+def assert_theta_matches_reference(c, seed, y0):
+    spec = sample_specialization(3, seed, y0)
+    assert_same(outcome(theta_value, c, spec), outcome(reference_theta, c, spec))
+    assert_same(outcome(theta_value, c, spec, True), outcome(reference_theta, c, spec, True))
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_characters, st.integers(0, 2**16), st.sampled_from(Y_MODES))
 def test_theta_kernel_matches_fraction_reference(c, seed, y0):
-    spec = sample_specialization(3, seed, y0)
-    assert_same(outcome(theta_value, c, spec), outcome(reference_theta, c, spec))
-    assert_same(outcome(theta_value, c, spec, True), outcome(reference_theta, c, spec, True))
+    # mostly the order of the errors: most draws hold a negative multiplicity
+    assert_theta_matches_reference(c, seed, y0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive_characters, st.integers(0, 2**16), st.sampled_from(Y_MODES))
+def test_theta_kernel_values_match_fraction_reference(c, seed, y0):
+    assert_theta_matches_reference(c, seed, y0)
 
 
 def test_theta_limit_factor_folds_y_exponent():
     up = make_weight(1, 0, 1, 2)  # contributes y
     for y0 in Y_MODES:
         s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
-        for mult in (3, -2):
-            c = Character([(up, mult), (make_weight(1, -1), 1), (make_weight(0, 1), -1)])
-            assert_same(outcome(theta_value, c, s, True), outcome(reference_theta, c, s, True))
+        for mult in (3, 2):
+            c = Character([(up, mult), (make_weight(1, -1), 1), (make_weight(0, 1), 1)])
+            assert_same(theta_value(c, s, True), reference_theta(c, s, True))
 
 
 def test_theta_kernel_matches_reference_on_tangent_characters():

@@ -30,10 +30,20 @@ def test_default_sizing():
     assert default_seeds(3) == (1729, 1730, 1731)
 
 
-def test_main_theorem_small_ranks():
-    assert verify_main_theorem(1, 0, 8, SEEDS).outcome
-    assert verify_main_theorem(2, 0, 8, SEEDS).outcome
-    assert verify_main_theorem(2, 1, 9, SEEDS).outcome
+def high_rank_cases(shapes):
+    # every k of rank r up to n <= max_n, at seed 101
+    return [
+        (r, k, blowup_virtual_dim(r, k, max_n), (101,)) for r, max_n in shapes for k in range(r)
+    ]
+
+
+@pytest.mark.parametrize(
+    "r, k, order, seeds",
+    [(1, 0, 8, SEEDS), (2, 0, 8, SEEDS), (2, 1, 9, SEEDS)]
+    + high_rank_cases([(4, 3), (5, 2), (6, 2)]),
+)
+def test_main_theorem_small_ranks(r, k, order, seeds):
+    assert verify_main_theorem(r, k, order, seeds).outcome
 
 
 def test_main_theorem_records_sign_conventions():
@@ -48,49 +58,24 @@ def test_main_theorem_quotient_base_coefficient():
     assert rep.outcome
 
 
-def test_corollary_small():
-    rep = verify_corollary(2, 0, 8, SEEDS)
+@pytest.mark.parametrize(
+    "r, k, order, seeds",
+    [(2, 0, 8, SEEDS), (2, 1, 9, SEEDS)] + high_rank_cases([(4, 2), (5, 1)]),
+)
+def test_corollary_small(r, k, order, seeds):
+    rep = verify_corollary(r, k, order, seeds)
     assert rep.outcome
-    rep = verify_corollary(2, 1, 9, SEEDS)
-    assert rep.outcome
-    assert any("documented discrepancy" in line for line in rep.details)
-
-
-def test_limit_consistency_small():
-    assert verify_limit_consistency(1, 0, 6, SEEDS).outcome
-    assert verify_limit_consistency(2, 1, 7, SEEDS).outcome
+    # yk_main at y = 0 is q^(k(r-k)), the stated table value 0
+    discrepant = any("documented discrepancy" in line for line in rep.details)
+    assert discrepant == (k > 0)
 
 
 @pytest.mark.parametrize(
-    "r, max_n",
-    [
-        (4, 3),
-        (5, 2),
-        (6, 2),
-    ],
+    "r, k, order, seeds",
+    [(1, 0, 6, SEEDS), (2, 1, 7, SEEDS)] + high_rank_cases([(4, 2), (5, 1)]),
 )
-def test_main_theorem_high_ranks(r, max_n):
-    # zhat == yk_main * z by localization, for every k, at seed 101
-    for k in range(r):
-        assert verify_main_theorem(r, k, blowup_virtual_dim(r, k, max_n), (101,)).outcome
-
-
-@pytest.mark.parametrize(
-    "r, max_n",
-    [
-        (4, 2),
-        (5, 1),
-    ],
-)
-def test_corollary_and_limit_high_ranks(r, max_n):
-    for k in range(r):
-        order = blowup_virtual_dim(r, k, max_n)
-        rep = verify_corollary(r, k, order, (101,))
-        assert rep.outcome
-        # yk_main at y = 0 is q^(k(r-k)), the stated table value 0
-        discrepant = any("documented discrepancy" in line for line in rep.details)
-        assert discrepant == (k > 0)
-        assert verify_limit_consistency(r, k, order, (101,)).outcome
+def test_limit_consistency_small(r, k, order, seeds):
+    assert verify_limit_consistency(r, k, order, seeds).outcome
 
 
 def test_rank1_identity_driver():

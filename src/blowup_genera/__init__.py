@@ -23,6 +23,7 @@ from .characters import (
     TrivialWeightError,
     Weight,
     cleared_value,
+    hook_character,
     make_weight,
     tangent_blowup,
     tangent_p2,
@@ -63,7 +64,7 @@ from .partitions import (
     enumerate_tuples,
 )
 from .qseries import InvertNonUnitError, QSeries, TruncationError, euler_product
-from .rank1 import hook_character, nekrasov_okounkov_rhs, verify_nekrasov_okounkov, w_series
+from .rank1 import nekrasov_okounkov_rhs, verify_nekrasov_okounkov, w_series
 from .verify import (
     VerificationReport,
     default_order,

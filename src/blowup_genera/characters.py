@@ -15,18 +15,21 @@ whose t-exponents hook_exponents yields, and for a lattice vector the
 exceptional block of slots a, b is e_b/e_a times a simplex of t-monomials
 fixed by the difference k_a - k_b (empty when that difference is 0 or 1
 in the relevant direction), whose t-exponents simplex_exponents yields.
-The tangent space on the plane is the double sum of pairing blocks.  On
-the blow-up (Nakajima-Yoshioka) a fixed point (Y, Z, kvec) has three
-blocks, each one double sum over slot pairs: the simplex of kvec, the Y
-block (the pairing blocks of Y under (t1, t2/t1), twisted by
-t1^(k_b - k_a)) and the Z block (those of Z under (t1/t2, t2), twisted
-by t2^(k_b - k_a)).  BLOWUP_SIDES holds the substitution and twist
-of each side, and simplex_weights and plane_block_weights are the only
-generators of blow-up weights: simplex_block and plane_block check and
-count one block, which the factored blow-up series evaluates on its own,
-and tangent_blowup counts all three into the full character.  Every
-character is built in one pass from those exponent pairs (i1, i2),
-remapped through the SUBSTITUTIONS table.
+plane_block_weights is the one generator of pairing-block weights: for a
+tuple at degrees k_1, ..., k_r it yields the double sum over slot pairs of
+the pairing blocks, each twisted by d = k_b - k_a and taken in one chart,
+as the SUBSTITUTIONS table names both.  The plane tangent character
+(tangent_p2) is that sum in the identity chart with every k_a = 0, and the
+rank-one hook character (hook_character) is its one-slot case, whose
+e-parts cancel.  On the blow-up (Nakajima-Yoshioka) a fixed point
+(Y, Z, kvec) has three blocks: the simplex of kvec (simplex_weights), the
+Y block (the pairing blocks of Y in the chart (t1, t2/t1), twisted by
+t1^(k_b - k_a)) and the Z block (those of Z in (t1/t2, t2), twisted by
+t2^(k_b - k_a)); BLOWUP_SIDES names the chart of each side.  simplex_block
+and plane_block build one block, which the factored blow-up series
+evaluates on its own, and tangent_blowup counts all three into the full
+character.  Every builder passes one check, _checked: the rank the
+geometry fixes, and no trivial weight (fixed points are isolated).
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -40,11 +43,12 @@ theta_limit_factor return that pair, and a negative multiplicity, which
 would leave a y-denominator, raises ValueError.  The series code sums,
 multiplies and convolves pairs with cleared_sum, cleared_product and
 cleared_convolution, and cleared_value turns a pair into its coefficient,
-a YPoly or a Fraction for numeric y.  theta_limit_factor applies the
-ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case table: a weight
-with denominator slot below the numerator slot contributes 1, the
-opposite order contributes y = theta(0), and pure t-monomials keep their
-theta.
+a YPoly or a Fraction for numeric y; theta_sum is the sum over the
+characters of one q-degree that every series makes.  theta_limit_factor
+applies the ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case
+table: a weight with denominator slot below the numerator slot
+contributes 1, the opposite order contributes y = theta(0), and pure
+t-monomials keep their theta.
 """
 
 from __future__ import annotations
@@ -149,12 +153,18 @@ class Character:
         return f"Character({self.to_str()})"
 
 
-# exponent map (i1, i2) -> (i1', i2') of each variable substitution
+# substitution -> (exponent map (i1, i2) -> (i1', i2'), twist (u1, u2)): a
+# pairing block of slots a, b is twisted by t1^(u1*d) * t2^(u2*d), d = k_b - k_a,
+# and then remapped; each substitution fixes the variable of its twist, so the
+# twist goes first
 SUBSTITUTIONS = {
-    "identity": lambda i1, i2: (i1, i2),
-    "t2/t1": lambda i1, i2: (i1 - i2, i2),  # (t1, t2) -> (t1, t2/t1)
-    "t1/t2": lambda i1, i2: (i1, i2 - i1),  # (t1, t2) -> (t1/t2, t2)
+    "identity": (lambda i1, i2: (i1, i2), (0, 0)),
+    "t2/t1": (lambda i1, i2: (i1 - i2, i2), (1, 0)),  # (t1, t2) -> (t1, t2/t1)
+    "t1/t2": (lambda i1, i2: (i1, i2 - i1), (0, 1)),  # (t1, t2) -> (t1/t2, t2)
 }
+
+# blow-up side -> its chart: the Y-tuple sits in (t1, t2/t1), the Z-tuple in (t1/t2, t2)
+BLOWUP_SIDES = {"y": "t2/t1", "z": "t1/t2"}
 
 
 def hook_exponents(y_a: Partition, y_b: Partition):
@@ -183,34 +193,6 @@ def simplex_exponents(ka: int, kb: int):
                 yield i + 1, j + 1
 
 
-@lru_cache(maxsize=None)
-def tangent_p2(fp: PartitionTuple) -> Character:
-    """Tangent character at a fixed point of the plane moduli.
-
-    The rank must equal 2*r*n for the tuple of total size n; a mismatch
-    means an index-convention bug and raises rather than warns.
-    """
-    total = Character(
-        (make_weight(i1, i2, b, a), 1)
-        for a, y_a in enumerate(fp.entries, 1)
-        for b, y_b in enumerate(fp.entries, 1)
-        for i1, i2 in hook_exponents(y_a, y_b)
-    )
-    expected = 2 * fp.rank * fp.total_size
-    if total.rank != expected:
-        raise RankCheckError(
-            f"tangent rank {total.rank} != {expected} at {fp!r}"
-        )
-    return total
-
-
-# blow-up side -> (substitution, twisted exponent): the Y-tuple sits in the
-# chart (t1, t2/t1) twisted by t1^d, the Z-tuple in (t1/t2, t2) twisted by
-# t2^d, d = k_b - k_a; each substitution fixes the variable of its twist, so
-# the twist goes first
-BLOWUP_SIDES = {"y": ("t2/t1", (1, 0)), "z": ("t1/t2", (0, 1))}
-
-
 def simplex_weights(kvec: LatticeVector):
     """(weight, 1) pairs of the exceptional block of a lattice vector, slot pair by slot pair."""
     slots = list(enumerate(kvec.entries, 1))
@@ -220,15 +202,17 @@ def simplex_weights(kvec: LatticeVector):
                 yield make_weight(i1, i2, b, a), 1
 
 
-def plane_block_weights(pt: PartitionTuple, kvec: LatticeVector, side: str):
-    """(weight, 1) pairs of the Y block (side "y") or Z block (side "z") of a tuple.
+def plane_block_weights(pt: PartitionTuple, ks, substitution: str):
+    """(weight, 1) pairs of the pairing blocks of a tuple at degrees ks, in one chart.
 
-    The plane tangent character of the tuple, substituted and twisted as
-    BLOWUP_SIDES says for that side of the blow-up.
+    The double sum over slot pairs (a, b) of the pairing block of Y_a with
+    Y_b, twisted and remapped as SUBSTITUTIONS says for the substitution,
+    with d = k_b - k_a; an unknown substitution raises ValueError.
     """
-    kind, (u1, u2) = BLOWUP_SIDES[side]
-    remap = SUBSTITUTIONS[kind]
-    slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
+    if substitution not in SUBSTITUTIONS:
+        raise ValueError(f"unsupported substitution {substitution!r}")
+    remap, (u1, u2) = SUBSTITUTIONS[substitution]
+    slots = list(enumerate(zip(ks, pt.entries), 1))
     for a, (ka, p_a) in slots:
         for b, (kb, p_b) in slots:
             d = kb - ka
@@ -236,25 +220,50 @@ def plane_block_weights(pt: PartitionTuple, kvec: LatticeVector, side: str):
                 yield make_weight(*remap(i1 + u1 * d, i2 + u2 * d), b, a), 1
 
 
-def _checked(char: Character, expected: int, where: str) -> Character:
+def _checked(char: Character, expected: int, where: str, *args) -> Character:
+    """char, after the rank and isolation checks; where.format(*args) names a failure."""
     if char.rank != expected:
-        raise RankCheckError(f"tangent rank {char.rank} != {expected} at {where}")
+        raise RankCheckError(f"tangent rank {char.rank} != {expected} at {where.format(*args)}")
     if char.contains_trivial():
-        raise TrivialWeightError(f"trivial weight in tangent character at {where}")
+        raise TrivialWeightError(f"trivial weight in tangent character at {where.format(*args)}")
     return char
+
+
+def _plane_checked(pt: PartitionTuple, ks, substitution: str, where: str, *args) -> Character:
+    """The pairing blocks of a tuple counted into one Character of rank 2*r*|pt|."""
+    char = Character(plane_block_weights(pt, ks, substitution))
+    return _checked(char, 2 * pt.rank * pt.total_size, where, *args)
+
+
+@lru_cache(maxsize=None)
+def tangent_p2(fp: PartitionTuple) -> Character:
+    """Tangent character at a fixed point of the plane moduli.
+
+    Its pairing blocks in the identity chart; the rank must be 2*r*n at
+    total size n, and the trivial weight must be absent.
+    """
+    return _plane_checked(fp, (0,) * fp.rank, "identity", "{!r}", fp)
+
+
+def hook_character(p: Partition, substitution: str = "identity") -> Character:
+    """Both hook monomials of every box of one diagram, as a character.
+
+    This is the single-slot pairing block of p with itself, whose e-parts
+    cancel, under the given variable substitution; its rank must be 2*|p|.
+    """
+    where = "hook character of {!r} under {}"
+    return _plane_checked(PartitionTuple((p,)), (0,), substitution, where, p, substitution)
 
 
 def simplex_block(kvec: LatticeVector) -> Character:
     """Exceptional block of a lattice vector; its rank must equal pair_form."""
-    return _checked(Character(simplex_weights(kvec)), kvec.pair_form, f"simplex of {kvec!r}")
+    return _checked(Character(simplex_weights(kvec)), kvec.pair_form, "simplex of {!r}", kvec)
 
 
 def plane_block(pt: PartitionTuple, kvec: LatticeVector, side: str) -> Character:
     """Y or Z block of a blow-up fixed point; its rank must equal 2*r*|pt|."""
-    return _checked(
-        Character(plane_block_weights(pt, kvec, side)),
-        2 * pt.rank * pt.total_size,
-        f"{side} block of {pt!r} under {kvec!r}",
+    return _plane_checked(
+        pt, kvec.entries, BLOWUP_SIDES[side], "{} block of {!r} under {!r}", side, pt, kvec
     )
 
 
@@ -267,12 +276,13 @@ def tangent_blowup(fp: BlowupFixedPoint) -> Character:
     the trivial weight must be absent (fixed points are isolated); both
     are hard checks.
     """
+    ks = fp.kvec.entries
     weights = chain(
         simplex_weights(fp.kvec),
-        plane_block_weights(fp.y_tuple, fp.kvec, "y"),
-        plane_block_weights(fp.z_tuple, fp.kvec, "z"),
+        plane_block_weights(fp.y_tuple, ks, BLOWUP_SIDES["y"]),
+        plane_block_weights(fp.z_tuple, ks, BLOWUP_SIDES["z"]),
     )
-    return _checked(Character(weights), fp.virtual_dim, repr(fp))
+    return _checked(Character(weights), fp.virtual_dim, "{!r}", fp)
 
 
 def weight_value(w: Weight, spec: Specialization) -> Fraction:
@@ -417,3 +427,15 @@ def theta_limit_factor(c: Character, spec: Specialization) -> Cleared:
     The result and the errors are as for theta_eval.
     """
     return _cleared(_theta_factors(c, spec, limit=True), spec)
+
+
+def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
+    """Sum of theta over characters, in their order, as a cleared pair.
+
+    Limit mode takes theta_limit_factor of each character, otherwise
+    theta_eval; the errors are theirs.
+    """
+    # looked up as module attributes at call time, so a wrapper installed on
+    # them (perfbench/spans.py) sees every character
+    theta = theta_limit_factor if limit else theta_eval
+    return cleared_sum(theta(c, spec) for c in chars)

@@ -2,9 +2,11 @@
 
 Scalars are arbitrary-precision rationals (fractions.Fraction).  On top of
 those sit YPoly, polynomials in the genus variable y, and YRat, reduced
-ratios of two YPoly.  Both interoperate with int and Fraction through the
-usual operators, so series code can stay agnostic about which ring it is
-summing in.
+ratios of two YPoly.  Every series coefficient is a YPoly for symbolic y
+and a Fraction for numeric y; a YRat arises only where a YPoly is divided
+by a non-constant one.  Both interoperate with int and Fraction through
+the usual operators, so the q-series code can stay agnostic about which
+ring it multiplies in.
 
 Specialization holds one exact rational value per equivariant parameter
 (t1, t2, e_1..e_r) plus the y handling: y0 = None keeps y symbolic, a
@@ -398,8 +400,8 @@ class SplitMix64:
 class Specialization:
     """Exact rational values for t1, t2, e_1..e_r plus the y mode.
 
-    y0 is None for symbolic y (coefficients are YPoly, or YRat where a
-    y-denominator occurs) or a Fraction for a numeric run.  Invariants:
+    y0 is None for symbolic y (coefficients are YPoly) or a Fraction for
+    a numeric run (coefficients are Fraction).  Invariants:
     every value is nonzero, differs from 1 and from every other value,
     which keeps all single-parameter ratios away from the forbidden weight
     value 1.

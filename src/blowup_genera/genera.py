@@ -8,9 +8,10 @@ sums, so no full blow-up tangent character is built.
 
 Both sum in integers: theta of every character arrives as a cleared pair
 (an integer coefficient list in y over one integer denominator, see
-characters.theta_eval), and the pair helpers of characters sum them over
-a running common denominator and multiply integer lists for the
-convolution and the simplex factor; each q-coefficient becomes one YPoly,
+characters.theta_eval), characters.theta_sum sums the blocks of one
+degree over a running common denominator, and the pair helpers of
+characters multiply integer lists for the convolution and the simplex
+factor; each q-coefficient becomes one YPoly,
 or one Fraction for numeric y, at the end.  Numeric y is the same pair
 with a list of at most one entry, so every mode takes the same path.
 
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from itertools import count
 
 from .characters import (
-    Character,
-    Cleared,
     cleared_convolution,
     cleared_product,
     cleared_sum,
@@ -36,8 +35,7 @@ from .characters import (
     plane_block,
     simplex_block,
     tangent_p2,
-    theta_eval,
-    theta_limit_factor,
+    theta_sum,
 )
 from .coefficients import PRNG_NAME, Specialization
 from .partitions import (
@@ -75,30 +73,16 @@ class SeriesRequest:
             raise ValueError("specialization rank does not match the request")
 
 
-def _theta(req: SeriesRequest, char: Character) -> Cleared:
-    """Theta of a tangent block as a cleared pair (see characters._cleared)."""
-    # looked up as module attributes at call time, so a wrapper installed on
-    # them (perfbench/spans.py) sees every block
-    if req.mode == LIMIT:
-        return theta_limit_factor(char, req.spec)
-    return theta_eval(char, req.spec)
-
-
-def _accumulate(req: SeriesRequest, chars) -> Cleared:
-    """Sum the theta of each character in enumeration order, as a cleared pair."""
-    return cleared_sum(_theta(req, c) for c in chars)
-
-
 def z_series(req: SeriesRequest) -> QSeries:
     """Plane series: sum over tuples of weight n <= max_n, graded by q^(2rn).
 
     Valid below q^(2r*max_n + 1); all exponents off the 2r grid are exactly 0.
     """
-    r = req.rank
+    r, spec, limit = req.rank, req.spec, req.mode == LIMIT
     terms = {}
     for n in range(req.max_n + 1):
-        pair = _accumulate(req, [tangent_p2(fp) for fp in enumerate_tuples(r, n)])
-        terms[2 * r * n] = cleared_value(pair, req.spec)
+        pair = theta_sum([tangent_p2(fp) for fp in enumerate_tuples(r, n)], spec, limit)
+        terms[2 * r * n] = cleared_value(pair, spec)
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
@@ -110,13 +94,13 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
     """
-    r = req.rank
-    simplex = _theta(req, simplex_block(kvec))
+    r, spec, limit = req.rank, req.spec, req.mode == LIMIT
+    simplex = theta_sum([simplex_block(kvec)], spec, limit)
     a, b = [], []
     for w in count():
         tuples = enumerate_tuples(r, w)
-        a.append(_accumulate(req, [plane_block(t, kvec, "y") for t in tuples]))
-        b.append(_accumulate(req, [plane_block(t, kvec, "z") for t in tuples]))
+        a.append(theta_sum([plane_block(t, kvec, "y") for t in tuples], spec, limit))
+        b.append(theta_sum([plane_block(t, kvec, "z") for t in tuples], spec, limit))
         yield cleared_product(simplex, cleared_convolution(a, b))
 
 
@@ -196,8 +180,8 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
     if kind == "z":
         series = z_series(req)
         counts = {
-            str(2 * req.rank * n): len(enumerate_tuples(req.rank, n))
-            for n in range(req.max_n + 1)
+            str(2 * req.rank * n): c
+            for n, c in enumerate(colored_partition_counts(req.rank, req.max_n))
         }
     elif kind == "zhat":
         series = zhat_series(req)

@@ -12,30 +12,10 @@ verified coefficient-by-coefficient at exact rational specializations.
 
 from __future__ import annotations
 
-from .characters import (
-    SUBSTITUTIONS,
-    Character,
-    cleared_sum,
-    cleared_value,
-    hook_exponents,
-    make_weight,
-    theta_eval,
-)
+from .characters import cleared_value, hook_character, theta_sum
 from .coefficients import Specialization
 from .partitions import enumerate_partitions
 from .qseries import QSeries, euler_product
-
-
-def hook_character(p, substitution: str = "identity") -> Character:
-    """Both hook monomials of every box of one diagram, as a character.
-
-    This is the single-slot pairing block of p with itself, whose e-parts
-    cancel, under the given variable substitution.
-    """
-    if substitution not in SUBSTITUTIONS:
-        raise ValueError(f"unsupported substitution {substitution!r}")
-    remap = SUBSTITUTIONS[substitution]
-    return Character((make_weight(*remap(i1, i2)), 1) for i1, i2 in hook_exponents(p, p))
 
 
 def w_series(spec: Specialization, order: int, substitution: str = "identity") -> QSeries:
@@ -44,9 +24,7 @@ def w_series(spec: Specialization, order: int, substitution: str = "identity") -
         raise ValueError("order must be nonnegative")
     terms = {}
     for m in range(order + 1):
-        pair = cleared_sum(
-            theta_eval(hook_character(p, substitution), spec) for p in enumerate_partitions(m)
-        )
+        pair = theta_sum((hook_character(p, substitution) for p in enumerate_partitions(m)), spec)
         terms[m] = cleared_value(pair, spec)
     return QSeries.from_terms(terms, order + 1)
 

@@ -249,6 +249,24 @@ def reference_tangent_blowup(fp):
     return char_sum(*blocks)
 
 
+def reference_simplex_block(kvec):
+    """The exceptional block as the sum of its l_blocks."""
+    slots = range(1, kvec.rank + 1)
+    return char_sum(*(reference_l_block(kvec, a, b) for a in slots for b in slots))
+
+
+def reference_plane_block(pt, kvec, side):
+    """The Y or Z block as the sum of its substituted, twisted n_blocks."""
+    kind, dt1, dt2 = {"y": ("t2/t1", 1, 0), "z": ("t1/t2", 0, 1)}[side]
+    blocks = []
+    for a in range(1, pt.rank + 1):
+        for b in range(1, pt.rank + 1):
+            d = kvec.entries[b - 1] - kvec.entries[a - 1]
+            n = reference_n_block(pt.entries[a - 1], pt.entries[b - 1], a, b)
+            blocks.append(reference_twist(reference_substitute(n, kind), dt1 * d, dt2 * d))
+    return char_sum(*blocks)
+
+
 DIFFERENTIAL_RANGE = ((1, 6), (2, 4), (3, 2))  # (r, largest n)
 
 
@@ -260,6 +278,11 @@ def test_tangent_characters_match_block_sum_reference():
             for k in range(r):
                 for fp in enumerate_blowup_fixed_points(r, k, n):
                     assert tangent_blowup.__wrapped__(fp) == reference_tangent_blowup(fp)
+                    # and each block on its own, as the factored series uses it
+                    kv = fp.kvec
+                    assert simplex_block(kv) == reference_simplex_block(kv)
+                    for side, pt in (("y", fp.y_tuple), ("z", fp.z_tuple)):
+                        assert plane_block(pt, kv, side) == reference_plane_block(pt, kv, side)
 
 
 # -- theta evaluation ----------------------------------------------------------

@@ -14,8 +14,11 @@ from blowup_genera.characters import (
     cleared_convolution,
     cleared_product,
     cleared_value,
+    hook_character,
     make_weight,
     tangent_blowup,
+    tangent_p2,
+    theta_sum,
 )
 from blowup_genera.coefficients import (
     Specialization,
@@ -29,14 +32,14 @@ from blowup_genera.genera import (
     EQUIVARIANT,
     LIMIT,
     SeriesRequest,
-    _accumulate,
-    _theta,
     series_report,
     z_series,
     z_series_limit_closed,
     zhat_series,
 )
 from blowup_genera.partitions import (
+    Partition,
+    PartitionTuple,
     blowup_virtual_dim,
     enumerate_blowup_fixed_points,
     enumerate_tuples,
@@ -181,18 +184,23 @@ def test_series_report_schema():
     assert "wall_clock_seconds" not in lean
 
 
+@pytest.mark.parametrize("kind", ["zhat", "z"])
 @pytest.mark.parametrize("r, k, max_n", [(2, 1, 5), (3, 1, 3), (4, 2, 2), (1, 0, 6), (3, 0, 3)])
-def test_series_report_counts_blowup_points_without_enumerating(r, k, max_n):
-    # fixed_point_counts is counted from lattice vectors and colored-partition
-    # counts, and the factored series enumerates no blow-up fixed points
+def test_series_report_counts_fixed_points_without_enumerating(kind, r, k, max_n):
+    # fixed_point_counts is counted from colored-partition counts (and, on the
+    # blow-up, lattice vectors); neither series enumerates blow-up fixed points
     spec = sample_specialization(r, 6, F(1))
     before = enumerate_blowup_fixed_points.cache_info()
-    rep = series_report("zhat", SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
+    rep = series_report(kind, SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
     assert enumerate_blowup_fixed_points.cache_info() == before
-    assert rep["fixed_point_counts"] == {
-        str(blowup_virtual_dim(r, k, n)): len(enumerate_blowup_fixed_points(r, k, n))
-        for n in range(max_n + 1)
-    }
+    if kind == "z":
+        want = {str(2 * r * n): len(enumerate_tuples(r, n)) for n in range(max_n + 1)}
+    else:
+        want = {
+            str(blowup_virtual_dim(r, k, n)): len(enumerate_blowup_fixed_points(r, k, n))
+            for n in range(max_n + 1)
+        }
+    assert rep["fixed_point_counts"] == want
     assert "threads" not in rep["params"]
 
 
@@ -248,20 +256,44 @@ def _trivial_pairs(y_a, y_b):
     return iter([(0, 0)] * (y_a.size + y_b.size))
 
 
+def _zhat_series():
+    return zhat_series(SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 4), k=1))
+
+
+def _w_series():
+    return w_series(sample_specialization(1, 4), 2)
+
+
+def _hook_character():
+    return hook_character(Partition((2, 1)))
+
+
+def _tangent_p2():
+    # uncached, so the broken character stays out of the cache
+    return tangent_p2.__wrapped__(PartitionTuple((Partition((1,)), Partition())))
+
+
 @pytest.mark.parametrize(
-    "attr, replacement, error",
+    "entry, attr, replacement, error",
     [
-        ("simplex_exponents", _no_pairs, RankCheckError),
-        ("hook_exponents", _no_pairs, RankCheckError),
-        ("hook_exponents", _trivial_pairs, TrivialWeightError),
+        (_zhat_series, "simplex_exponents", _no_pairs, RankCheckError),
+        (_zhat_series, "hook_exponents", _no_pairs, RankCheckError),
+        (_zhat_series, "hook_exponents", _trivial_pairs, TrivialWeightError),
+        (_w_series, "hook_exponents", _no_pairs, RankCheckError),
+        (_hook_character, "hook_exponents", _no_pairs, RankCheckError),
+        (_hook_character, "hook_exponents", _trivial_pairs, TrivialWeightError),
+        (_tangent_p2, "hook_exponents", _no_pairs, RankCheckError),
+        (_tangent_p2, "hook_exponents", _trivial_pairs, TrivialWeightError),
     ],
 )
-def test_zhat_series_checks_each_block(monkeypatch, attr, replacement, error):
+def test_each_builder_checks_its_block(monkeypatch, entry, attr, replacement, error):
+    # every character built from hooks comes from characters.hook_exponents
+    # and passes the one rank-and-isolation check
     import blowup_genera.characters as characters
 
     monkeypatch.setattr(characters, attr, replacement)
     with pytest.raises(error):
-        zhat_series(SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 4), k=1))
+        entry()
 
 
 def test_zhat_series_builds_no_full_tangent_character():
@@ -298,10 +330,14 @@ def _zero(spec):
     return spec.y_power(0) * 0  # YPoly() for symbolic y, Fraction(0) for numeric y
 
 
+def accumulate(req, chars):
+    return theta_sum(chars, req.spec, req.mode == LIMIT)
+
+
 def cleared_share(req, simplex, a_blocks, b_blocks):
-    s = _theta(req, simplex)
-    a = [_accumulate(req, chars) for chars in a_blocks]
-    b = [_accumulate(req, chars) for chars in b_blocks]
+    s = accumulate(req, [simplex])
+    a = [accumulate(req, chars) for chars in a_blocks]
+    b = [accumulate(req, chars) for chars in b_blocks]
     return cleared_value(cleared_product(s, cleared_convolution(a, b)), req.spec)
 
 
@@ -358,10 +394,10 @@ def test_cleared_kernel_on_an_empty_sum_and_a_cancelling_sum():
             for blocks in ([[]], [[], cancelling], [cancelling, cancelling]):
                 args = (req, simplex, blocks, blocks)
                 assert_same_coefficient(cleared_share(*args), plain_share(*args))
-            empty = cleared_value(_accumulate(req, []), spec)
+            empty = cleared_value(accumulate(req, []), spec)
             assert_same_coefficient(empty, _zero(spec))
             if y0 == 0:
-                total = cleared_value(_accumulate(req, cancelling), spec)
+                total = cleared_value(accumulate(req, cancelling), spec)
                 assert_same_coefficient(total, F(0))
 
 

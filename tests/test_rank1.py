@@ -108,9 +108,13 @@ def test_hook_character_substitution_examples():
 
 
 def test_substitution_table_examples():
-    assert SUBSTITUTIONS["t2/t1"](2, 1) == (1, 1)
-    assert SUBSTITUTIONS["t2/t1"](1, 0) == (1, 0)
-    assert SUBSTITUTIONS["t1/t2"](1, -1) == (1, -2)
+    # each entry is (exponent map, twist); the twist is t1^d in the chart
+    # (t1, t2/t1), t2^d in (t1/t2, t2) and none in the identity chart
+    (remap_12, twist_12), (remap_21, twist_21) = SUBSTITUTIONS["t2/t1"], SUBSTITUTIONS["t1/t2"]
+    assert remap_12(2, 1) == (1, 1)
+    assert remap_12(1, 0) == (1, 0)
+    assert remap_21(1, -1) == (1, -2)
+    assert (twist_12, twist_21, SUBSTITUTIONS["identity"][1]) == ((1, 0), (0, 1), (0, 0))
 
 
 def test_hook_character_collisions_accumulate():

@@ -52,3 +52,18 @@ def test_traced_rank1_call_records_theta_under_w_series(tmp_path):
     spans = traced(tmp_path, "verify-rank1", "--order", "2", "--seeds", "1")
     assert [rec for rec in spans
             if rec[0] == "characters.theta_eval" and spans[rec[3]][0] == "rank1.w_series"]
+
+
+@pytest.mark.parametrize(
+    "argv, builder, series",
+    [
+        (["compute-z", "--rank", "2", "--max-n", "2"], "characters.tangent_p2", "genera.z_series"),
+        (["verify-rank1", "--order", "2", "--seeds", "1"], "rank1.hook_character", "rank1.w_series"),
+    ],
+)
+def test_traced_builders_run_under_their_series(tmp_path, argv, builder, series):
+    # the series reach the character builders through the wrapped names too:
+    # a builder bound before the tracer is installed would record no span
+    spans = traced(tmp_path, *argv)
+    parents = {spans[rec[3]][0] for rec in spans if rec[0] == builder}
+    assert parents == {series}

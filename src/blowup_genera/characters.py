@@ -15,21 +15,24 @@ whose t-exponents hook_exponents yields, and for a lattice vector the
 exceptional block of slots a, b is e_b/e_a times a simplex of t-monomials
 fixed by the difference k_a - k_b (empty when that difference is 0 or 1
 in the relevant direction), whose t-exponents simplex_exponents yields.
-plane_block_weights is the one generator of pairing-block weights: for a
-tuple at degrees k_1, ..., k_r it yields the double sum over slot pairs of
-the pairing blocks, each twisted by d = k_b - k_a and taken in one chart,
-as the SUBSTITUTIONS table names both.  The plane tangent character
-(tangent_p2) is that sum in the identity chart with every k_a = 0, and the
-rank-one hook character (hook_character) is its one-slot case, whose
-e-parts cancel.  On the blow-up (Nakajima-Yoshioka) a fixed point
-(Y, Z, kvec) has three blocks: the simplex of kvec (simplex_weights), the
-Y block (the pairing blocks of Y in the chart (t1, t2/t1), twisted by
-t1^(k_b - k_a)) and the Z block (those of Z in (t1/t2, t2), twisted by
-t2^(k_b - k_a)); BLOWUP_SIDES names the chart of each side.  simplex_block
-and plane_block build one block, which the factored blow-up series
-evaluates on its own, and tangent_blowup counts all three into the full
-character.  Every builder passes one check, _checked: the rank the
-geometry fixes, and no trivial weight (fixed points are isolated).
+For a tuple at degrees k_1, ..., k_r a plane block is the double sum over
+slot pairs of the pairing blocks, each twisted by d = k_b - k_a and taken
+in one chart, as the SUBSTITUTIONS table names both.  pair_exponents
+holds the twisted, remapped t-exponents of one pairing block; they depend
+on no specialization, so one process-wide cache serves every builder, and
+its rank and isolation checks run once per entry.  plane_block_weights
+adds the e-parts to them and is the one generator of plane-block weights.
+The plane tangent character (tangent_p2) is that sum in the identity chart
+with every k_a = 0, and the rank-one hook character (hook_character) is
+its one-slot case, whose e-parts cancel.  On the blow-up
+(Nakajima-Yoshioka) a fixed point (Y, Z, kvec) has three blocks: the
+simplex of kvec (simplex_weights), the Y block (the pairing blocks of Y in
+the chart (t1, t2/t1), twisted by t1^(k_b - k_a)) and the Z block (those
+of Z in (t1/t2, t2), twisted by t2^(k_b - k_a)); BLOWUP_SIDES names the
+chart of each side.  simplex_block and plane_block build one block, and
+tangent_blowup counts all three into the full character.  Every Character
+builder passes one check, _checked: the rank the geometry fixes, and no
+trivial weight (fixed points are isolated).
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -49,6 +52,16 @@ applies the ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case
 table: a weight with denominator slot below the numerator slot
 contributes 1, the opposite order contributes y = theta(0), and pure
 t-monomials keep their theta.
+
+Theta is multiplicative, so theta of a Y or Z block is the product of its
+pair factors F(Y_a, Y_b, a, b, d, side), theta of one pairing block, the
+chi_y form of Nekrasov's factor N_{Y_a,Y_b}.  plane_block_theta
+multiplies them without building the block, from a memo of F that one
+blow-up series keeps for its specialization and mode.  F is a cleared
+pair from the same case table and the same checks as theta_eval, and an
+unreduced product of integers does not depend on the order of its
+factors, so the product is the block's theta_eval pair, integer for
+integer.
 """
 
 from __future__ import annotations
@@ -202,22 +215,46 @@ def simplex_weights(kvec: LatticeVector):
                 yield make_weight(i1, i2, b, a), 1
 
 
-def plane_block_weights(pt: PartitionTuple, ks, substitution: str):
-    """(weight, 1) pairs of the pairing blocks of a tuple at degrees ks, in one chart.
+@lru_cache(maxsize=None)
+def pair_exponents(y_a: Partition, y_b: Partition, d: int, substitution: str):
+    """t-exponents (i1, i2) of the pairing block of Y_a with Y_b, twisted by d and remapped.
 
-    The double sum over slot pairs (a, b) of the pairing block of Y_a with
-    Y_b, twisted and remapped as SUBSTITUTIONS says for the substitution,
-    with d = k_b - k_a; an unknown substitution raises ValueError.
+    The exponents of hook_exponents, twisted and remapped as SUBSTITUTIONS
+    says for the substitution; an unknown substitution raises ValueError.
+    They depend on no specialization, so one process-wide cache serves
+    every builder.  The checks run once, when an entry is made: there are
+    |Y_a| + |Y_b| exponents, and an entry a diagonal pair can use (Y_a =
+    Y_b, d = 0) has no (0, 0), whose weight would be trivial there.
     """
     if substitution not in SUBSTITUTIONS:
         raise ValueError(f"unsupported substitution {substitution!r}")
     remap, (u1, u2) = SUBSTITUTIONS[substitution]
+    exps = tuple(remap(i1 + u1 * d, i2 + u2 * d) for i1, i2 in hook_exponents(y_a, y_b))
+    expected = y_a.size + y_b.size
+    if len(exps) != expected:
+        where = _pair_where(y_a, y_b, d, substitution)
+        raise RankCheckError(f"tangent rank {len(exps)} != {expected} at {where}")
+    if d == 0 and y_a == y_b and (0, 0) in exps:
+        where = _pair_where(y_a, y_b, d, substitution)
+        raise TrivialWeightError(f"trivial weight in tangent character at {where}")
+    return exps
+
+
+def _pair_where(y_a: Partition, y_b: Partition, d: int, substitution: str) -> str:
+    return f"pairing block of {y_a!r} with {y_b!r} at d = {d} under {substitution}"
+
+
+def plane_block_weights(pt: PartitionTuple, ks, substitution: str):
+    """(weight, 1) pairs of the pairing blocks of a tuple at degrees ks, in one chart.
+
+    The double sum over slot pairs (a, b) of pair_exponents of Y_a with
+    Y_b at d = k_b - k_a, each exponent carrying the e-part e_b/e_a.
+    """
     slots = list(enumerate(zip(ks, pt.entries), 1))
     for a, (ka, p_a) in slots:
         for b, (kb, p_b) in slots:
-            d = kb - ka
-            for i1, i2 in hook_exponents(p_a, p_b):
-                yield make_weight(*remap(i1 + u1 * d, i2 + u2 * d), b, a), 1
+            for i1, i2 in pair_exponents(p_a, p_b, kb - ka, substitution):
+                yield make_weight(i1, i2, b, a), 1
 
 
 def _checked(char: Character, expected: int, where: str, *args) -> Character:
@@ -381,22 +418,24 @@ def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
     return pq
 
 
-def _theta_factors(c: Character, spec: Specialization, limit: bool):
-    """(p, q, m) triples of theta over the weights of c, each weight checked.
+def _theta_factors(items, spec: Specialization, limit: bool):
+    """(p, q, m) triples of theta over a list of (weight, multiplicity) items, each checked.
 
     A negative multiplicity raises ValueError (see _cleared).  In limit
     mode a weight with an e-part tends to 0 when its denominator slot is
     above its numerator slot, where theta(0) = y, and to infinity
     otherwise, where theta tends to 1; the first kind adds its
     multiplicity to one exponent of y, which gives the single triple
-    (0, 1, exponent), and the second kind gives no triple.
+    (0, 1, exponent), and the second kind gives no triple.  The error
+    messages name the items as one Character.
     """
     factors, y_exp = [], 0
-    for w, m in c.sorted_items():
+    for w, m in items:
         if weight_is_trivial(w):
+            c = Character(items)
             raise TrivialWeightError(f"theta undefined on the trivial weight in {c!r}")
         if m < 0:
-            raise ValueError(f"theta needs positive multiplicities: {c!r}")
+            raise ValueError(f"theta needs positive multiplicities: {Character(items)!r}")
         if not limit or w.num is None:
             factors.append(_theta_factor(w, spec) + (m,))
         elif w.den > w.num:
@@ -415,7 +454,7 @@ def theta_eval(c: Character, spec: Specialization) -> Cleared:
     first weight whose value is 1; all checks run, weight by weight in
     sorted order, before any factor is multiplied.
     """
-    return _cleared(_theta_factors(c, spec, limit=False), spec)
+    return _cleared(_theta_factors(c.sorted_items(), spec, limit=False), spec)
 
 
 def theta_limit_factor(c: Character, spec: Specialization) -> Cleared:
@@ -426,7 +465,7 @@ def theta_limit_factor(c: Character, spec: Specialization) -> Cleared:
     limit is exact by construction, no values are actually driven to 0.
     The result and the errors are as for theta_eval.
     """
-    return _cleared(_theta_factors(c, spec, limit=True), spec)
+    return _cleared(_theta_factors(c.sorted_items(), spec, limit=True), spec)
 
 
 def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
@@ -439,3 +478,36 @@ def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
     # them (perfbench/spans.py) sees every character
     theta = theta_limit_factor if limit else theta_eval
     return cleared_sum(theta(c, spec) for c in chars)
+
+
+def plane_block_theta(
+    pt: PartitionTuple, kvec: LatticeVector, side: str, spec: Specialization, limit: bool,
+    factors: dict,
+) -> Cleared:
+    """Theta of plane_block(pt, kvec, side), or its limit, as a product of pair factors.
+
+    Theta is multiplicative and the block is the sum over slot pairs (a, b)
+    of the pairing blocks of Y_a with Y_b at d = k_b - k_a, so its theta
+    is the product of the pair factors F = theta of one pairing block,
+    taken from pair_exponents.  factors memoizes F by (Y_a, Y_b, a, b, d,
+    side); it belongs to one specialization and one mode, so the caller
+    makes it and drops it with them.  The product is never reduced, so it
+    is the cleared pair of theta_eval or theta_limit_factor of the block,
+    integer for integer.  A degenerate weight raises
+    DegenerateSpecializationError, but not always the one theta_eval would
+    name first.
+    """
+    substitution = BLOWUP_SIDES[side]
+    slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
+    block = None
+    for a, (ka, p_a) in slots:
+        for b, (kb, p_b) in slots:
+            d = kb - ka
+            key = (p_a, p_b, a, b, d, side)
+            f = factors.get(key)
+            if f is None:
+                exps = pair_exponents(p_a, p_b, d, substitution)
+                items = [(make_weight(i1, i2, b, a), 1) for i1, i2 in exps]
+                f = factors[key] = _cleared(_theta_factors(items, spec, limit), spec)
+            block = f if block is None else cleared_product(block, f)
+    return block

@@ -4,16 +4,21 @@ z_series sums theta contributions of diagram tuples into degrees q^(2rn);
 zhat_series sums blow-up fixed points into degrees
 q^(2r(|Y|+|Z|) + pair_form), factored over lattice vectors: theta of the
 exceptional simplex times the convolution of the Y-block and Z-block theta
-sums, so no full blow-up tangent character is built.
+sums, so no full blow-up tangent character is built.  Nor is a Y or Z
+block built: theta of each is the product of its Nekrasov pair factors
+(characters.plane_block_theta), which one zhat_series call memoizes in a
+dict of its own, so the blocks that share a pair of diagrams, slots and
+shift share its factor.
 
-Both sum in integers: theta of every character arrives as a cleared pair
-(an integer coefficient list in y over one integer denominator, see
-characters.theta_eval), characters.theta_sum sums the blocks of one
-degree over a running common denominator, and the pair helpers of
-characters multiply integer lists for the convolution and the simplex
-factor; each q-coefficient becomes one YPoly,
-or one Fraction for numeric y, at the end.  Numeric y is the same pair
-with a list of at most one entry, so every mode takes the same path.
+Both sum in integers: theta of every character or block arrives as a
+cleared pair (an integer coefficient list in y over one integer
+denominator, see characters.theta_eval), the blocks of one degree are
+summed over a running common denominator (characters.theta_sum, or
+cleared_sum over the block products), and the pair helpers of characters
+multiply integer lists for the convolution and the simplex factor; each
+q-coefficient becomes one YPoly, or one Fraction for numeric y, at the
+end.  Numeric y is the same pair with a list of at most one entry, so
+every mode takes the same path.
 
 Both run in equivariant mode (full theta evaluation) or limit mode (exact
 ordered e -> 0 case table), and limit mode has the independent closed
@@ -28,11 +33,13 @@ from dataclasses import dataclass
 from itertools import count
 
 from .characters import (
+    DegenerateSpecializationError,
     cleared_convolution,
     cleared_product,
     cleared_sum,
     cleared_value,
     plane_block,
+    plane_block_theta,
     simplex_block,
     tangent_p2,
     theta_sum,
@@ -86,21 +93,36 @@ def z_series(req: SeriesRequest) -> QSeries:
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
-def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
+def _side_sum(req: SeriesRequest, tuples, kvec: LatticeVector, side: str, factors: dict):
+    """Theta summed over the side's blocks of the tuples at kvec, from pair factors.
+
+    A product of pair factors meets the weights of a block out of sorted
+    order, so on a degenerate weight the side is summed again from its
+    sorted blocks, whose first degenerate weight the error then names.
+    """
+    spec, limit = req.spec, req.mode == LIMIT
+    try:
+        return cleared_sum(plane_block_theta(t, kvec, side, spec, limit, factors) for t in tuples)
+    except DegenerateSpecializationError:
+        theta_sum([plane_block(t, kvec, side) for t in tuples], spec, limit)
+        raise
+
+
+def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector, factors: dict):
     """Yield the share of kvec in the blow-up coefficient of weight w = 0, 1, 2, ...
 
     A fixed point (Y, Z, kvec) has the tangent character simplex + Y block
     + Z block, and theta is multiplicative, so the share at weight w is
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
+    Each block's theta is a product of pair factors, memoized in factors.
     """
-    r, spec, limit = req.rank, req.spec, req.mode == LIMIT
-    simplex = theta_sum([simplex_block(kvec)], spec, limit)
+    simplex = theta_sum([simplex_block(kvec)], req.spec, req.mode == LIMIT)
     a, b = [], []
     for w in count():
-        tuples = enumerate_tuples(r, w)
-        a.append(theta_sum([plane_block(t, kvec, "y") for t in tuples], spec, limit))
-        b.append(theta_sum([plane_block(t, kvec, "z") for t in tuples], spec, limit))
+        tuples = enumerate_tuples(req.rank, w)
+        a.append(_side_sum(req, tuples, kvec, "y", factors))
+        b.append(_side_sum(req, tuples, kvec, "z", factors))
         yield cleared_product(simplex, cleared_convolution(a, b))
 
 
@@ -118,15 +140,21 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     Degrees are filled in ascending order, within a degree the vectors in
     enumeration order, and for each vector the Y blocks of its new weight
     before the Z blocks.  The per-fixed-point sum over
-    enumerate_blowup_fixed_points first meets every weight in that same
-    order, at (Y, empty, kvec) and then (empty, Z, kvec), so a degenerate
-    specialization names the same weight.
+    enumerate_blowup_fixed_points first meets every block in that same
+    order, at (Y, empty, kvec) and then (empty, Z, kvec), and within a
+    block both take theta weight by weight in sorted order, so a
+    degenerate specialization names the same weight.  A product of pair
+    factors meets a block's weights slot pair by slot pair instead; so
+    when a factor degenerates, that degree's side is summed again from its
+    sorted blocks (plane_block and theta_sum), which raise the error the
+    per-fixed-point sum raises.
     """
     r, k = req.rank, req.k
     check_k(r, k)
     top = blowup_virtual_dim(r, k, req.max_n)
     kvecs = enumerate_lattice_vectors(r, k, top)
-    shares = [_lattice_vector_shares(req, kvec) for kvec in kvecs]
+    factors = {}  # pair factors of this specialization and mode, see plane_block_theta
+    shares = [_lattice_vector_shares(req, kvec, factors) for kvec in kvecs]
     terms = {}
     for n in range(req.max_n + 1):
         exp = blowup_virtual_dim(r, k, n)

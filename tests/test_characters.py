@@ -15,6 +15,7 @@ from blowup_genera.characters import (
     hook_exponents,
     make_weight,
     plane_block,
+    plane_block_theta,
     simplex_block,
     simplex_exponents,
     tangent_blowup,
@@ -602,3 +603,42 @@ def test_theta_kernel_matches_reference_on_tangent_characters():
                 c = tangent_blowup(fp)
                 assert_same(theta_value(c, spec), reference_theta(c, spec))
                 assert_same(theta_value(c, spec, True), reference_theta(c, spec, True))
+
+
+# -- blow-up blocks from pair factors ------------------------------------------
+# plane_block_theta multiplies one cleared pair per slot pair; theta_eval (or
+# theta_limit_factor) of the whole plane_block is the reference, and the two
+# must agree integer for integer, not only in value.
+
+@st.composite
+def plane_blocks(draw):
+    r = draw(st.integers(1, 3))
+    pt = draw(st.sampled_from(enumerate_tuples(r, draw(st.integers(0, 3)))))
+    kvec = LatticeVector(tuple(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))))
+    return pt, kvec
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    plane_blocks(),
+    st.sampled_from(["y", "z"]),
+    st.integers(0, 2**16),
+    st.sampled_from(Y_MODES),
+    st.booleans(),
+)
+def test_pair_factor_theta_is_the_block_theta(block, side, seed, y0, limit):
+    pt, kvec = block
+    spec = sample_specialization(pt.rank, seed, y0)
+    theta = theta_limit_factor if limit else theta_eval
+    factors = {}
+    try:
+        want = theta(plane_block(pt, kvec, side), spec)
+    except DegenerateSpecializationError:
+        # the pair factors may meet another degenerate weight first
+        with pytest.raises(DegenerateSpecializationError):
+            plane_block_theta(pt, kvec, side, spec, limit, factors)
+        return
+    for _ in range(2):  # filling the memo, then reading it
+        got = plane_block_theta(pt, kvec, side, spec, limit, factors)
+        assert got == want
+        assert len(factors) == pt.rank**2

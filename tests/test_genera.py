@@ -16,8 +16,13 @@ from blowup_genera.characters import (
     cleared_value,
     hook_character,
     make_weight,
+    pair_exponents,
+    plane_block,
+    plane_block_theta,
+    simplex_block,
     tangent_blowup,
     tangent_p2,
+    theta_eval,
     theta_sum,
 )
 from blowup_genera.coefficients import (
@@ -32,12 +37,14 @@ from blowup_genera.genera import (
     EQUIVARIANT,
     LIMIT,
     SeriesRequest,
+    _side_sum,
     series_report,
     z_series,
     z_series_limit_closed,
     zhat_series,
 )
 from blowup_genera.partitions import (
+    LatticeVector,
     Partition,
     PartitionTuple,
     blowup_virtual_dim,
@@ -247,6 +254,66 @@ def test_zhat_series_degeneracy_names_the_reference_weight(seed, max_n):
     assert str(got.value) == str(want.value)
 
 
+def test_zhat_series_degeneracy_inside_an_off_diagonal_z_pair():
+    # e1/e2 * t1 * t2^-1 = (15/2)/5 * 2/3 = 1.  Up to n = 2 it is a weight of
+    # Z-block pairs (a, b) = (2, 1) with d = k_1 - k_2 = -1 only: no simplex,
+    # no Y block and no diagonal pair holds it
+    bad = make_weight(1, -1, 1, 2)
+    fps = [fp for n in range(3) for fp in enumerate_blowup_fixed_points(2, 1, n)]
+    z_blocks = [plane_block(fp.z_tuple, fp.kvec, "z") for fp in fps]
+    others = [plane_block(fp.y_tuple, fp.kvec, "y") for fp in fps]
+    others += [simplex_block(fp.kvec) for fp in fps]
+    assert any(w == bad for c in z_blocks for w, _m in c.sorted_items())
+    assert not any(w == bad for c in others for w, _m in c.sorted_items())
+    for y0 in Y_MODES:
+        spec = Specialization(F(2), F(3), (F(15, 2), F(5)), y0, seed=11)
+        req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1)
+        with pytest.raises(DegenerateSpecializationError) as got:
+            zhat_series(req)
+        with pytest.raises(DegenerateSpecializationError) as want:
+            reference_zhat_series(req)
+        assert got.value.weight == bad
+        assert str(got.value) == str(want.value)
+        # the limit evaluates no weight with an e-part, so nothing degenerates
+        req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1, mode=LIMIT)
+        assert zhat_series(req).to_json() == reference_zhat_series(req).to_json()
+
+
+def test_degenerate_side_names_the_weight_of_the_sorted_block():
+    # t2 = -1 and e2/e1 = -1: in the Z block of (empty, (2)) at kvec (0, 1)
+    # the pair (1, 2) holds e2/e1 * t2 = 1, met first in pair order, and the
+    # diagonal pair (2, 2) holds t2^2 = 1, met first in sorted order
+    spec = Specialization(F(2), F(-1), (F(5), F(-5)), None, seed=5)
+    req = SeriesRequest(rank=2, max_n=0, spec=spec, k=1)
+    pt, kvec = PartitionTuple((Partition(), Partition((2,)))), LatticeVector((0, 1))
+    with pytest.raises(DegenerateSpecializationError) as pairs:
+        plane_block_theta(pt, kvec, "z", spec, False, {})
+    with pytest.raises(DegenerateSpecializationError) as block:
+        theta_eval(plane_block(pt, kvec, "z"), spec)
+    assert pairs.value.weight == make_weight(0, 1, 2, 1)
+    assert block.value.weight == make_weight(0, 2)
+    with pytest.raises(DegenerateSpecializationError) as side:
+        _side_sum(req, [pt], kvec, "z", {})
+    assert str(side.value) == str(block.value)
+
+
+def test_zhat_series_builds_no_plane_block(monkeypatch):
+    # a nondegenerate series takes every Y and Z block from pair factors;
+    # plane_block only names the weight of a degenerate one
+    import blowup_genera.characters as characters
+    import blowup_genera.genera as genera
+
+    def refuse(*_args):
+        raise AssertionError("plane_block built on the pair-factor path")
+
+    monkeypatch.setattr(genera, "plane_block", refuse)
+    monkeypatch.setattr(characters, "plane_block", refuse)
+    for mode in (EQUIVARIANT, LIMIT):
+        for y0 in Y_MODES:
+            spec = sample_specialization(2, 6, y0)
+            zhat_series(SeriesRequest(rank=2, max_n=3, spec=spec, k=1, mode=mode))
+
+
 def _no_pairs(*_args):
     return iter(())
 
@@ -273,27 +340,61 @@ def _tangent_p2():
     return tangent_p2.__wrapped__(PartitionTuple((Partition((1,)), Partition())))
 
 
-@pytest.mark.parametrize(
-    "entry, attr, replacement, error",
-    [
-        (_zhat_series, "simplex_exponents", _no_pairs, RankCheckError),
-        (_zhat_series, "hook_exponents", _no_pairs, RankCheckError),
-        (_zhat_series, "hook_exponents", _trivial_pairs, TrivialWeightError),
-        (_w_series, "hook_exponents", _no_pairs, RankCheckError),
-        (_hook_character, "hook_exponents", _no_pairs, RankCheckError),
-        (_hook_character, "hook_exponents", _trivial_pairs, TrivialWeightError),
-        (_tangent_p2, "hook_exponents", _no_pairs, RankCheckError),
-        (_tangent_p2, "hook_exponents", _trivial_pairs, TrivialWeightError),
-    ],
-)
-def test_each_builder_checks_its_block(monkeypatch, entry, attr, replacement, error):
-    # every character built from hooks comes from characters.hook_exponents
-    # and passes the one rank-and-isolation check
+BUILDER_CASES = [
+    (_zhat_series, "simplex_exponents", _no_pairs, RankCheckError),
+    (_zhat_series, "hook_exponents", _no_pairs, RankCheckError),
+    (_zhat_series, "hook_exponents", _trivial_pairs, TrivialWeightError),
+    (_w_series, "hook_exponents", _no_pairs, RankCheckError),
+    (_hook_character, "hook_exponents", _no_pairs, RankCheckError),
+    (_hook_character, "hook_exponents", _trivial_pairs, TrivialWeightError),
+    (_tangent_p2, "hook_exponents", _no_pairs, RankCheckError),
+    (_tangent_p2, "hook_exponents", _trivial_pairs, TrivialWeightError),
+]
+
+
+@pytest.fixture
+def patch_characters(monkeypatch):
+    """Patch one name in characters, with pair_exponents cleared before and after.
+
+    pair_exponents caches hook exponents for the whole process: a warm entry
+    would skip a patched hook_exponents, and an entry made from a patched one
+    (an off-diagonal pair of _trivial_pairs passes its checks) would outlive
+    the test.
+    """
     import blowup_genera.characters as characters
 
-    monkeypatch.setattr(characters, attr, replacement)
+    def patch(attr, replacement):
+        monkeypatch.setattr(characters, attr, replacement)
+        characters.pair_exponents.cache_clear()
+
+    yield patch
+    characters.pair_exponents.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("entry, attr, replacement, error", BUILDER_CASES)
+def test_each_builder_checks_its_block(patch_characters, entry, attr, replacement, error, warm):
+    # every character built from hooks comes from characters.hook_exponents
+    # and passes the one rank-and-isolation check, also after a run that
+    # cached the builder's pairs unpatched
+    if warm:
+        entry()
+    patch_characters(attr, replacement)
     with pytest.raises(error):
         entry()
+
+
+def test_pair_exponents_checks_an_entry_when_it_is_made(patch_characters):
+    p = Partition((2, 1))
+    patch_characters("hook_exponents", _no_pairs)
+    with pytest.raises(RankCheckError):
+        pair_exponents(p, Partition(), 1, "t1/t2")
+    patch_characters("hook_exponents", _trivial_pairs)
+    with pytest.raises(TrivialWeightError):
+        pair_exponents(p, p, 0, "t2/t1")
+    # off the diagonal (d != 0) these exponents carry an e-part, so they pass;
+    # the twist t1^d comes before the chart map (i1, i2) -> (i1 - i2, i2)
+    assert pair_exponents(p, p, 1, "t2/t1") == ((1, 0),) * 6
 
 
 def test_zhat_series_builds_no_full_tangent_character():

@@ -7,34 +7,28 @@ invocations produce identical outputs; wall-clock timing is only included
 when --timing is passed.  Each subcommand accepts only the flags it
 honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
 error, including an unknown, conflicting or unused flag, an out-of-range
-number and a request whose lowest lattice layer holds more than
-partitions.MAX_LATTICE_LAYER vectors.  compute-z and compute-zhat do not
-reseed: a degenerate seed ends them with exit 1 and a
-DegenerateSpecializationError traceback.
+number and a request whose lattice, or its lowest layer alone, holds more
+than partitions.MAX_LATTICE_LAYER vectors.  compute-z and compute-zhat do
+not reseed: a degenerate seed ends them with exit 1 and a
+DegenerateSpecializationError traceback.  Each subcommand imports only the
+layers it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from fractions import Fraction
 
-from .blowup_factor import yk_euler, yk_gottsche, yk_hol, yk_main
-from .coefficients import PRNG_NAME, sample_specialization
-from .genera import SeriesRequest, series_report
-from .partitions import LatticeTooLargeError, blowup_max_n, check_k
-from .verify import (
+from .coefficients import (
     DEFAULT_SEED_BASE,
     DEFAULT_SEED_COUNT,
-    default_seeds,
-    verify_corollary,
-    verify_limit_consistency,
-    verify_main_theorem,
-    verify_rank1_identity,
+    PRNG_NAME,
+    sample_specialization,
 )
+from .partitions import LatticeTooLargeError, blowup_max_n, check_k
 
 
 def _output_flags(p: argparse.ArgumentParser, timing: bool = True) -> None:
@@ -141,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p, timing=False)
 
     # the rank-r verify subcommands, each driver called as (rank, k, order, seeds)
-    # plus --mode for verify-blowup; the drivers are looked up when the parser
-    # is built, so a wrapper installed on the module attribute sees the call
+    # plus --mode for verify-blowup; a driver is named here and looked up on the
+    # verify module at call time, so a wrapper installed on that attribute sees the call
     for name, help_text, driver in (
-        ("verify-blowup", "main blow-up identity zhat = yk * z", verify_main_theorem),
-        ("verify-corollary", "Euler and holomorphic branches", verify_corollary),
-        ("verify-limits", "equivariant vs limit mode quotients", verify_limit_consistency),
+        ("verify-blowup", "main blow-up identity zhat = yk * z", "verify_main_theorem"),
+        ("verify-corollary", "Euler and holomorphic branches", "verify_corollary"),
+        ("verify-limits", "equivariant vs limit mode quotients", "verify_limit_consistency"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--rank", type=_rank, required=True)
@@ -191,7 +185,9 @@ def _emit(payload: dict, args) -> None:
 
 def _seeds_from(parser, args) -> tuple[int, ...]:
     if args.seed_list is None:
-        return default_seeds(
+        from . import verify
+
+        return verify.default_seeds(
             DEFAULT_SEED_COUNT if args.seeds is None else args.seeds,
             DEFAULT_SEED_BASE if args.seed_base is None else args.seed_base,
         )
@@ -224,11 +220,15 @@ def _specialization(parser, args, r: int):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
+    if "verbose" in args:
+        # only the verify-* commands log: their drivers report reseeds and progress
+        import logging
+
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(message)s",
+        )
     try:
         return _run(parser, args)
     except LatticeTooLargeError as exc:
@@ -236,42 +236,44 @@ def main(argv=None) -> int:
 
 
 def _run(parser, args) -> int:
-    if args.command == "compute-z":
-        req = SeriesRequest(
-            rank=args.rank, max_n=_max_n_from(args, args.rank),
-            spec=_specialization(parser, args, args.rank), k=0, mode=args.mode,
-        )
-        _emit(series_report("z", req, include_timing=args.timing), args)
-        return 0
+    # each command imports only the layers it runs, and looks its functions up
+    # as module attributes at call time, so a wrapper installed on the defining
+    # module sees the call
+    if args.command in ("compute-z", "compute-zhat"):
+        from . import genera
 
-    if args.command == "compute-zhat":
-        _check_k(parser, args.rank, args.k)
-        req = SeriesRequest(
-            rank=args.rank, max_n=_max_n_from(args, args.rank, args.k),
-            spec=_specialization(parser, args, args.rank), k=args.k, mode=args.mode,
+        k = 0
+        if args.command == "compute-zhat":
+            k = args.k
+            _check_k(parser, args.rank, k)
+        req = genera.SeriesRequest(
+            rank=args.rank, max_n=_max_n_from(args, args.rank, k),
+            spec=_specialization(parser, args, args.rank), k=k, mode=args.mode,
         )
-        _emit(series_report("zhat", req, include_timing=args.timing), args)
+        kind = "z" if args.command == "compute-z" else "zhat"
+        _emit(genera.series_report(kind, req, include_timing=args.timing), args)
         return 0
 
     if args.command == "compute-yk":
+        from . import blowup_factor
+
         _check_k(parser, args.rank, args.k)
-        # built per call, so a wrapper installed on these module attributes sees the call
-        forms = {"main": yk_main, "gottsche": yk_gottsche, "euler": yk_euler, "hol": yk_hol}
+        form = getattr(blowup_factor, f"yk_{args.form}")
         key = "holomorphic" if args.form == "hol" else "series"
         payload = {
             "schema": "series-report/1",
             "kind": f"yk-{args.form}",
             "params": {"rank": args.rank, "k": args.k, "order": args.order},
-            key: forms[args.form](args.rank, args.k, args.order).to_json(),
+            key: form(args.rank, args.k, args.order).to_json(),
         }
         _emit(payload, args)
         return 0
 
     if args.command == "compute-w":
-        from .rank1 import w_series
+        from . import rank1
 
         spec = sample_specialization(1, args.seed, None)
-        series = w_series(spec, args.order, args.substitution)
+        series = rank1.w_series(spec, args.order, args.substitution)
         _emit(
             {
                 "schema": "series-report/1",
@@ -288,27 +290,31 @@ def _run(parser, args) -> int:
         )
         return 0
 
+    # every other command is a verify-* command
+    from . import verify
+
     if "driver" in args:
         _check_k(parser, args.rank, args.k)
         options = {"mode": args.mode} if "mode" in args else {}
-        report = args.driver(args.rank, args.k, args.order, _seeds_from(parser, args), **options)
+        driver = getattr(verify, args.driver)
+        report = driver(args.rank, args.k, args.order, _seeds_from(parser, args), **options)
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
     if args.command == "verify-rank1":
-        report = verify_rank1_identity(args.order, _seeds_from(parser, args))
+        report = verify.verify_rank1_identity(args.order, _seeds_from(parser, args))
         _emit(report.to_json(include_timing=args.timing), args)
         return 0 if report.outcome else 1
 
     if args.command == "verify-all":
         seeds = _seeds_from(parser, args)
-        reports = [verify_rank1_identity(8, seeds[:3])]
+        reports = [verify.verify_rank1_identity(8, seeds[:3])]
         for r in (1, 2, 3):
             for k in range(r):
-                reports.append(verify_main_theorem(r, k, seeds=seeds))
-                reports.append(verify_corollary(r, k, seeds=seeds))
+                reports.append(verify.verify_main_theorem(r, k, seeds=seeds))
+                reports.append(verify.verify_corollary(r, k, seeds=seeds))
                 lim_order = 2 * r * min(2, 8 // r) + k * (r - k)
-                reports.append(verify_limit_consistency(r, k, lim_order, seeds))
+                reports.append(verify.verify_limit_consistency(r, k, lim_order, seeds))
         payload = {
             "schema": "verification-report/1",
             "check": "verify-all",

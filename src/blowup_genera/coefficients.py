@@ -24,6 +24,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 PRNG_NAME = "splitmix64"
+# the default seeds: DEFAULT_SEED_COUNT of them, from DEFAULT_SEED_BASE on
+DEFAULT_SEED_BASE = 1729
+DEFAULT_SEED_COUNT = 5
 SAMPLE_RANGE = (2, 97)
 
 

@@ -186,7 +186,8 @@ class LatticeVector:
 # The lowest layer of the sum-k lattice holds the balanced vectors, whose
 # k0 = k mod r largest entries exceed the others by one: C(r, k0) vectors at
 # the minimum pair_form k0*(r - k0).  An enumeration reaching that layer
-# with more vectors than this is refused before it starts.  At r = 100 the
+# with more vectors than this is refused before it starts, and any other is
+# stopped once it has found more vectors than this in all.  At r = 100 the
 # layer holds 4,950 vectors for k = 2 and about 10**29 for k = 50; at
 # (r, k) = (30, 4) it holds 27,405, and compute-yk to that layer takes
 # about 3 s on a 2-core machine.
@@ -194,7 +195,7 @@ MAX_LATTICE_LAYER = 10**5
 
 
 class LatticeTooLargeError(ValueError):
-    """The lowest layer of a lattice enumeration exceeds MAX_LATTICE_LAYER vectors."""
+    """A lattice enumeration, or its lowest layer alone, exceeds MAX_LATTICE_LAYER vectors."""
 
 
 def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[LatticeVector, ...]:
@@ -214,7 +215,8 @@ def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[Lattice
     result is ordered lexicographically in the first r - 1 coordinates.
     A bound below the lowest layer gives no vectors; one that reaches it
     raises LatticeTooLargeError when that layer alone holds more than
-    MAX_LATTICE_LAYER vectors.
+    MAX_LATTICE_LAYER vectors, before any is enumerated, and otherwise as
+    soon as the enumeration has found more than MAX_LATTICE_LAYER vectors.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -247,6 +249,11 @@ def enumerate_lattice_vectors(r: int, k: int, qform_bound: int) -> tuple[Lattice
                 out.append(LatticeVector(prefix + (x, rest - x)))
             else:
                 extend(prefix + (x,), rest - x, sq + x * x)
+        if len(out) > MAX_LATTICE_LAYER:
+            raise LatticeTooLargeError(
+                f"the lattice at r={r}, k={k} with pair_form <= {qform_bound} holds more "
+                f"than MAX_LATTICE_LAYER = {MAX_LATTICE_LAYER} vectors"
+            )
 
     extend((), k, 0)
     return tuple(out)

@@ -24,14 +24,18 @@ from fractions import Fraction
 from . import rank1
 from .blowup_factor import yk_euler, yk_hol, yk_main
 from .characters import DegenerateSpecializationError
-from .coefficients import PRNG_NAME, coeff_evaluate, sample_specialization
+from .coefficients import (
+    DEFAULT_SEED_BASE,
+    DEFAULT_SEED_COUNT,
+    PRNG_NAME,
+    coeff_evaluate,
+    sample_specialization,
+)
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
 from .partitions import blowup_max_n, check_k
 
 logger = logging.getLogger("blowup_genera")
 
-DEFAULT_SEED_BASE = 1729
-DEFAULT_SEED_COUNT = 5
 MAX_RESEEDS = 64
 
 CONVENTIONS = {

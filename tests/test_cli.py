@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -258,28 +259,101 @@ def test_rank_cap_is_valid(capsys):
     assert code == 0 and json.loads(out)["series"]["offset"] == 99
 
 
-def test_oversized_lattice_exits_two_within_seconds():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    argv = ["compute-zhat", "--rank", "100", "--k", "50", "--order", "0"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "blowup_genera.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*args, timeout=120):
+    """Run python with these arguments and the package on its path, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
-    assert proc.returncode == 2
-    assert proc.stdout == "" and "Traceback" not in proc.stderr
-    assert "MAX_LATTICE_LAYER" in proc.stderr
+
+
+def test_oversized_lattice_exits_two_within_seconds():
+    # the lowest layer alone is refused before any vector is enumerated; a
+    # small lowest layer under a large bound is stopped once the enumeration
+    # has found MAX_LATTICE_LAYER vectors
+    for argv in (
+        ["compute-zhat", "--rank", "100", "--k", "50", "--order", "0"],
+        ["compute-yk", "--rank", "100", "--k", "2", "--order", "400"],
+    ):
+        proc = run_process("-m", "blowup_genera.cli", *argv, timeout=30)
+        assert proc.returncode == 2, argv
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert "MAX_LATTICE_LAYER" in proc.stderr
 
 
 def test_degenerate_seed_exits_one_with_typed_error():
     # compute-* does not reseed: a specialization sending a tangent weight to
     # 1 ends the call with the typed error as the traceback's last line
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     argv = ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "4", "--seed", "53"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "blowup_genera.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_process("-m", "blowup_genera.cli", *argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("blowup_genera.characters.DegenerateSpecializationError:")
+
+
+def test_verbose_verify_logs_progress_to_stderr():
+    argv = ["verify-rank1", "--order", "4", "--seed-list", "1", "--verbose"]
+    proc = run_process("-m", "blowup_genera.cli", *argv)
+    assert proc.returncode == 0
+    assert re.fullmatch(r"INFO rank1-product-identity: pass \(\d+\.\d\ds\)\n", proc.stderr)
+
+
+def test_verify_logs_reseeds_without_verbose():
+    argv = ["verify-blowup", "--rank", "2", "--k", "1", "--seed-list", "53,192"]
+    proc = run_process("-m", "blowup_genera.cli", *argv)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "WARNING seed 53 degenerate (theta factor degenerated: weight 1 * e2/e1 * t1^2 * t2^2 "
+        "evaluates to 1 under specialization seed 53); resampling with seed 54\n"
+        "WARNING seed 192 degenerate (theta factor degenerated: weight 1 * e1/e2 * t1^-1 * t2^0 "
+        "evaluates to 1 under specialization seed 192); resampling with seed 193\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute-yk", "--rank", "2", "--k", "1", "--order", "5"],
+        ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "2"],
+    ],
+)
+def test_compute_commands_write_nothing_to_stderr(argv):
+    proc = run_process("-m", "blowup_genera.cli", *argv)
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == ""
+
+
+# A fresh process runs cli.main on the arguments and prints the modules it loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from blowup_genera import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+SERIES_LAYERS = {"characters", "genera", "rank1"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        ([], SERIES_LAYERS | {"verify", "blowup_factor"}),
+        (["compute-yk", "--rank", "2", "--k", "1", "--order", "5"], SERIES_LAYERS | {"verify"}),
+        (["compute-yk", "--rank", "3", "--order", "6", "--form", "hol"],
+         SERIES_LAYERS | {"verify"}),
+        (["compute-z", "--rank", "2", "--max-n", "2"], {"verify", "blowup_factor"}),
+        (["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "2"], {"verify", "blowup_factor"}),
+    ],
+    ids=["import", "compute-yk", "compute-yk-hol", "compute-z", "compute-zhat"],
+)
+def test_subcommand_imports_only_the_layers_it_runs(argv, absent):
+    proc = run_process("-c", FOOTPRINT, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {f"blowup_genera.{name}" for name in absent}
+    assert "logging" not in loaded

@@ -43,15 +43,15 @@ multiply out as a cleared pair, an integer coefficient list in y over
 one integer denominator (for numeric y = a/b the list holds the single
 numerator of (p*b - q*a) / (b*(p - q))).  theta_eval and
 theta_limit_factor return that pair, and a negative multiplicity, which
-would leave a y-denominator, raises ValueError.  The series code sums,
-multiplies and convolves pairs with cleared_sum, cleared_product and
-cleared_convolution, and cleared_value turns a pair into its coefficient,
-a YPoly or a Fraction for numeric y; theta_sum is the sum over the
-characters of one q-degree that every series makes.  theta_limit_factor
-applies the ordered e_r -> 0, ..., e_1 -> 0 limit as an exact case
-table: a weight with denominator slot below the numerator slot
-contributes 1, the opposite order contributes y = theta(0), and pure
-t-monomials keep their theta.
+would leave a y-denominator, raises ValueError.  The pair helpers
+(Cleared, cleared_sum, cleared_product, cleared_convolution and
+cleared_value) live in coefficients, where YPoly multiplies with them
+too, and are imported here under the same names; theta_sum is the sum
+over the characters of one q-degree that every series makes.
+theta_limit_factor applies the ordered e_r -> 0, ..., e_1 -> 0 limit as
+an exact case table: a weight with denominator slot below the numerator
+slot contributes 1, the opposite order contributes y = theta(0), and
+pure t-monomials keep their theta.
 
 Theta is multiplicative, so theta of a Y or Z block is the product of its
 pair factors F(Y_a, Y_b, a, b, d, side), theta of one pairing block, the
@@ -69,10 +69,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd
 from typing import NamedTuple
 
-from .coefficients import Specialization, YPoly
+# the pair helpers live in coefficients and are importable from here too, so
+# the package exports cleared_value from this module
+from .coefficients import (
+    Cleared,
+    Specialization,
+    cleared_convolution,
+    cleared_product,
+    cleared_sum,
+    cleared_value,
+)
 from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple, arm_leg
 
 
@@ -340,10 +348,6 @@ def _times_linear(coeffs: list[int], p: int, q: int, m: int) -> list[int]:
     return coeffs
 
 
-# a cleared pair: integer coefficients, lowest power of y first, over one integer denominator
-Cleared = tuple[list[int], int]
-
-
 def _cleared(factors, spec: Specialization) -> Cleared:
     """The product of theta(p/q)**m over (p, q, m) triples as a cleared pair.
 
@@ -365,42 +369,6 @@ def _cleared(factors, spec: Specialization) -> Cleared:
         num *= (p * b - q * a) ** m
         den *= (b * (p - q)) ** m
     return [num], den
-
-
-def cleared_value(pair: Cleared, spec: Specialization):
-    """The coefficient a cleared pair stands for: a YPoly, or a Fraction for numeric y."""
-    num, den = pair
-    if spec.symbolic:
-        return YPoly(Fraction(c, den) for c in num)
-    return Fraction(num[0] if num else 0, den)
-
-
-def cleared_sum(pairs) -> Cleared:
-    """Sum of cleared pairs over a running common denominator."""
-    num, den = [], 1
-    for xs, d in pairs:
-        g = gcd(den, d)
-        up, scale = d // g, den // g
-        out = [c * up for c in num] + [0] * (len(xs) - len(num))
-        for i, c in enumerate(xs):
-            out[i] += c * scale
-        num, den = out, den * up
-    return num, den
-
-
-def cleared_product(a: Cleared, b: Cleared) -> Cleared:
-    """Product of two cleared pairs."""
-    (xs, d), (ys, e) = a, b
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            out[i + j] += x * y
-    return out, d * e
-
-
-def cleared_convolution(a, b) -> Cleared:
-    """sum_{i+j=w} a[i] * b[j] for two lists of w + 1 cleared pairs."""
-    return cleared_sum(cleared_product(x, y) for x, y in zip(a, reversed(b)))
 
 
 def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:

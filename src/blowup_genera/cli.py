@@ -10,8 +10,10 @@ error, including an unknown, conflicting or unused flag, an out-of-range
 number and a request whose lattice, or its lowest layer alone, holds more
 than partitions.MAX_LATTICE_LAYER vectors.  compute-z and compute-zhat do
 not reseed: a degenerate seed ends them with exit 1 and a
-DegenerateSpecializationError traceback.  Each subcommand imports only the
-layers it runs.
+DegenerateSpecializationError traceback; a verify-* driver that meets
+verify.MAX_RESEEDS degenerate seeds in a row ends with exit 1 and a
+ReseedLimitError traceback.  Each subcommand imports only the layers it
+runs.
 """
 
 from __future__ import annotations
@@ -307,14 +309,7 @@ def _run(parser, args) -> int:
         return 0 if report.outcome else 1
 
     if args.command == "verify-all":
-        seeds = _seeds_from(parser, args)
-        reports = [verify.verify_rank1_identity(8, seeds[:3])]
-        for r in (1, 2, 3):
-            for k in range(r):
-                reports.append(verify.verify_main_theorem(r, k, seeds=seeds))
-                reports.append(verify.verify_corollary(r, k, seeds=seeds))
-                lim_order = 2 * r * min(2, 8 // r) + k * (r - k)
-                reports.append(verify.verify_limit_consistency(r, k, lim_order, seeds))
+        reports = verify.verify_all(_seeds_from(parser, args))
         payload = {
             "schema": "verification-report/1",
             "check": "verify-all",

@@ -8,6 +8,16 @@ by a non-constant one.  Both interoperate with int and Fraction through
 the usual operators, so the q-series code can stay agnostic about which
 ring it multiplies in.
 
+A cleared pair (Cleared) is an integer coefficient list in y, lowest
+power first, over one integer denominator.  cleared_sum, cleared_product
+and cleared_convolution add, multiply and convolve pairs in integers,
+and cleared_value turns a pair into its coefficient, a YPoly or a
+Fraction for numeric y.  The series code sums theta in this form, and
+YPoly products run on it too: each operand is cleared over the lcm of
+its denominators, the integer lists are multiplied by cleared_product,
+and each output coefficient becomes one canonical Fraction, so the
+product is the Fraction product coefficient for coefficient.
+
 Specialization holds one exact rational value per equivariant parameter
 (t1, t2, e_1..e_r) plus the y handling: y0 = None keeps y symbolic, a
 Fraction y0 evaluates everything numerically.  sample_specialization draws
@@ -32,6 +42,46 @@ SAMPLE_RANGE = (2, 97)
 
 def _frac_str(c: Fraction) -> str:
     return str(c)  # "p" or "p/q", denominator always positive
+
+
+# a cleared pair: integer coefficients, lowest power of y first, over one integer denominator
+Cleared = tuple[list[int], int]
+
+
+def cleared_value(pair: Cleared, spec: Specialization):
+    """The coefficient a cleared pair stands for: a YPoly, or a Fraction for numeric y."""
+    num, den = pair
+    if spec.symbolic:
+        return YPoly(Fraction(c, den) for c in num)
+    return Fraction(num[0] if num else 0, den)
+
+
+def cleared_sum(pairs) -> Cleared:
+    """Sum of cleared pairs over a running common denominator."""
+    num, den = [], 1
+    for xs, d in pairs:
+        g = gcd(den, d)
+        up, scale = d // g, den // g
+        out = [c * up for c in num] + [0] * (len(xs) - len(num))
+        for i, c in enumerate(xs):
+            out[i] += c * scale
+        num, den = out, den * up
+    return num, den
+
+
+def cleared_product(a: Cleared, b: Cleared) -> Cleared:
+    """Product of two cleared pairs."""
+    (xs, d), (ys, e) = a, b
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out, d * e
+
+
+def cleared_convolution(a, b) -> Cleared:
+    """sum_{i+j=w} a[i] * b[j] for two lists of w + 1 cleared pairs."""
+    return cleared_sum(cleared_product(x, y) for x, y in zip(a, reversed(b)))
 
 
 class YPoly:
@@ -69,6 +119,11 @@ class YPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
+
+    def _cleared(self) -> Cleared:
+        """The coefficients as a cleared pair over the lcm of their denominators."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     @staticmethod
     def _coerce(other):
@@ -113,13 +168,8 @@ class YPoly:
             return NotImplemented
         if not self or not o:
             return YPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return YPoly(out)
+        num, den = cleared_product(self._cleared(), o._cleared())
+        return YPoly(Fraction(c, den) for c in num)
 
     __rmul__ = __mul__
 

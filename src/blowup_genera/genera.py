@@ -14,7 +14,7 @@ Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
 denominator, see characters.theta_eval), the blocks of one degree are
 summed over a running common denominator (characters.theta_sum, or
-cleared_sum over the block products), and the pair helpers of characters
+cleared_sum over the block products), and the pair helpers of coefficients
 multiply integer lists for the convolution and the simplex factor; each
 q-coefficient becomes one YPoly, or one Fraction for numeric y, at the
 end.  Numeric y is the same pair with a list of at most one entry, so
@@ -34,17 +34,20 @@ from itertools import count
 
 from .characters import (
     DegenerateSpecializationError,
-    cleared_convolution,
-    cleared_product,
-    cleared_sum,
-    cleared_value,
     plane_block,
     plane_block_theta,
     simplex_block,
     tangent_p2,
     theta_sum,
 )
-from .coefficients import PRNG_NAME, Specialization
+from .coefficients import (
+    PRNG_NAME,
+    Specialization,
+    cleared_convolution,
+    cleared_product,
+    cleared_sum,
+    cleared_value,
+)
 from .partitions import (
     LatticeVector,
     blowup_virtual_dim,

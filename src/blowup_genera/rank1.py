@@ -12,8 +12,8 @@ verified coefficient-by-coefficient at exact rational specializations.
 
 from __future__ import annotations
 
-from .characters import cleared_value, hook_character, theta_sum
-from .coefficients import Specialization
+from .characters import hook_character, theta_sum
+from .coefficients import Specialization, cleared_value
 from .partitions import enumerate_partitions
 from .qseries import QSeries, euler_product
 

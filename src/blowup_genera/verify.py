@@ -8,9 +8,19 @@ check since the plane series always starts at 1.
 
 Specializations that collide with a weight (some theta factor would
 degenerate) are resampled at seed + 1, and every reseed is logged and
-recorded in the report.  Reports are deterministic functions of
+recorded in the report; after MAX_RESEEDS degenerate draws in a row a
+driver raises ReseedLimitError.  Reports are deterministic functions of
 (parameters, seeds); wall-clock time is kept out of the canonical JSON
 so repeated runs are byte-identical.
+
+The rank-r drivers draw their specializations and build their series
+through a SeriesMemo, which keeps each specialization and each finished
+series by value.  verify_all, the documented grid, makes one memo per
+rank and hands it to every driver of that rank, so the drivers share
+each specialization, its weight memo and every (Z, Zhat) build they have
+in common; the memo is dropped when the next rank starts.  A driver
+called on its own makes a memo of its own, so its report is the same
+either way.
 """
 
 from __future__ import annotations
@@ -82,11 +92,50 @@ class VerificationReport:
         return json.dumps(self.to_json(include_timing), indent=2, sort_keys=True)
 
 
-def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str]):
-    """Run ``build(spec)``, resampling at seed+1 on degenerate collisions."""
+class ReseedLimitError(RuntimeError):
+    """MAX_RESEEDS specializations in a row were degenerate."""
+
+
+class SeriesMemo:
+    """Specializations and finished series that the drivers of one run share.
+
+    Specializations are keyed by (r, seed, y0), so every build at one seed
+    meets the same object and its weight memo.  Series are keyed by
+    (kind, SeriesRequest), which hashes by value.  Only a build that
+    returns is stored: a degenerate one raises again each time it is met,
+    so every driver reseeds and logs as it would on its own.
+    """
+
+    def __init__(self):
+        self.specs = {}
+        self.built = {}
+
+    def specialization(self, r: int, seed: int, y0):
+        spec = self.specs.get((r, seed, y0))
+        if spec is None:
+            spec = self.specs[r, seed, y0] = sample_specialization(r, seed, y0)
+        return spec
+
+    def series(self, kind: str, req: SeriesRequest):
+        series = self.built.get((kind, req))
+        if series is None:
+            # looked up as module attributes at call time, so a wrapper
+            # installed on them (perfbench/spans.py) sees every build
+            build = z_series if kind == "z" else zhat_series
+            series = self.built[kind, req] = build(req)
+        return series
+
+
+def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str], memo=None):
+    """Run ``build(spec)``, resampling at seed+1 on degenerate collisions.
+
+    The specializations come from memo (a fresh SeriesMemo for None).
+    After MAX_RESEEDS degenerate draws in a row it raises ReseedLimitError.
+    """
+    memo = SeriesMemo() if memo is None else memo
     current = seed
     for _ in range(MAX_RESEEDS):
-        spec = sample_specialization(r, current, y0)
+        spec = memo.specialization(r, current, y0)
         try:
             return build(spec), current
         except DegenerateSpecializationError as exc:
@@ -95,20 +144,20 @@ def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str]):
             logger.warning(msg)
             retries.append(msg)
             current = nxt
-    raise RuntimeError(f"no nondegenerate specialization found near seed {seed}")
+    raise ReseedLimitError(f"no nondegenerate specialization found near seed {seed}")
 
 
-def _series_pair(r, k, order, seed, y0, mode, retries):
-    """Plane and blow-up series at one (possibly reseeded) specialization."""
+def _series_pair(r, k, order, seed, y0, mode, retries, memo):
+    """Plane and blow-up series at one (possibly reseeded) specialization, through memo."""
     z_max_n = blowup_max_n(r, 0, order)
     zhat_max_n = blowup_max_n(r, k, order)
 
     def build(spec):
         z_req = SeriesRequest(rank=r, max_n=z_max_n, spec=spec, k=0, mode=mode)
         zhat_req = SeriesRequest(rank=r, max_n=zhat_max_n, spec=spec, k=k, mode=mode)
-        return z_series(z_req), zhat_series(zhat_req)
+        return memo.series("z", z_req), memo.series("zhat", zhat_req)
 
-    (z, zhat), used_seed = _build_with_reseed(build, r, seed, y0, retries)
+    (z, zhat), used_seed = _build_with_reseed(build, r, seed, y0, retries, memo)
     return z, zhat, used_seed
 
 
@@ -145,6 +194,8 @@ def verify_main_theorem(
     order: int | None = None,
     seeds=None,
     mode: str = EQUIVARIANT,
+    *,
+    memo: SeriesMemo | None = None,
 ) -> VerificationReport:
     """Check zhat == yk_main * z through q^order at every seeded specialization.
 
@@ -152,8 +203,10 @@ def verify_main_theorem(
     same series must appear at every specialization.  Also runs the
     inversion route zhat * z^-1 and records which lattice y-sign
     convention the quotient matches (both, by the reversal symmetry).
+    The series come through memo, a fresh SeriesMemo for None.
     """
     order, seeds, t0 = _start(r, k, order, seeds)
+    memo = SeriesMemo() if memo is None else memo
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -161,7 +214,7 @@ def verify_main_theorem(
     yk_minus = yk_main(r, k, order, y_sign=-1)
     sign_matches = {"plus": True, "minus": True}
     for seed in seeds:
-        z, zhat, used_seed = _series_pair(r, k, order, seed, None, mode, retries)
+        z, zhat, used_seed = _series_pair(r, k, order, seed, None, mode, retries, memo)
         product = yk_plus * z
         bad = zhat.first_difference(product, order)
         if bad is not None:
@@ -187,7 +240,9 @@ def verify_main_theorem(
     return report
 
 
-def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> VerificationReport:
+def verify_corollary(
+    r: int, k: int, order: int | None = None, seeds=None, *, memo: SeriesMemo | None = None
+) -> VerificationReport:
     """Euler and holomorphic branches of the blow-up identity.
 
     At y = 1 every theta factor is 1, so coefficients count fixed points
@@ -195,9 +250,11 @@ def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> Ve
     agree as well.  At y = 0 the quotient must equal yk_main at y = 0,
     and the report records the known gap between that value, q^(k(r-k)),
     and the stated table value 0 for 0 < k < r as a documented
-    discrepancy rather than a failure.
+    discrepancy rather than a failure.  The series come through memo, a
+    fresh SeriesMemo for None.
     """
     order, seeds, t0 = _start(r, k, order, seeds)
+    memo = SeriesMemo() if memo is None else memo
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -219,7 +276,9 @@ def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> Ve
 
     for seed in seeds:
         for y0, factor in ((Fraction(1), euler), (Fraction(0), hol.main_at_y0)):
-            z, zhat, used_seed = _series_pair(r, k, order, seed, y0, EQUIVARIANT, retries)
+            z, zhat, used_seed = _series_pair(
+                r, k, order, seed, y0, EQUIVARIANT, retries, memo
+            )
             product = factor * z
             bad = zhat.first_difference(product, order)
             if bad is not None:
@@ -235,21 +294,23 @@ def verify_corollary(r: int, k: int, order: int | None = None, seeds=None) -> Ve
 
 
 def verify_limit_consistency(
-    r: int, k: int, order: int | None = None, seeds=None
+    r: int, k: int, order: int | None = None, seeds=None, *, memo: SeriesMemo | None = None
 ) -> VerificationReport:
     """Equivariant-mode and limit-mode quotients agree (cross-multiplied).
 
     Checks zhat_eq * z_lim == zhat_lim * z_eq through q^order and that the
-    limit-mode pair reproduces the same yk_main factor.
+    limit-mode pair reproduces the same yk_main factor.  The series come
+    through memo, a fresh SeriesMemo for None.
     """
     order, seeds, t0 = _start(r, k, order, seeds)
+    memo = SeriesMemo() if memo is None else memo
     details: list[str] = []
     retries: list[str] = []
     ok = True
     yk = yk_main(r, k, order)
     for seed in seeds:
-        z_eq, zhat_eq, used = _series_pair(r, k, order, seed, None, EQUIVARIANT, retries)
-        z_lim, zhat_lim, used_lim = _series_pair(r, k, order, used, None, LIMIT, retries)
+        z_eq, zhat_eq, used = _series_pair(r, k, order, seed, None, EQUIVARIANT, retries, memo)
+        z_lim, zhat_lim, used_lim = _series_pair(r, k, order, used, None, LIMIT, retries, memo)
         if used_lim != used:
             details.append(f"limit mode reseeded separately at {used_lim}")
         lhs = zhat_eq * z_lim
@@ -291,3 +352,23 @@ def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
     return _finish(
         "rank1-product-identity", {"order": order}, ok, details, seeds, retries, t0
     )
+
+
+def verify_all(seeds) -> list[VerificationReport]:
+    """The documented default grid, one report per driver run, in a fixed order.
+
+    The rank-one identity at the first three seeds, then for r = 1, 2, 3
+    and each k the main theorem, the corollary and the limit consistency
+    at its grid order.  The drivers of one rank share one SeriesMemo,
+    which is dropped when the next rank starts.
+    """
+    seeds = tuple(seeds)
+    reports = [verify_rank1_identity(8, seeds[:3])]
+    for r in (1, 2, 3):
+        memo = SeriesMemo()
+        for k in range(r):
+            lim_order = 2 * r * min(2, 8 // r) + k * (r - k)
+            reports.append(verify_main_theorem(r, k, seeds=seeds, memo=memo))
+            reports.append(verify_corollary(r, k, seeds=seeds, memo=memo))
+            reports.append(verify_limit_consistency(r, k, lim_order, seeds, memo=memo))
+    return reports

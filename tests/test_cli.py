@@ -314,6 +314,22 @@ def test_verify_logs_reseeds_without_verbose():
     )
 
 
+RESEED_WARNING = {
+    53: "WARNING seed 53 degenerate (theta factor degenerated: weight 1 * e2/e1 * t1^2 * t2^2 "
+        "evaluates to 1 under specialization seed 53); resampling with seed 54\n",
+    192: "WARNING seed 192 degenerate (theta factor degenerated: weight 1 * e1/e2 * t1^-1 * t2^0 "
+         "evaluates to 1 under specialization seed 192); resampling with seed 193\n",
+}
+
+
+def test_verify_all_logs_every_driver_reseed():
+    # each driver that meets a degenerate seed reseeds and logs it, in grid order
+    proc = run_process("-m", "blowup_genera.cli", "verify-all", "--seed-list", "53,192,101")
+    assert proc.returncode == 0
+    order = [53, 192, 53, 53, 192, 192, 192, 53, 192, 53, 53] + [192] * 15
+    assert proc.stderr == "".join(RESEED_WARNING[seed] for seed in order)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -159,3 +159,49 @@ def test_sample_specialization_y_modes():
     assert sym.symbolic and not num.symbolic
     # the drawn parameter values do not depend on the y mode
     assert (sym.t1, sym.t2, sym.e) == (num.t1, num.t2, num.e)
+
+
+# -- the integer y-polynomial product against a Fraction schoolbook product --------
+
+def schoolbook(a, b):
+    """Fraction reference product of two coefficient sequences, lowest power first."""
+    a, b = [F(c) for c in a], [F(c) for c in b]
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def exact(coeffs):
+    """Each coefficient as (type, numerator, denominator): equal tuples, equal Fractions."""
+    return [(type(c), c.numerator, c.denominator) for c in coeffs]
+
+
+mixed_scalars = st.one_of(
+    st.integers(-60, 60), st.fractions(min_value=-30, max_value=30, max_denominator=40)
+)
+mixed_coeffs = st.lists(st.one_of(st.just(0), mixed_scalars), max_size=6)
+
+
+@given(mixed_coeffs, mixed_coeffs)
+def test_integer_ypoly_product_is_the_fraction_product(a, b):
+    product = YPoly(a) * YPoly(b)
+    assert exact(product.coeffs) == exact(schoolbook(a, b))
+
+
+@given(mixed_scalars, mixed_coeffs)
+def test_scalar_times_ypoly_is_the_fraction_product(c, a):
+    expected = exact(schoolbook([c], a))
+    assert exact((c * YPoly(a)).coeffs) == expected
+    assert exact((YPoly(a) * c).coeffs) == expected
+
+
+@given(mixed_coeffs, st.integers(0, 4))
+def test_ypoly_power_is_the_repeated_fraction_product(a, n):
+    expected = (F(1),)
+    for _ in range(n):
+        expected = schoolbook(expected, a)
+    assert exact((YPoly(a) ** n).coeffs) == exact(expected)

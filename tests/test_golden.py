@@ -46,6 +46,8 @@ GOLDEN = {
         "4d9022313909bbc4927df10415ae917e4ab648fdba266273d2d7dcd24b77047b",
     ("verify-rank1", "--order", "10", "--seed-list", "53,192,101"):
         "3061ff0d2cee2867abf8d128099ba6d6f969ca1f622f5d8f956214bdcaa543fc",
+    ("verify-all", "--seed-list", "53,192,101"):
+        "9bfc5b93d452826fb48338c77a4612bb150d46be101fa5bfbbf929519f824a96",
 }
 
 

@@ -1,12 +1,17 @@
 """Verification drivers: pass/fail behaviour, determinism, negative controls."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from blowup_genera import genera
+from blowup_genera import genera, verify
 from blowup_genera.characters import Character, make_weight, tangent_p2
+from blowup_genera.coefficients import sample_specialization
 from blowup_genera.verify import (
+    MAX_RESEEDS,
+    ReseedLimitError,
+    SeriesMemo,
     VerificationReport,
     _build_with_reseed,
     default_order,
@@ -128,6 +133,78 @@ def test_reseed_on_degenerate_collision():
     assert used == 102
     assert calls == [100, 101, 102]
     assert len(retries) == 2 and "resampling" in retries[0]
+
+
+def test_reseed_limit_raises_a_typed_error():
+    calls = []
+
+    def build(spec):
+        calls.append(spec.seed)
+        raise DegenerateSpecializationError(make_weight(1, 0), spec.seed)
+
+    retries = []
+    message = "^no nondegenerate specialization found near seed 100$"
+    with pytest.raises(ReseedLimitError, match=message):
+        _build_with_reseed(build, 1, 100, None, retries)
+    assert MAX_RESEEDS == 64 and issubclass(ReseedLimitError, RuntimeError)
+    assert calls == list(range(100, 100 + MAX_RESEEDS))
+    assert len(retries) == MAX_RESEEDS
+
+
+def test_series_memo_keys_by_value():
+    memo = SeriesMemo()
+    spec = memo.specialization(2, 5, None)
+    assert memo.specialization(2, 5, None) is spec and spec == sample_specialization(2, 5)
+    assert memo.specialization(2, 5, F(1)) is not spec
+    # a request over an equal specialization drawn apart is the same key
+    req = genera.SeriesRequest(rank=2, max_n=1, spec=spec, k=1)
+    same = genera.SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 5), k=1)
+    assert req == same and hash(req) == hash(same)
+    assert memo.series("zhat", same) is memo.series("zhat", req)
+
+
+def count_series_builds(monkeypatch):
+    """Route verify's z_series and zhat_series through counters of returned and raised builds."""
+    built, failed = [], []
+    for kind in ("z", "zhat"):
+        original = getattr(verify, f"{kind}_series")
+
+        def counted(req, kind=kind, original=original):
+            try:
+                series = original(req)
+            except DegenerateSpecializationError:
+                failed.append((kind, req))
+                raise
+            built.append((kind, req))
+            return series
+
+        monkeypatch.setattr(verify, f"{kind}_series", counted)
+    return built, failed
+
+
+def test_verify_all_shares_series_within_a_rank(monkeypatch):
+    # seeds 53 and 192 degenerate at ranks 2 and 3, so the drivers reseed
+    seeds = (53, 192)
+    built, failed = count_series_builds(monkeypatch)
+    alone = [verify_rank1_identity(8, seeds[:3])]
+    for r in (1, 2, 3):
+        for k in range(r):
+            lim_order = 2 * r * min(2, 8 // r) + k * (r - k)
+            alone.append(verify_main_theorem(r, k, seeds=seeds))
+            alone.append(verify_corollary(r, k, seeds=seeds))
+            alone.append(verify_limit_consistency(r, k, lim_order, seeds))
+    alone_builds = len(built)
+    assert len(set(built)) < alone_builds
+    built.clear()
+    failed.clear()
+
+    shared = verify.verify_all(seeds)
+    assert [rep.to_json() for rep in shared] == [rep.to_json() for rep in alone]
+    assert any(rep.params["reseeds"] for rep in shared)
+    # every request that returned was built once; a degenerate one is not
+    # stored, so each driver that meets it builds it again and reseeds
+    assert len(set(built)) == len(built) < alone_builds
+    assert len(set(failed)) < len(failed)
 
 
 def test_report_json_shape():

@@ -33,7 +33,6 @@ by side without deciding intent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -171,14 +170,38 @@ def yk_euler(r: int, k: int, order: int) -> QSeries:
     return _times_prefactor(r, lattice_theta_series(r, k, order), order, symbolic=False)
 
 
-@dataclass(frozen=True)
 class YkHolReport:
-    """Holomorphic branch: stated table value next to the direct y = 0 value."""
+    """Holomorphic branch: stated table value next to the direct y = 0 value.
 
-    r: int
-    k: int
-    stated: int
-    main_at_y0: QSeries
+    Immutable; compares by value.
+    """
+
+    __slots__ = ("r", "k", "stated", "main_at_y0")
+
+    def __init__(self, r: int, k: int, stated: int, main_at_y0: QSeries):
+        for name, value in zip(self.__slots__, (r, k, stated, main_at_y0)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.r, self.k, self.stated, self.main_at_y0)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"YkHolReport(r={self.r!r}, k={self.k!r}, stated={self.stated!r}, "
+                f"main_at_y0={self.main_at_y0!r})")
 
     @property
     def discrepant(self) -> bool:

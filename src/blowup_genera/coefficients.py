@@ -29,7 +29,6 @@ are redrawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -449,7 +448,6 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
 class Specialization:
     """Exact rational values for t1, t2, e_1..e_r plus the y mode.
 
@@ -457,29 +455,49 @@ class Specialization:
     a numeric run (coefficients are Fraction).  Invariants:
     every value is nonzero, differs from 1 and from every other value,
     which keeps all single-parameter ratios away from the forbidden weight
-    value 1.
+    value 1.  Instances are immutable and compare and hash by value.
 
     weight_memo maps each weight met so far to its value p/q as the
-    lowest-terms pair (p, q); it belongs to this specialization alone and
-    takes no part in equality, hashing or repr.
+    lowest-terms pair (p, q); it takes no part in equality, hashing or
+    repr.  A specialization built on its own has a memo of its own.
+    Under a verify.SeriesMemo the symbolic, y = 1 and y = 0
+    specializations of one (r, seed) share a single memo, since p/q
+    depends only on t1, t2 and e, never on y0.
     """
 
-    t1: Fraction
-    t2: Fraction
-    e: tuple[Fraction, ...]
-    y0: Fraction | None
-    seed: int
-    weight_memo: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
+    __slots__ = ("t1", "t2", "e", "y0", "seed", "weight_memo")
 
-    def __post_init__(self):
-        vals = (self.t1, self.t2) + self.e
+    def __init__(self, t1: Fraction, t2: Fraction, e: tuple[Fraction, ...],
+                 y0: Fraction | None, seed: int):
+        vals = (t1, t2) + e
         for v in vals:
             if v == 0 or v == 1:
                 raise ValueError(f"specialization value {v} is forbidden")
         if len(set(vals)) != len(vals):
             raise ValueError("specialization values must be pairwise distinct")
+        for name, value in zip(self.__slots__, (t1, t2, e, y0, seed, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.t1, self.t2, self.e, self.y0, self.seed)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Specialization(t1={self.t1!r}, t2={self.t2!r}, e={self.e!r}, "
+                f"y0={self.y0!r}, seed={self.seed!r})")
 
     @property
     def rank(self) -> int:

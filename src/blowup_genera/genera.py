@@ -29,7 +29,6 @@ r-th power.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import count
 
 from .characters import (
@@ -62,25 +61,44 @@ EQUIVARIANT = "equivariant"
 LIMIT = "limit"
 
 
-@dataclass(frozen=True)
 class SeriesRequest:
-    """Parameters of one generating-series computation."""
+    """Parameters of one generating-series computation, immutable and compared by value."""
 
-    rank: int
-    max_n: int
-    spec: Specialization
-    k: int = 0
-    mode: str = EQUIVARIANT
+    __slots__ = ("rank", "max_n", "spec", "k", "mode")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, max_n: int, spec: Specialization, k: int = 0,
+                 mode: str = EQUIVARIANT):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.max_n < 0:
+        if max_n < 0:
             raise ValueError("max_n must be nonnegative")
-        if self.mode not in (EQUIVARIANT, LIMIT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.spec.rank != self.rank:
+        if mode not in (EQUIVARIANT, LIMIT):
+            raise ValueError(f"unknown mode {mode!r}")
+        if spec.rank != rank:
             raise ValueError("specialization rank does not match the request")
+        for name, value in zip(self.__slots__, (rank, max_n, spec, k, mode)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.rank, self.max_n, self.spec, self.k, self.mode)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SeriesRequest(rank={self.rank!r}, max_n={self.max_n!r}, spec={self.spec!r}, "
+                f"k={self.k!r}, mode={self.mode!r})")
 
 
 def z_series(req: SeriesRequest) -> QSeries:

@@ -18,7 +18,6 @@ where k = sum(kvec) and n is the instanton number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, isqrt
@@ -114,11 +113,30 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(parts) for parts in _part_lists(n, n))
 
 
-@dataclass(frozen=True)
 class PartitionTuple:
-    """r-tuple of Young diagrams indexing a fixed point of the plane moduli."""
+    """r-tuple of Young diagrams indexing a fixed point of the plane moduli.
 
-    entries: tuple[Partition, ...]
+    Immutable; compares and hashes by its entries.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[Partition, ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def rank(self) -> int:
@@ -157,11 +175,30 @@ def enumerate_tuples(r: int, n: int) -> tuple[PartitionTuple, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class LatticeVector:
-    """Integer vector (k_1, ..., k_r) of exceptional-curve degrees."""
+    """Integer vector (k_1, ..., k_r) of exceptional-curve degrees.
 
-    entries: tuple[int, ...]
+    Immutable; compares and hashes by its entries.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def rank(self) -> int:
@@ -275,17 +312,37 @@ def blowup_max_n(r: int, k: int, order: int) -> int:
     return max(-(-(order - k * (r - k)) // (2 * r)), 0)
 
 
-@dataclass(frozen=True)
 class BlowupFixedPoint:
-    """Triple (Y-tuple, Z-tuple, kvec) indexing a blow-up fixed point."""
+    """Triple (Y-tuple, Z-tuple, kvec) indexing a blow-up fixed point.
 
-    y_tuple: PartitionTuple
-    z_tuple: PartitionTuple
-    kvec: LatticeVector
+    Immutable; compares and hashes by the triple.
+    """
 
-    def __post_init__(self):
-        if not (self.y_tuple.rank == self.z_tuple.rank == self.kvec.rank):
+    __slots__ = ("y_tuple", "z_tuple", "kvec")
+
+    def __init__(self, y_tuple: PartitionTuple, z_tuple: PartitionTuple, kvec: LatticeVector):
+        if not (y_tuple.rank == z_tuple.rank == kvec.rank):
             raise ValueError("tuple and vector ranks disagree")
+        object.__setattr__(self, "y_tuple", y_tuple)
+        object.__setattr__(self, "z_tuple", z_tuple)
+        object.__setattr__(self, "kvec", kvec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return (self.y_tuple, self.z_tuple, self.kvec)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rank(self) -> int:

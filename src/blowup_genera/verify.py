@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rank1
@@ -66,14 +65,38 @@ def default_order(r: int, k: int = 0) -> int:
     return 2 * r * per_rank.get(r, 1) + k * (r - k)
 
 
-@dataclass
 class VerificationReport:
-    name: str
-    params: dict
-    outcome: bool
-    details: list[str] = field(default_factory=list)
-    conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
-    timing_seconds: float = 0.0
+    """One driver run: its check, parameters, outcome, details and conventions.
+
+    Compares by value and is not hashable.  details defaults to a new
+    empty list and conventions to a new copy of CONVENTIONS, so no two
+    reports share either.
+    """
+
+    __slots__ = ("name", "params", "outcome", "details", "conventions", "timing_seconds")
+
+    def __init__(self, name: str, params: dict, outcome: bool, details: list[str] | None = None,
+                 conventions: dict | None = None, timing_seconds: float = 0.0):
+        self.name = name
+        self.params = params
+        self.outcome = outcome
+        self.details = [] if details is None else details
+        self.conventions = dict(CONVENTIONS) if conventions is None else conventions
+        self.timing_seconds = timing_seconds
+
+    def _key(self):
+        return (self.name, self.params, self.outcome, self.details, self.conventions,
+                self.timing_seconds)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __repr__(self):
+        return (f"VerificationReport(name={self.name!r}, params={self.params!r}, "
+                f"outcome={self.outcome!r}, details={self.details!r}, "
+                f"conventions={self.conventions!r}, timing_seconds={self.timing_seconds!r})")
 
     def to_json(self, include_timing: bool = False) -> dict:
         payload = {
@@ -100,20 +123,26 @@ class SeriesMemo:
     """Specializations and finished series that the drivers of one run share.
 
     Specializations are keyed by (r, seed, y0), so every build at one seed
-    meets the same object and its weight memo.  Series are keyed by
-    (kind, SeriesRequest), which hashes by value.  Only a build that
-    returns is stored: a degenerate one raises again each time it is met,
-    so every driver reseeds and logs as it would on its own.
+    meets the same object.  Weight values p/q do not depend on y0, so the
+    specializations with the same t1, t2 and e, one per y mode, share one
+    weight memo.  Series are keyed by (kind, SeriesRequest), which hashes
+    by value.  Only a build that returns is stored: a degenerate one
+    raises again each time it is met, so every driver reseeds and logs as
+    it would on its own.
     """
 
     def __init__(self):
         self.specs = {}
+        self.weight_memos = {}
         self.built = {}
 
     def specialization(self, r: int, seed: int, y0):
         spec = self.specs.get((r, seed, y0))
         if spec is None:
+            # looked up at call time, so a wrapper installed on it sees every draw
             spec = self.specs[r, seed, y0] = sample_specialization(r, seed, y0)
+            shared = self.weight_memos.setdefault((spec.t1, spec.t2, spec.e), spec.weight_memo)
+            object.__setattr__(spec, "weight_memo", shared)
         return spec
 
     def series(self, kind: str, req: SeriesRequest):

@@ -405,6 +405,8 @@ def test_weight_memo_leaves_equality_hash_and_repr_alone():
     assert used == fresh and hash(used) == hash(fresh)
     assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
     assert "weight_memo" not in repr(used)
+    with pytest.raises(AttributeError):
+        used.weight_memo = {}
 
 
 def test_weight_memo_belongs_to_one_specialization():

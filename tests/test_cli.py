@@ -353,6 +353,7 @@ if sys.argv[1:]:
 print(json.dumps(sorted(sys.modules)))
 """
 SERIES_LAYERS = {"characters", "genera", "rank1"}
+VERIFY_ARGS = ["--seed-list", "101"]
 
 
 @pytest.mark.parametrize(
@@ -364,12 +365,22 @@ SERIES_LAYERS = {"characters", "genera", "rank1"}
          SERIES_LAYERS | {"verify"}),
         (["compute-z", "--rank", "2", "--max-n", "2"], {"verify", "blowup_factor"}),
         (["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "2"], {"verify", "blowup_factor"}),
+        (["compute-w", "--order", "3"], {"verify", "blowup_factor", "genera"}),
+        (["verify-blowup", "--rank", "2", "--k", "1", "--order", "3", *VERIFY_ARGS], set()),
+        (["verify-corollary", "--rank", "2", "--k", "1", "--order", "3", *VERIFY_ARGS], set()),
+        (["verify-limits", "--rank", "2", "--k", "1", "--order", "3", *VERIFY_ARGS], set()),
+        (["verify-rank1", "--order", "3", *VERIFY_ARGS], set()),
+        (["verify-all", *VERIFY_ARGS], set()),
     ],
-    ids=["import", "compute-yk", "compute-yk-hol", "compute-z", "compute-zhat"],
+    ids=["import", "compute-yk", "compute-yk-hol", "compute-z", "compute-zhat", "compute-w",
+         "verify-blowup", "verify-corollary", "verify-limits", "verify-rank1", "verify-all"],
 )
 def test_subcommand_imports_only_the_layers_it_runs(argv, absent):
     proc = run_process("-c", FOOTPRINT, *argv)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert not loaded & {f"blowup_genera.{name}" for name in absent}
-    assert "logging" not in loaded
+    # only the verify-* commands log
+    assert ("logging" in loaded) == bool(argv and argv[0].startswith("verify-"))
+    # dataclasses would pull in inspect, ast and dis, which nothing else needs
+    assert not loaded & {"dataclasses", "inspect"}

@@ -52,8 +52,11 @@ def test_main_theorem_small_ranks(r, k, order, seeds):
 
 
 def test_main_theorem_records_sign_conventions():
+    before = dict(verify.CONVENTIONS)
     rep = verify_main_theorem(2, 1, 9, SEEDS)
     assert rep.conventions["lattice_y_sign_match"] == {"plus": True, "minus": True}
+    # the report writes into its own copy of the conventions
+    assert verify.CONVENTIONS == before and "lattice_y_sign_match" not in verify.CONVENTIONS
 
 
 def test_main_theorem_quotient_base_coefficient():
@@ -161,6 +164,37 @@ def test_series_memo_keys_by_value():
     same = genera.SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 5), k=1)
     assert req == same and hash(req) == hash(same)
     assert memo.series("zhat", same) is memo.series("zhat", req)
+
+
+def test_series_memo_shares_weight_memos_across_y_modes():
+    memo = SeriesMemo()
+    specs = [memo.specialization(2, 5, y0) for y0 in (None, F(1), F(0))]
+    assert len({id(spec) for spec in specs}) == 3
+    assert all(spec.weight_memo is specs[0].weight_memo for spec in specs)
+    assert memo.specialization(2, 6, None).weight_memo is not specs[0].weight_memo
+    assert sample_specialization(2, 5).weight_memo is not specs[0].weight_memo
+
+
+def test_verify_all_fills_one_weight_memo_per_seed(monkeypatch):
+    memos, draws = [], []
+
+    class Recording(SeriesMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    def counted(r, seed, y0=None):
+        draws.append((r, seed, y0))
+        return sample_specialization(r, seed, y0)
+
+    monkeypatch.setattr(verify, "SeriesMemo", Recording)
+    monkeypatch.setattr(verify, "sample_specialization", counted)
+    verify.verify_all((101,))
+    specs = [spec for memo in memos for spec in memo.specs.values()]
+    # every specialization is still drawn through the module attribute
+    assert len(draws) == len(specs) == 10
+    weight_memos = {id(spec.weight_memo): spec.weight_memo for spec in specs}
+    assert sum(len(m) for m in weight_memos.values()) == 606
 
 
 def count_series_builds(monkeypatch):

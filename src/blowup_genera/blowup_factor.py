@@ -40,6 +40,7 @@ from math import isqrt
 from .coefficients import YPoly, coeff_evaluate
 from .partitions import check_k, enumerate_lattice_vectors
 from .qseries import QSeries, colored_partition_counts
+from .records import Record
 
 
 class IntegralityViolationError(ArithmeticError):
@@ -170,38 +171,13 @@ def yk_euler(r: int, k: int, order: int) -> QSeries:
     return _times_prefactor(r, lattice_theta_series(r, k, order), order, symbolic=False)
 
 
-class YkHolReport:
-    """Holomorphic branch: stated table value next to the direct y = 0 value.
+class YkHolReport(Record):
+    """Holomorphic branch: stated table value next to the direct y = 0 value."""
 
-    Immutable; compares by value.
-    """
-
-    __slots__ = ("r", "k", "stated", "main_at_y0")
+    __slots__ = _fields = ("r", "k", "stated", "main_at_y0")
 
     def __init__(self, r: int, k: int, stated: int, main_at_y0: QSeries):
-        for name, value in zip(self.__slots__, (r, k, stated, main_at_y0)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.r, self.k, self.stated, self.main_at_y0)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"YkHolReport(r={self.r!r}, k={self.k!r}, stated={self.stated!r}, "
-                f"main_at_y0={self.main_at_y0!r})")
+        self._set(r, k, stated, main_at_y0)
 
     @property
     def discrepant(self) -> bool:

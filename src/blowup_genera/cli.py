@@ -45,6 +45,9 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(","))
 
 
+_seed_list.__name__ = "seed list"  # argparse names the type in "invalid seed list value"
+
+
 # The lattice and composition recursions go about rank deep: keep far below the
 # recursion limit (1000), far above the largest rank in use (6).
 MAX_RANK = 100

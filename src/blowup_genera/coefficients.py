@@ -32,6 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .records import Record
+
 PRNG_NAME = "splitmix64"
 # the default seeds: DEFAULT_SEED_COUNT of them, from DEFAULT_SEED_BASE on
 DEFAULT_SEED_BASE = 1729
@@ -448,14 +450,14 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-class Specialization:
+class Specialization(Record):
     """Exact rational values for t1, t2, e_1..e_r plus the y mode.
 
     y0 is None for symbolic y (coefficients are YPoly) or a Fraction for
     a numeric run (coefficients are Fraction).  Invariants:
     every value is nonzero, differs from 1 and from every other value,
     which keeps all single-parameter ratios away from the forbidden weight
-    value 1.  Instances are immutable and compare and hash by value.
+    value 1.
 
     weight_memo maps each weight met so far to its value p/q as the
     lowest-terms pair (p, q); it takes no part in equality, hashing or
@@ -465,7 +467,8 @@ class Specialization:
     depends only on t1, t2 and e, never on y0.
     """
 
-    __slots__ = ("t1", "t2", "e", "y0", "seed", "weight_memo")
+    _fields = ("t1", "t2", "e", "y0", "seed")
+    __slots__ = _fields + ("weight_memo",)
 
     def __init__(self, t1: Fraction, t2: Fraction, e: tuple[Fraction, ...],
                  y0: Fraction | None, seed: int):
@@ -475,29 +478,8 @@ class Specialization:
                 raise ValueError(f"specialization value {v} is forbidden")
         if len(set(vals)) != len(vals):
             raise ValueError("specialization values must be pairwise distinct")
-        for name, value in zip(self.__slots__, (t1, t2, e, y0, seed, {})):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.t1, self.t2, self.e, self.y0, self.seed)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"Specialization(t1={self.t1!r}, t2={self.t2!r}, e={self.e!r}, "
-                f"y0={self.y0!r}, seed={self.seed!r})")
+        self._set(t1, t2, e, y0, seed)
+        object.__setattr__(self, "weight_memo", {})
 
     @property
     def rank(self) -> int:

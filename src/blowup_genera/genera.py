@@ -56,15 +56,16 @@ from .partitions import (
 )
 from .qseries import QSeries, colored_partition_counts
 from .rank1 import w_series
+from .records import Record
 
 EQUIVARIANT = "equivariant"
 LIMIT = "limit"
 
 
-class SeriesRequest:
-    """Parameters of one generating-series computation, immutable and compared by value."""
+class SeriesRequest(Record):
+    """Parameters of one generating-series computation."""
 
-    __slots__ = ("rank", "max_n", "spec", "k", "mode")
+    __slots__ = _fields = ("rank", "max_n", "spec", "k", "mode")
 
     def __init__(self, rank: int, max_n: int, spec: Specialization, k: int = 0,
                  mode: str = EQUIVARIANT):
@@ -76,29 +77,7 @@ class SeriesRequest:
             raise ValueError(f"unknown mode {mode!r}")
         if spec.rank != rank:
             raise ValueError("specialization rank does not match the request")
-        for name, value in zip(self.__slots__, (rank, max_n, spec, k, mode)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.rank, self.max_n, self.spec, self.k, self.mode)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"SeriesRequest(rank={self.rank!r}, max_n={self.max_n!r}, spec={self.spec!r}, "
-                f"k={self.k!r}, mode={self.mode!r})")
+        self._set(rank, max_n, spec, k, mode)
 
 
 def z_series(req: SeriesRequest) -> QSeries:

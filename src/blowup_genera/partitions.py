@@ -23,6 +23,8 @@ from itertools import product
 from math import comb, isqrt
 from typing import Iterator, NamedTuple
 
+from .records import Record
+
 
 class Box(NamedTuple):
     """Cell of a Young diagram, 1-based matrix convention (row i, column j)."""
@@ -113,30 +115,13 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(parts) for parts in _part_lists(n, n))
 
 
-class PartitionTuple:
-    """r-tuple of Young diagrams indexing a fixed point of the plane moduli.
+class PartitionTuple(Record):
+    """r-tuple of Young diagrams indexing a fixed point of the plane moduli."""
 
-    Immutable; compares and hashes by its entries.
-    """
-
-    __slots__ = ("entries",)
+    __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple[Partition, ...]):
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
+        self._set(entries)
 
     @property
     def rank(self) -> int:
@@ -175,30 +160,13 @@ def enumerate_tuples(r: int, n: int) -> tuple[PartitionTuple, ...]:
     return tuple(out)
 
 
-class LatticeVector:
-    """Integer vector (k_1, ..., k_r) of exceptional-curve degrees.
+class LatticeVector(Record):
+    """Integer vector (k_1, ..., k_r) of exceptional-curve degrees."""
 
-    Immutable; compares and hashes by its entries.
-    """
-
-    __slots__ = ("entries",)
+    __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
+        self._set(entries)
 
     @property
     def rank(self) -> int:
@@ -312,37 +280,15 @@ def blowup_max_n(r: int, k: int, order: int) -> int:
     return max(-(-(order - k * (r - k)) // (2 * r)), 0)
 
 
-class BlowupFixedPoint:
-    """Triple (Y-tuple, Z-tuple, kvec) indexing a blow-up fixed point.
+class BlowupFixedPoint(Record):
+    """Triple (Y-tuple, Z-tuple, kvec) indexing a blow-up fixed point."""
 
-    Immutable; compares and hashes by the triple.
-    """
-
-    __slots__ = ("y_tuple", "z_tuple", "kvec")
+    __slots__ = _fields = ("y_tuple", "z_tuple", "kvec")
 
     def __init__(self, y_tuple: PartitionTuple, z_tuple: PartitionTuple, kvec: LatticeVector):
         if not (y_tuple.rank == z_tuple.rank == kvec.rank):
             raise ValueError("tuple and vector ranks disagree")
-        object.__setattr__(self, "y_tuple", y_tuple)
-        object.__setattr__(self, "z_tuple", z_tuple)
-        object.__setattr__(self, "kvec", kvec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self):
-        return (self.y_tuple, self.z_tuple, self.kvec)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(y_tuple, z_tuple, kvec)
 
     @property
     def rank(self) -> int:

@@ -41,7 +41,8 @@ from .coefficients import (
     sample_specialization,
 )
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
-from .partitions import blowup_max_n, check_k
+from .partitions import blowup_max_n, blowup_virtual_dim, check_k
+from .records import Record
 
 logger = logging.getLogger("blowup_genera")
 
@@ -62,18 +63,21 @@ def default_seeds(count: int = DEFAULT_SEED_COUNT, base: int = DEFAULT_SEED_BASE
 def default_order(r: int, k: int = 0) -> int:
     """Suite-sized default orders: n <= 8 at rank 1, 4 at rank 2, 2 at rank 3."""
     per_rank = {1: 8, 2: 4, 3: 2}
-    return 2 * r * per_rank.get(r, 1) + k * (r - k)
+    return blowup_virtual_dim(r, k, per_rank.get(r, 1))
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """One driver run: its check, parameters, outcome, details and conventions.
 
-    Compares by value and is not hashable.  details defaults to a new
+    A mutable record, so not hashable.  details defaults to a new
     empty list and conventions to a new copy of CONVENTIONS, so no two
     reports share either.
     """
 
-    __slots__ = ("name", "params", "outcome", "details", "conventions", "timing_seconds")
+    __slots__ = _fields = ("name", "params", "outcome", "details", "conventions", "timing_seconds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(self, name: str, params: dict, outcome: bool, details: list[str] | None = None,
                  conventions: dict | None = None, timing_seconds: float = 0.0):
@@ -83,20 +87,6 @@ class VerificationReport:
         self.details = [] if details is None else details
         self.conventions = dict(CONVENTIONS) if conventions is None else conventions
         self.timing_seconds = timing_seconds
-
-    def _key(self):
-        return (self.name, self.params, self.outcome, self.details, self.conventions,
-                self.timing_seconds)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __repr__(self):
-        return (f"VerificationReport(name={self.name!r}, params={self.params!r}, "
-                f"outcome={self.outcome!r}, details={self.details!r}, "
-                f"conventions={self.conventions!r}, timing_seconds={self.timing_seconds!r})")
 
     def to_json(self, include_timing: bool = False) -> dict:
         payload = {
@@ -396,7 +386,7 @@ def verify_all(seeds) -> list[VerificationReport]:
     for r in (1, 2, 3):
         memo = SeriesMemo()
         for k in range(r):
-            lim_order = 2 * r * min(2, 8 // r) + k * (r - k)
+            lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
             reports.append(verify_main_theorem(r, k, seeds=seeds, memo=memo))
             reports.append(verify_corollary(r, k, seeds=seeds, memo=memo))
             reports.append(verify_limit_consistency(r, k, lim_order, seeds, memo=memo))

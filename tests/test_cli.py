@@ -238,6 +238,16 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_bad_seed_list_names_its_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--seed-list", "1,x"])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == (
+        "blowup-genera verify-all: error: argument --seed-list: invalid seed list value: '1,x'"
+    )
+
+
 def test_zero_cutoffs_are_valid(capsys):
     code, out = run_cli(capsys, "compute-z", "--rank", "1", "--max-n", "0")
     assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]

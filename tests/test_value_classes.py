@@ -81,6 +81,34 @@ def test_frozen_record_is_a_value(make, other, text, field):
     assert repr(a) == text and a == b
 
 
+# the field names of each frozen class, in declaration order
+FIELDS = {
+    "Specialization": ("t1", "t2", "e", "y0", "seed"),
+    "SeriesRequest": ("rank", "max_n", "spec", "k", "mode"),
+    "PartitionTuple": ("entries",),
+    "LatticeVector": ("entries",),
+    "BlowupFixedPoint": ("y_tuple", "z_tuple", "kvec"),
+    "YkHolReport": ("r", "k", "stated", "main_at_y0"),
+}
+
+
+@pytest.mark.parametrize(
+    "make, names", [(FROZEN[c][0], FIELDS[c]) for c in FROZEN], ids=FROZEN.keys()
+)
+def test_frozen_record_hashes_as_its_field_tuple(make, names):
+    a = make()
+    assert hash(a) == hash(tuple(getattr(a, name) for name in names))
+
+
+def test_records_of_two_classes_never_compare_equal():
+    p = Partition((1,))
+    pt, lv = PartitionTuple((p,)), LatticeVector((p,))
+    assert pt.entries == lv.entries and hash(pt) == hash(lv)
+    assert pt != lv and lv != pt and not pt == lv
+    assert pt.__eq__(lv) is NotImplemented and lv.__eq__(pt) is NotImplemented
+    assert len({pt, lv}) == 2
+
+
 def test_frozen_record_keeps_its_keywords_and_validation():
     spec = Specialization(t1=F(2), t2=F(-3, 4), e=(F(5),), y0=F(2, 3), seed=11)
     assert repr(spec) == (

@@ -24,15 +24,16 @@ its rank and isolation checks run once per entry.  plane_block_weights
 adds the e-parts to them and is the one generator of plane-block weights.
 The plane tangent character (tangent_p2) is that sum in the identity chart
 with every k_a = 0, and the rank-one hook character (hook_character) is
-its one-slot case, whose e-parts cancel.  On the blow-up
-(Nakajima-Yoshioka) a fixed point (Y, Z, kvec) has three blocks: the
-simplex of kvec (simplex_weights), the Y block (the pairing blocks of Y in
-the chart (t1, t2/t1), twisted by t1^(k_b - k_a)) and the Z block (those
-of Z in (t1/t2, t2), twisted by t2^(k_b - k_a)); BLOWUP_SIDES names the
-chart of each side.  simplex_block and plane_block build one block, and
-tangent_blowup counts all three into the full character.  Every Character
-builder passes one check, _checked: the rank the geometry fixes, and no
-trivial weight (fixed points are isolated).
+its one-slot case, whose e-parts cancel; both are cached process-wide.
+On the blow-up (Nakajima-Yoshioka) a fixed point (Y, Z, kvec) has three
+blocks: the simplex of kvec (simplex_weights), the Y block (the pairing
+blocks of Y in the chart (t1, t2/t1), twisted by t1^(k_b - k_a)) and the
+Z block (those of Z in (t1/t2, t2), twisted by t2^(k_b - k_a));
+BLOWUP_SIDES names the chart of each side.  simplex_block and
+plane_block build one block, and tangent_blowup counts all three into
+the full character.  Every Character builder passes one check,
+_checked: the rank the geometry fixes, and no trivial weight (fixed
+points are isolated).
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -56,12 +57,13 @@ pure t-monomials keep their theta.
 Theta is multiplicative, so theta of a Y or Z block is the product of its
 pair factors F(Y_a, Y_b, a, b, d, side), theta of one pairing block, the
 chi_y form of Nekrasov's factor N_{Y_a,Y_b}.  plane_block_theta
-multiplies them without building the block, from a memo of F that one
-blow-up series keeps for its specialization and mode.  F is a cleared
-pair from the same case table and the same checks as theta_eval, and an
-unreduced product of integers does not depend on the order of its
-factors, so the product is the block's theta_eval pair, integer for
-integer.
+multiplies them without building the block, from the memo of F that the
+specialization keeps for the mode (Specialization.pair_memo), which
+every blow-up series at that specialization and mode shares.  F is a
+cleared pair from the same case table and the same checks as
+theta_eval, and an unreduced product of integers does not depend on the
+order of its factors, so the product is the block's theta_eval pair,
+integer for integer.
 """
 
 from __future__ import annotations
@@ -290,11 +292,13 @@ def tangent_p2(fp: PartitionTuple) -> Character:
     return _plane_checked(fp, (0,) * fp.rank, "identity", "{!r}", fp)
 
 
+@lru_cache(maxsize=None)
 def hook_character(p: Partition, substitution: str = "identity") -> Character:
     """Both hook monomials of every box of one diagram, as a character.
 
     This is the single-slot pairing block of p with itself, whose e-parts
     cancel, under the given variable substitution; its rank must be 2*|p|.
+    An unknown substitution raises ValueError, which is not cached.
     """
     where = "hook character of {!r} under {}"
     return _plane_checked(PartitionTuple((p,)), (0,), substitution, where, p, substitution)
@@ -458,12 +462,14 @@ def plane_block_theta(
     of the pairing blocks of Y_a with Y_b at d = k_b - k_a, so its theta
     is the product of the pair factors F = theta of one pairing block,
     taken from pair_exponents.  factors memoizes F by (Y_a, Y_b, a, b, d,
-    side); it belongs to one specialization and one mode, so the caller
-    makes it and drops it with them.  The product is never reduced, so it
-    is the cleared pair of theta_eval or theta_limit_factor of the block,
-    integer for integer.  A degenerate weight raises
-    DegenerateSpecializationError, but not always the one theta_eval would
-    name first.
+    side); it belongs to one specialization and one mode, since F depends
+    on t1, t2, e and y0 and on the mode's case table, and zhat_series
+    passes the specialization's pair_memo entry for its mode.  Only a
+    factor that returns is stored, so a degenerate one raises again each
+    time it is met.  The product is never reduced, so it is the cleared
+    pair of theta_eval or theta_limit_factor of the block, integer for
+    integer.  A degenerate weight raises DegenerateSpecializationError,
+    but not always the one theta_eval would name first.
     """
     substitution = BLOWUP_SIDES[side]
     slots = list(enumerate(zip(kvec.entries, pt.entries), 1))

@@ -460,15 +460,20 @@ class Specialization(Record):
     value 1.
 
     weight_memo maps each weight met so far to its value p/q as the
-    lowest-terms pair (p, q); it takes no part in equality, hashing or
-    repr.  A specialization built on its own has a memo of its own.
-    Under a verify.SeriesMemo the symbolic, y = 1 and y = 0
-    specializations of one (r, seed) share a single memo, since p/q
-    depends only on t1, t2 and e, never on y0.
+    lowest-terms pair (p, q).  pair_memo maps each mode ("equivariant" or
+    "limit") to the Nekrasov pair factors F that the blow-up series of
+    this specialization have met in that mode (see
+    characters.plane_block_theta), so every zhat_series build at this
+    specialization shares them, whatever its k or max_n.  Neither memo
+    takes part in equality, hashing or repr, and a specialization built
+    on its own has both of its own.  Under a verify.SeriesMemo the
+    symbolic, y = 1 and y = 0 specializations of one (r, seed) share a
+    single weight memo, since p/q depends only on t1, t2 and e, never on
+    y0; each keeps its own pair memo, since F depends on y0.
     """
 
     _fields = ("t1", "t2", "e", "y0", "seed")
-    __slots__ = _fields + ("weight_memo",)
+    __slots__ = _fields + ("weight_memo", "pair_memo")
 
     def __init__(self, t1: Fraction, t2: Fraction, e: tuple[Fraction, ...],
                  y0: Fraction | None, seed: int):
@@ -480,6 +485,7 @@ class Specialization(Record):
             raise ValueError("specialization values must be pairwise distinct")
         self._set(t1, t2, e, y0, seed)
         object.__setattr__(self, "weight_memo", {})
+        object.__setattr__(self, "pair_memo", {})
 
     @property
     def rank(self) -> int:

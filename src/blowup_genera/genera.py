@@ -6,9 +6,10 @@ q^(2r(|Y|+|Z|) + pair_form), factored over lattice vectors: theta of the
 exceptional simplex times the convolution of the Y-block and Z-block theta
 sums, so no full blow-up tangent character is built.  Nor is a Y or Z
 block built: theta of each is the product of its Nekrasov pair factors
-(characters.plane_block_theta), which one zhat_series call memoizes in a
-dict of its own, so the blocks that share a pair of diagrams, slots and
-shift share its factor.
+(characters.plane_block_theta), which the specialization memoizes per
+mode (Specialization.pair_memo), so the blocks that share a pair of
+diagrams, slots and shift share its factor, within one zhat_series call
+and across every call at that specialization, whatever its k or max_n.
 
 Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
@@ -153,7 +154,7 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     check_k(r, k)
     top = blowup_virtual_dim(r, k, req.max_n)
     kvecs = enumerate_lattice_vectors(r, k, top)
-    factors = {}  # pair factors of this specialization and mode, see plane_block_theta
+    factors = req.spec.pair_memo.setdefault(req.mode, {})  # see plane_block_theta
     shares = [_lattice_vector_shares(req, kvec, factors) for kvec in kvecs]
     terms = {}
     for n in range(req.max_n + 1):

@@ -13,14 +13,19 @@ driver raises ReseedLimitError.  Reports are deterministic functions of
 (parameters, seeds); wall-clock time is kept out of the canonical JSON
 so repeated runs are byte-identical.
 
-The rank-r drivers draw their specializations and build their series
+The rank-r drivers draw their specializations and take their series
 through a SeriesMemo, which keeps each specialization and each finished
-series by value.  verify_all, the documented grid, makes one memo per
-rank and hands it to every driver of that rank, so the drivers share
-each specialization, its weight memo and every (Z, Zhat) build they have
-in common; the memo is dropped when the next rank starts.  A driver
-called on its own makes a memo of its own, so its report is the same
-either way.
+series by value and serves a request from what it holds when it can: the
+request itself, a truncation of a longer series of the same shape, or,
+at a numeric y0, its symbolic twin evaluated at y0 (see SeriesMemo for
+the four rules and why each is exact).  verify_all, the documented grid,
+makes one memo per rank and hands it to every driver of that rank, so
+the corollary's y = 1 and y = 0 series come from the main theorem's
+symbolic builds, the limit check's shorter equivariant series from the
+main theorem's longer ones, and the blow-up series at one seed share the
+pair factors of its specialization; the memo is dropped when the next
+rank starts.  A driver called on its own makes a memo of its own and
+builds what it meets, so its report is the same either way.
 """
 
 from __future__ import annotations
@@ -37,11 +42,13 @@ from .coefficients import (
     DEFAULT_SEED_BASE,
     DEFAULT_SEED_COUNT,
     PRNG_NAME,
+    Specialization,
     coeff_evaluate,
     sample_specialization,
 )
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
 from .partitions import blowup_max_n, blowup_virtual_dim, check_k
+from .qseries import QSeries
 from .records import Record
 
 logger = logging.getLogger("blowup_genera")
@@ -115,10 +122,31 @@ class SeriesMemo:
     Specializations are keyed by (r, seed, y0), so every build at one seed
     meets the same object.  Weight values p/q do not depend on y0, so the
     specializations with the same t1, t2 and e, one per y mode, share one
-    weight memo.  Series are keyed by (kind, SeriesRequest), which hashes
-    by value.  Only a build that returns is stored: a degenerate one
-    raises again each time it is met, so every driver reseeds and logs as
-    it would on its own.
+    weight memo; each keeps its own pair-factor memo, since a pair factor
+    does depend on y0.
+
+    Series are keyed by (kind, SeriesRequest), which hashes by value, and
+    series() serves a request from the first of these that holds:
+
+    1. the request itself was served before;
+    2. a returned series of the same kind, rank, spec, k and mode has a
+       larger max_n: it is cut with QSeries.truncate;
+    3. for a numeric y0, the symbolic twin request (the same request at
+       y0 = None) is served by rule 1 or 2: each of its YPoly
+       coefficients is evaluated at y0 and the series rebuilt through
+       QSeries.from_terms, so zeros fold as a numeric build folds them;
+    4. otherwise the series is built.
+
+    Every rule is exact.  The coefficient of one degree depends only on
+    the fixed points of that degree, and a longer build meets a superset
+    of the weights of a shorter one, so a truncation equals the shorter
+    build.  Evaluation at y0 is a ring map that commutes with the theta
+    sum, and a numeric build meets exactly the weights its symbolic twin
+    meets.  Whether a build is degenerate depends only on the values p/q
+    of the weights it meets, so a request served by rule 2 or 3 would
+    have returned if built.  Only a series that returns is stored: a
+    degenerate build raises again each time it is met, so every driver
+    reseeds and logs as it would on its own.
     """
 
     def __init__(self):
@@ -136,13 +164,41 @@ class SeriesMemo:
         return spec
 
     def series(self, kind: str, req: SeriesRequest):
+        series = self._served(kind, req)
+        if series is None:
+            spec = req.spec
+            if not spec.symbolic:
+                twin = Specialization(spec.t1, spec.t2, spec.e, None, spec.seed)
+                twin_req = SeriesRequest(req.rank, req.max_n, twin, req.k, req.mode)
+                symbolic = self._served(kind, twin_req)
+                if symbolic is not None:
+                    series = _evaluated(symbolic, spec.y0)
+            if series is None:
+                # looked up as module attributes at call time, so a wrapper
+                # installed on them (perfbench/spans.py) sees every build
+                build = z_series if kind == "z" else zhat_series
+                series = build(req)
+            self.built[kind, req] = series
+        return series
+
+    def _served(self, kind: str, req: SeriesRequest):
+        """The series of req by rule 1 or 2 (see the class), stored, or None."""
         series = self.built.get((kind, req))
         if series is None:
-            # looked up as module attributes at call time, so a wrapper
-            # installed on them (perfbench/spans.py) sees every build
-            build = z_series if kind == "z" else zhat_series
-            series = self.built[kind, req] = build(req)
+            for (other_kind, other), longer in self.built.items():
+                if (other_kind == kind and other.max_n > req.max_n
+                        and (other.rank, other.spec, other.k, other.mode)
+                        == (req.rank, req.spec, req.k, req.mode)):
+                    k = 0 if kind == "z" else req.k
+                    order = blowup_virtual_dim(req.rank, k, req.max_n) + 1
+                    series = self.built[kind, req] = longer.truncate(order)
+                    break
         return series
+
+
+def _evaluated(series: QSeries, y0) -> QSeries:
+    """A symbolic-y series at y = y0, folded as a numeric build folds it."""
+    return QSeries.from_terms({e: coeff_evaluate(c, y0) for e, c in series.items()}, series.order)
 
 
 def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str], memo=None):

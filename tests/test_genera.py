@@ -354,21 +354,25 @@ BUILDER_CASES = [
 
 @pytest.fixture
 def patch_characters(monkeypatch):
-    """Patch one name in characters, with pair_exponents cleared before and after.
+    """Patch one name in characters, with its hook caches cleared before and after.
 
-    pair_exponents caches hook exponents for the whole process: a warm entry
-    would skip a patched hook_exponents, and an entry made from a patched one
-    (an off-diagonal pair of _trivial_pairs passes its checks) would outlive
-    the test.
+    pair_exponents and hook_character cache hook exponents and characters
+    for the whole process: a warm entry would skip a patched hook_exponents,
+    and an entry made from a patched one (an off-diagonal pair of
+    _trivial_pairs passes its checks) would outlive the test.
     """
     import blowup_genera.characters as characters
 
+    def clear():
+        characters.pair_exponents.cache_clear()
+        characters.hook_character.cache_clear()
+
     def patch(attr, replacement):
         monkeypatch.setattr(characters, attr, replacement)
-        characters.pair_exponents.cache_clear()
+        clear()
 
     yield patch
-    characters.pair_exponents.cache_clear()
+    clear()
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

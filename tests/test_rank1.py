@@ -107,6 +107,16 @@ def test_hook_character_substitution_examples():
         hook_character(Partition((1,)), "t2*t1")
 
 
+def test_hook_character_is_cached_but_its_errors_are_not():
+    p = Partition((3, 1))
+    assert hook_character(p, "t1/t2") is hook_character(p, "t1/t2")
+    before = hook_character.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unsupported substitution"):
+            hook_character(p, "q/t")
+    assert hook_character.cache_info().currsize == before
+
+
 def test_substitution_table_examples():
     # each entry is (exponent map, twist); the twist is t1^d in the chart
     # (t1, t2/t1), t2^d in (t1/t2, t2) and none in the identity chart

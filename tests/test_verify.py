@@ -22,7 +22,8 @@ from blowup_genera.verify import (
     verify_rank1_identity,
 )
 from blowup_genera.characters import DegenerateSpecializationError
-from blowup_genera.partitions import blowup_virtual_dim
+from blowup_genera.genera import EQUIVARIANT, LIMIT, SeriesRequest
+from blowup_genera.partitions import blowup_max_n, blowup_virtual_dim
 
 
 SEEDS = default_seeds(2)
@@ -239,6 +240,145 @@ def test_verify_all_shares_series_within_a_rank(monkeypatch):
     # stored, so each driver that meets it builds it again and reseeds
     assert len(set(built)) == len(built) < alone_builds
     assert len(set(failed)) < len(failed)
+    # every numeric-y series that returned came from its symbolic twin
+    assert all(req.spec.symbolic for _kind, req in built)
+    assert not all(req.spec.symbolic for _kind, req in failed)
+
+    built.clear()
+    failed.clear()
+    verify.verify_all((101,))
+    assert len(built) == 22 and not failed
+    assert all(req.spec.symbolic for _kind, req in built)
+
+
+def grid_requests():
+    """(kind, r, k, max_n, mode) of every series that verify_all asks for."""
+    shapes = set()
+    for r in (1, 2, 3):
+        for k in range(r):
+            lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
+            for order, modes in ((default_order(r, k), (EQUIVARIANT,)),
+                                 (lim_order, (EQUIVARIANT, LIMIT))):
+                for mode in modes:
+                    shapes.add(("z", r, 0, blowup_max_n(r, 0, order), mode))
+                    shapes.add(("zhat", r, k, blowup_max_n(r, k, order), mode))
+    return sorted(shapes)
+
+
+def same_series(a, b):
+    """Equal offset, order and coefficients, and coefficients of the same types."""
+    return ((a.offset, a.order, a.coeffs) == (b.offset, b.order, b.coeffs)
+            and [type(c) for c in a.coeffs] == [type(c) for c in b.coeffs])
+
+
+def built_or_error(kind, r, k, max_n, mode, seed, y0):
+    """The series built from scratch, or the message of its degenerate weight."""
+    build = genera.z_series if kind == "z" else genera.zhat_series
+    spec = sample_specialization(r, seed, y0)
+    req = SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k, mode=mode)
+    try:
+        return build(req)
+    except DegenerateSpecializationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", [101, 192])  # 192 degenerates at ranks 2 and 3
+def test_numeric_and_shorter_series_follow_from_the_symbolic_build(seed):
+    # the exactness of SeriesMemo rules 2 and 3 on every verify_all shape,
+    # against the numeric kernel path that verify_all no longer runs
+    degenerate = 0
+    for kind, r, k, max_n, mode in grid_requests():
+        symbolic = built_or_error(kind, r, k, max_n, mode, seed, None)
+        longer = built_or_error(kind, r, k, max_n + 1, mode, seed, None)
+        if isinstance(symbolic, str):
+            degenerate += 1
+            # a longer build meets every weight of a shorter one
+            assert isinstance(longer, str)
+        elif not isinstance(longer, str):
+            assert same_series(longer.truncate(symbolic.order), symbolic)
+        for y0 in (F(1), F(0)):
+            numeric = built_or_error(kind, r, k, max_n, mode, seed, y0)
+            if isinstance(symbolic, str):
+                assert numeric == symbolic  # the same weight degenerates
+            else:
+                assert same_series(numeric, verify._evaluated(symbolic, y0))
+    assert (degenerate > 0) == (seed == 192)
+
+
+def test_series_memo_truncates_and_evaluates_without_building(monkeypatch):
+    memo = SeriesMemo()
+    spec = memo.specialization(2, 101, None)
+    memo.series("zhat", SeriesRequest(rank=2, max_n=3, spec=spec, k=1))
+    memo.series("z", SeriesRequest(rank=2, max_n=3, spec=spec))
+    built, failed = count_series_builds(monkeypatch)
+    for kind, k in (("z", 0), ("zhat", 1)):
+        build = genera.z_series if kind == "z" else genera.zhat_series
+        for y0 in (None, F(1), F(0)):
+            req = SeriesRequest(rank=2, max_n=2, spec=memo.specialization(2, 101, y0), k=k)
+            served = memo.series(kind, req)
+            assert same_series(served, build(req))
+            assert memo.series(kind, req) is served
+    assert not built and not failed
+    # another kind, k, mode or seed, or a larger max_n, is built
+    others = [(2, 0, EQUIVARIANT, 101), (2, 1, LIMIT, 101), (2, 1, EQUIVARIANT, 102),
+              (4, 1, EQUIVARIANT, 101)]
+    for max_n, k, mode, seed in others:
+        spec = memo.specialization(2, seed, F(1))
+        req = SeriesRequest(rank=2, max_n=max_n, spec=spec, k=k, mode=mode)
+        memo.series("zhat", req)
+        assert built[-1] == ("zhat", req)
+    assert len(built) == len(others)
+
+
+def test_pair_memo_belongs_to_one_specialization_and_mode():
+    memo = SeriesMemo()
+    specs = [memo.specialization(2, 5, y0) for y0 in (None, F(1), F(0))]
+    for spec in specs:
+        for mode in (EQUIVARIANT, LIMIT):
+            genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=1, mode=mode))
+    pair_memos = [spec.pair_memo[mode] for spec in specs for mode in (EQUIVARIANT, LIMIT)]
+    assert all(spec.pair_memo.keys() == {EQUIVARIANT, LIMIT} for spec in specs)
+    assert len({id(m) for m in pair_memos}) == 6
+    # the factors differ with y0 and with the mode, so none may be shared
+    assert specs[0].pair_memo[EQUIVARIANT] != specs[1].pair_memo[EQUIVARIANT]
+    assert specs[0].pair_memo[EQUIVARIANT] != specs[0].pair_memo[LIMIT]
+    # a later build at another k reuses the factors, and the memo stays out of the value
+    equal = sample_specialization(2, 5)
+    before = dict(specs[0].pair_memo[EQUIVARIANT])
+    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=specs[0], k=0))
+    assert before.items() <= specs[0].pair_memo[EQUIVARIANT].items()
+    assert specs[0] == equal and hash(specs[0]) == hash(equal) and not equal.pair_memo
+    assert repr(specs[0]) == repr(equal) and "pair_memo" not in repr(equal)
+
+
+def test_degenerate_pair_factor_is_never_stored(monkeypatch):
+    from blowup_genera import characters
+
+    raised = []
+    original = characters._theta_factors
+
+    def recording(items, spec, limit):
+        try:
+            return original(items, spec, limit)
+        except DegenerateSpecializationError:
+            raised.append(len(items))
+            raise
+
+    monkeypatch.setattr(characters, "_theta_factors", recording)
+    # at seed 192 a rank-2 pair factor degenerates; the side is then summed
+    # again from its sorted blocks, which names the weight
+    spec = sample_specialization(2, 192)
+    req = SeriesRequest(rank=2, max_n=1, spec=spec, k=1)
+    errors, sizes = [], []
+    for _ in range(2):
+        raised.clear()
+        with pytest.raises(DegenerateSpecializationError) as err:
+            genera.zhat_series(req)
+        errors.append(str(err.value))
+        sizes.append(len(spec.pair_memo[EQUIVARIANT]))
+        assert raised[0] == 1  # one pairing block: the factor itself degenerated
+        assert len(raised) == 2
+    assert errors[0] == errors[1] and sizes[0] == sizes[1]
 
 
 def test_report_json_shape():

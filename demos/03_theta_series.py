@@ -19,20 +19,22 @@ from blowup_genera import (
 from blowup_genera.partitions import enumerate_tuples
 
 # A reproducible specialization: every parameter is a small exact rational
-# drawn from a fixed splitmix64 stream.  y stays symbolic here.
+# drawn from a fixed splitmix64 stream.  y stays symbolic: a numeric y is
+# one evaluation of a finished series.
 spec = sample_specialization(2, seed=1729)
 print("specialization:", spec)
 
 # One contribution: the tangent character of one fixed point, evaluated.
 fp = enumerate_tuples(2, 1)[0]
 print("\ncontribution of", fp)
-print("  ", cleared_value(theta_eval(tangent_p2(fp), spec), spec))
+print("  ", cleared_value(theta_eval(tangent_p2(fp), spec)))
 
 # The plane series in degrees q^(2rn) and the blow-up series, whose
 # support starts at k(r-k) and moves in steps of 2r.
 req = SeriesRequest(rank=2, max_n=2, spec=spec)
 z = z_series(req)
 print("\nZ:", z)
+print("Z at y = 1 counts the fixed points:", z.at_y(1))
 
 zhat = zhat_series(SeriesRequest(rank=2, max_n=2, spec=spec, k=1))
 print("\nZhat:", zhat)

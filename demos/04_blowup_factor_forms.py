@@ -9,7 +9,6 @@ forms are computed independently, so their agreement is a real check.
 from fractions import Fraction
 
 from blowup_genera import yk_euler, yk_gottsche, yk_hol, yk_main
-from blowup_genera.coefficients import coeff_evaluate
 
 for (r, k) in ((1, 0), (2, 0), (2, 1), (3, 1)):
     main = yk_main(r, k, 2 * r * 3)
@@ -20,7 +19,7 @@ print("\nlattice form and main form agree on the grid above")
 
 # y = 1: coefficients become fixed-point counts.
 print("\nEuler branch r=2, k=1:", yk_euler(2, 1, 9))
-at_one = yk_main(2, 1, 9).map_coefficients(lambda c: coeff_evaluate(c, Fraction(1)))
+at_one = yk_main(2, 1, 9).at_y(Fraction(1))
 assert at_one == yk_euler(2, 1, 9)
 
 # y = 0: the stated table value is 1 or 0, but direct evaluation of the

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .coefficients import YPoly, coeff_evaluate
+from .coefficients import YPoly
 from .partitions import check_k, enumerate_lattice_vectors
 from .qseries import QSeries, colored_partition_counts
 from .records import Record
@@ -203,7 +203,4 @@ def yk_hol(r: int, k: int, order: int) -> YkHolReport:
     carries both so callers can record the discrepancy without failing.
     """
     stated = 1 if k == 0 else 0
-    at_zero = yk_main(r, k, order).map_coefficients(
-        lambda c: coeff_evaluate(c, Fraction(0))
-    )
-    return YkHolReport(r, k, stated, at_zero)
+    return YkHolReport(r, k, stated, yk_main(r, k, order).at_y(Fraction(0)))

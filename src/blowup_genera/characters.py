@@ -41,14 +41,15 @@ rational value of the weight.  Each Specialization memoizes that value
 as the lowest-terms pair (p, q), keyed by weight.  Written over the
 integers, theta(p/q) = (p - q*y) / (p - q): the factors of one character
 multiply out as a cleared pair, an integer coefficient list in y over
-one integer denominator (for numeric y = a/b the list holds the single
-numerator of (p*b - q*a) / (b*(p - q))).  theta_eval and
-theta_limit_factor return that pair, and a negative multiplicity, which
-would leave a y-denominator, raises ValueError.  The pair helpers
-(Cleared, cleared_sum, cleared_product, cleared_convolution and
-cleared_value) live in coefficients, where YPoly multiplies with them
-too, and are imported here under the same names; theta_sum is the sum
-over the characters of one q-degree that every series makes.
+one integer denominator.  y stays symbolic here, as everywhere in the
+engine: a numeric y0 is one evaluation of the finished series
+(QSeries.at_y).  theta_eval and theta_limit_factor return that pair, and
+a negative multiplicity, which would leave a y-denominator, raises
+ValueError.  The pair helpers (Cleared, cleared_sum, cleared_product,
+cleared_convolution and cleared_value) live in coefficients, where YPoly
+multiplies with them too, and are imported here under the same names;
+theta_sum is the sum over the characters of one q-degree that every
+series makes.
 theta_limit_factor applies the ordered e_r -> 0, ..., e_1 -> 0 limit as
 an exact case table: a weight with denominator slot below the numerator
 slot contributes 1, the opposite order contributes y = theta(0), and
@@ -352,27 +353,18 @@ def _times_linear(coeffs: list[int], p: int, q: int, m: int) -> list[int]:
     return coeffs
 
 
-def _cleared(factors, spec: Specialization) -> Cleared:
+def _cleared(factors) -> Cleared:
     """The product of theta(p/q)**m over (p, q, m) triples as a cleared pair.
 
     Each factor theta(p/q) = (p - q*y) / (p - q) is multiplied out over
-    the integers; for numeric y = a/b it is (p*b - q*a) / (b*(p - q)) and
-    the list holds the one numerator.  Every m must be positive: a
-    negative one would leave a y-denominator, which a cleared pair cannot
-    hold.
+    the integers.  Every m must be positive: a negative one would leave a
+    y-denominator, which a cleared pair cannot hold.
     """
-    if spec.symbolic:
-        num, den = [1], 1
-        for p, q, m in factors:
-            num = _times_linear(num, p, q, m)
-            den *= (p - q) ** m
-        return num, den
-    a, b = spec.y0.numerator, spec.y0.denominator
-    num, den = 1, 1
+    num, den = [1], 1
     for p, q, m in factors:
-        num *= (p * b - q * a) ** m
-        den *= (b * (p - q)) ** m
-    return [num], den
+        num = _times_linear(num, p, q, m)
+        den *= (p - q) ** m
+    return num, den
 
 
 def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
@@ -420,13 +412,13 @@ def _theta_factors(items, spec: Specialization, limit: bool):
 def theta_eval(c: Character, spec: Specialization) -> Cleared:
     """Multiplicative theta genus of a character at a specialization, as a cleared pair.
 
-    cleared_value gives its YPoly, or its Fraction for numeric y.  Raises
-    ValueError for a negative multiplicity, TrivialWeightError if the
-    trivial weight is present and DegenerateSpecializationError naming the
-    first weight whose value is 1; all checks run, weight by weight in
-    sorted order, before any factor is multiplied.
+    cleared_value gives its YPoly.  Raises ValueError for a negative
+    multiplicity, TrivialWeightError if the trivial weight is present and
+    DegenerateSpecializationError naming the first weight whose value is
+    1; all checks run, weight by weight in sorted order, before any factor
+    is multiplied.
     """
-    return _cleared(_theta_factors(c.sorted_items(), spec, limit=False), spec)
+    return _cleared(_theta_factors(c.sorted_items(), spec, limit=False))
 
 
 def theta_limit_factor(c: Character, spec: Specialization) -> Cleared:
@@ -437,7 +429,7 @@ def theta_limit_factor(c: Character, spec: Specialization) -> Cleared:
     limit is exact by construction, no values are actually driven to 0.
     The result and the errors are as for theta_eval.
     """
-    return _cleared(_theta_factors(c.sorted_items(), spec, limit=True), spec)
+    return _cleared(_theta_factors(c.sorted_items(), spec, limit=True))
 
 
 def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
@@ -463,7 +455,7 @@ def plane_block_theta(
     is the product of the pair factors F = theta of one pairing block,
     taken from pair_exponents.  factors memoizes F by (Y_a, Y_b, a, b, d,
     side); it belongs to one specialization and one mode, since F depends
-    on t1, t2, e and y0 and on the mode's case table, and zhat_series
+    on t1, t2 and e and on the mode's case table, and zhat_series
     passes the specialization's pair_memo entry for its mode.  Only a
     factor that returns is stored, so a degenerate one raises again each
     time it is met.  The product is never reduced, so it is the cleared
@@ -482,6 +474,6 @@ def plane_block_theta(
             if f is None:
                 exps = pair_exponents(p_a, p_b, d, substitution)
                 items = [(make_weight(i1, i2, b, a), 1) for i1, i2 in exps]
-                f = factors[key] = _cleared(_theta_factors(items, spec, limit), spec)
+                f = factors[key] = _cleared(_theta_factors(items, spec, limit))
             block = f if block is None else cleared_product(block, f)
     return block

@@ -214,12 +214,13 @@ def _max_n_from(args, r: int, k: int = 0) -> int:
     return blowup_max_n(r, k, args.order)
 
 
-def _specialization(parser, args, r: int):
+def _y0(parser, args):
+    """The y value to report the series at: None for symbolic y, else --y0 (default 1)."""
     if args.y_mode == "symbolic":
         if args.y0 is not None:
             parser.error("--y0 requires --y-mode numeric")
-        return sample_specialization(r, args.seed)
-    return sample_specialization(r, args.seed, Fraction(1) if args.y0 is None else args.y0)
+        return None
+    return Fraction(1) if args.y0 is None else args.y0
 
 
 def main(argv=None) -> int:
@@ -251,12 +252,13 @@ def _run(parser, args) -> int:
         if args.command == "compute-zhat":
             k = args.k
             _check_k(parser, args.rank, k)
+        y0 = _y0(parser, args)
         req = genera.SeriesRequest(
             rank=args.rank, max_n=_max_n_from(args, args.rank, k),
-            spec=_specialization(parser, args, args.rank), k=k, mode=args.mode,
+            spec=sample_specialization(args.rank, args.seed), k=k, mode=args.mode,
         )
         kind = "z" if args.command == "compute-z" else "zhat"
-        _emit(genera.series_report(kind, req, include_timing=args.timing), args)
+        _emit(genera.series_report(kind, req, y0, include_timing=args.timing), args)
         return 0
 
     if args.command == "compute-yk":
@@ -277,7 +279,7 @@ def _run(parser, args) -> int:
     if args.command == "compute-w":
         from . import rank1
 
-        spec = sample_specialization(1, args.seed, None)
+        spec = sample_specialization(1, args.seed)
         series = rank1.w_series(spec, args.order, args.substitution)
         _emit(
             {

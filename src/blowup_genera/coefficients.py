@@ -2,25 +2,25 @@
 
 Scalars are arbitrary-precision rationals (fractions.Fraction).  On top of
 those sit YPoly, polynomials in the genus variable y, and YRat, reduced
-ratios of two YPoly.  Every series coefficient is a YPoly for symbolic y
-and a Fraction for numeric y; a YRat arises only where a YPoly is divided
-by a non-constant one.  Both interoperate with int and Fraction through
-the usual operators, so the q-series code can stay agnostic about which
-ring it multiplies in.
+ratios of two YPoly.  Every series coefficient is a YPoly, since y stays
+symbolic throughout the engine, and a numeric y0 is one evaluation of the
+finished series (QSeries.at_y); a YRat arises only where a YPoly is
+divided by a non-constant one.  Both interoperate with int and Fraction
+through the usual operators, so the q-series code can stay agnostic
+about which ring it multiplies in.
 
 A cleared pair (Cleared) is an integer coefficient list in y, lowest
 power first, over one integer denominator.  cleared_sum, cleared_product
 and cleared_convolution add, multiply and convolve pairs in integers,
-and cleared_value turns a pair into its coefficient, a YPoly or a
-Fraction for numeric y.  The series code sums theta in this form, and
-YPoly products run on it too: each operand is cleared over the lcm of
-its denominators, the integer lists are multiplied by cleared_product,
-and each output coefficient becomes one canonical Fraction, so the
-product is the Fraction product coefficient for coefficient.
+and cleared_value turns a pair into its YPoly coefficient.  The series
+code sums theta in this form, and YPoly products run on it too: each
+operand is cleared over the lcm of its denominators, the integer lists
+are multiplied by cleared_product, and each output coefficient becomes
+one canonical Fraction, so the product is the Fraction product
+coefficient for coefficient.
 
 Specialization holds one exact rational value per equivariant parameter
-(t1, t2, e_1..e_r) plus the y handling: y0 = None keeps y symbolic, a
-Fraction y0 evaluates everything numerically.  sample_specialization draws
+(t1, t2, e_1..e_r) and the seed it was drawn from.  sample_specialization draws
 the values from a splitmix64 stream, a documented 64-bit generator fixed
 permanently for reproducibility; numerators and denominators come uniformly
 from [2, 97] and coordinates violating the nonunit/distinctness invariants
@@ -49,12 +49,10 @@ def _frac_str(c: Fraction) -> str:
 Cleared = tuple[list[int], int]
 
 
-def cleared_value(pair: Cleared, spec: Specialization):
-    """The coefficient a cleared pair stands for: a YPoly, or a Fraction for numeric y."""
+def cleared_value(pair: Cleared) -> YPoly:
+    """The coefficient a cleared pair stands for, as a YPoly."""
     num, den = pair
-    if spec.symbolic:
-        return YPoly(Fraction(c, den) for c in num)
-    return Fraction(num[0] if num else 0, den)
+    return YPoly(Fraction(c, den) for c in num)
 
 
 def cleared_sum(pairs) -> Cleared:
@@ -451,13 +449,12 @@ class SplitMix64:
 
 
 class Specialization(Record):
-    """Exact rational values for t1, t2, e_1..e_r plus the y mode.
+    """Exact rational values for t1, t2, e_1..e_r, and the seed they came from.
 
-    y0 is None for symbolic y (coefficients are YPoly) or a Fraction for
-    a numeric run (coefficients are Fraction).  Invariants:
-    every value is nonzero, differs from 1 and from every other value,
-    which keeps all single-parameter ratios away from the forbidden weight
-    value 1.
+    Invariants: every value is nonzero, differs from 1 and from every
+    other value, which keeps all single-parameter ratios away from the
+    forbidden weight value 1.  y is no part of it: every series built at
+    a specialization is a polynomial identity in y.
 
     weight_memo maps each weight met so far to its value p/q as the
     lowest-terms pair (p, q).  pair_memo maps each mode ("equivariant" or
@@ -465,25 +462,21 @@ class Specialization(Record):
     this specialization have met in that mode (see
     characters.plane_block_theta), so every zhat_series build at this
     specialization shares them, whatever its k or max_n.  Neither memo
-    takes part in equality, hashing or repr, and a specialization built
-    on its own has both of its own.  Under a verify.SeriesMemo the
-    symbolic, y = 1 and y = 0 specializations of one (r, seed) share a
-    single weight memo, since p/q depends only on t1, t2 and e, never on
-    y0; each keeps its own pair memo, since F depends on y0.
+    takes part in equality, hashing or repr, and every specialization has
+    both of its own.
     """
 
-    _fields = ("t1", "t2", "e", "y0", "seed")
+    _fields = ("t1", "t2", "e", "seed")
     __slots__ = _fields + ("weight_memo", "pair_memo")
 
-    def __init__(self, t1: Fraction, t2: Fraction, e: tuple[Fraction, ...],
-                 y0: Fraction | None, seed: int):
+    def __init__(self, t1: Fraction, t2: Fraction, e: tuple[Fraction, ...], seed: int):
         vals = (t1, t2) + e
         for v in vals:
             if v == 0 or v == 1:
                 raise ValueError(f"specialization value {v} is forbidden")
         if len(set(vals)) != len(vals):
             raise ValueError("specialization values must be pairwise distinct")
-        self._set(t1, t2, e, y0, seed)
+        self._set(t1, t2, e, seed)
         object.__setattr__(self, "weight_memo", {})
         object.__setattr__(self, "pair_memo", {})
 
@@ -491,23 +484,8 @@ class Specialization(Record):
     def rank(self) -> int:
         return len(self.e)
 
-    @property
-    def symbolic(self) -> bool:
-        return self.y0 is None
 
-    @property
-    def y_mode(self) -> str:
-        """The y mode as reports name it: "symbolic" or "numeric:<y0>"."""
-        return "symbolic" if self.symbolic else f"numeric:{self.y0}"
-
-    def y_power(self, exp: int):
-        """y**exp in this y mode: a YPoly monomial, or a Fraction for numeric y."""
-        if self.symbolic:
-            return YPoly.monomial(exp)
-        return self.y0**exp
-
-
-def sample_specialization(r: int, seed: int, y0: Fraction | None = None) -> Specialization:
+def sample_specialization(r: int, seed: int) -> Specialization:
     """Deterministic specialization for (r, seed); same inputs, same output.
 
     Draws numerator and denominator uniformly from [2, 97] via splitmix64
@@ -531,4 +509,4 @@ def sample_specialization(r: int, seed: int, y0: Fraction | None = None) -> Spec
         c = draw()
         if c != 1 and c not in vals:
             vals.append(c)
-    return Specialization(vals[0], vals[1], tuple(vals[2:]), y0, seed)
+    return Specialization(vals[0], vals[1], tuple(vals[2:]), seed)

@@ -17,9 +17,9 @@ denominator, see characters.theta_eval), the blocks of one degree are
 summed over a running common denominator (characters.theta_sum, or
 cleared_sum over the block products), and the pair helpers of coefficients
 multiply integer lists for the convolution and the simplex factor; each
-q-coefficient becomes one YPoly, or one Fraction for numeric y, at the
-end.  Numeric y is the same pair with a list of at most one entry, so
-every mode takes the same path.
+q-coefficient becomes one YPoly at the end.  y is always symbolic here:
+series_report evaluates the finished series once at a numeric y0
+(QSeries.at_y), so there is one coefficient path.
 
 Both run in equivariant mode (full theta evaluation) or limit mode (exact
 ordered e -> 0 case table), and limit mode has the independent closed
@@ -43,6 +43,7 @@ from .characters import (
 from .coefficients import (
     PRNG_NAME,
     Specialization,
+    YPoly,
     cleared_convolution,
     cleared_product,
     cleared_sum,
@@ -90,7 +91,7 @@ def z_series(req: SeriesRequest) -> QSeries:
     terms = {}
     for n in range(req.max_n + 1):
         pair = theta_sum([tangent_p2(fp) for fp in enumerate_tuples(r, n)], spec, limit)
-        terms[2 * r * n] = cleared_value(pair, spec)
+        terms[2 * r * n] = cleared_value(pair)
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
@@ -162,7 +163,7 @@ def zhat_series(req: SeriesRequest) -> QSeries:
         pair = cleared_sum(
             next(share) for kvec, share in zip(kvecs, shares) if kvec.pair_form <= exp
         )
-        terms[exp] = cleared_value(pair, req.spec)
+        terms[exp] = cleared_value(pair)
     return QSeries.from_terms(terms, top + 1)
 
 
@@ -180,7 +181,7 @@ def z_series_limit_closed(req: SeriesRequest) -> QSeries:
     order = 2 * r * req.max_n + 1
     terms = {}
     for m, c in w.items():
-        terms[2 * r * m] = req.spec.y_power((r - 1) * m) * c
+        terms[2 * r * m] = YPoly.monomial((r - 1) * m) * c
     mapped = QSeries.from_terms(terms, order)
     return mapped**r
 
@@ -203,8 +204,12 @@ def _blowup_fixed_point_counts(r: int, k: int, max_n: int) -> dict[str, int]:
     return counts
 
 
-def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) -> dict:
-    """Compute one series and wrap it in the JSON report schema."""
+def series_report(kind: str, req: SeriesRequest, y0=None, include_timing: bool = True) -> dict:
+    """Compute one series and wrap it in the JSON report schema.
+
+    The series is built with y symbolic; a rational y0 evaluates it once
+    (QSeries.at_y), and params.y_mode names which of the two was reported.
+    """
     t0 = time.perf_counter()
     if kind == "z":
         series = z_series(req)
@@ -217,6 +222,8 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
         counts = _blowup_fixed_point_counts(req.rank, req.k, req.max_n)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
+    if y0 is not None:
+        series = series.at_y(y0)
     elapsed = time.perf_counter() - t0
     report = {
         "schema": "series-report/1",
@@ -227,7 +234,7 @@ def series_report(kind: str, req: SeriesRequest, include_timing: bool = True) ->
             "max_n": req.max_n,
             "mode": req.mode,
             "seed": req.spec.seed,
-            "y_mode": req.spec.y_mode,
+            "y_mode": "symbolic" if y0 is None else f"numeric:{y0}",
             "prng": PRNG_NAME,
         },
         "series": series.to_json(),

@@ -5,13 +5,15 @@ exclusive ``order``: coefficients are exact for every exponent below
 ``order`` and unknown past it.  Truncation is tracked, never inferred;
 asking for a coefficient at or beyond ``order`` raises TruncationError.
 Coefficient values may be int, Fraction, YPoly or YRat, mixed freely.
+Series in y are built symbolic, and at_y evaluates every coefficient at
+one rational y0, which is the only way a numeric y enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import YPoly, YRat, coeff_to_str
+from .coefficients import YPoly, YRat, coeff_evaluate, coeff_to_str
 
 
 class TruncationError(ValueError):
@@ -225,9 +227,9 @@ class QSeries:
             raise TruncationError(f"cannot extend valid order {self.order} to {order}")
         return QSeries(self.offset, list(self.coeffs)[: max(order - self.offset, 0)], order)
 
-    def map_coefficients(self, fn) -> "QSeries":
-        """Apply ``fn`` to every known coefficient; ``fn`` must send 0 to 0."""
-        return QSeries(self.offset, [fn(c) for c in self.coeffs], self.order)
+    def at_y(self, y0) -> "QSeries":
+        """The series with every coefficient evaluated at y = y0, zeros folded."""
+        return QSeries.from_terms({e: coeff_evaluate(c, y0) for e, c in self.items()}, self.order)
 
     # -- serialization -----------------------------------------------------
 
@@ -259,13 +261,12 @@ def colored_partition_counts(colors: int, top: int) -> list[int]:
     return counts
 
 
-def euler_product(q_step: int, y_step: int, power: int, order: int, y0=None) -> QSeries:
+def euler_product(q_step: int, y_step: int, power: int, order: int) -> QSeries:
     """prod_{n>0} (1 - q**(q_step*n) * y**(y_step*n)) ** power, valid below ``order``.
 
     power must be <= 0.  The x**m coefficient of the product is
     c(m) = colored_partition_counts(-power, ...)[m], placed at
-    q**(q_step*m) times y**(y_step*m): a YPoly for y0=None, a rational for a
-    Fraction y0.
+    q**(q_step*m) times y**(y_step*m), a YPoly when y_step > 0.
     """
     if q_step < 1:
         raise ValueError("q_step must be positive so the product is a power series")
@@ -277,8 +278,6 @@ def euler_product(q_step: int, y_step: int, power: int, order: int, y0=None) -> 
     for m in range(1, top + 1):
         if y_step == 0:
             terms[q_step * m] = counts[m]
-        elif y0 is None:
-            terms[q_step * m] = YPoly.monomial(y_step * m, counts[m])
         else:
-            terms[q_step * m] = counts[m] * Fraction(y0) ** (y_step * m)
+            terms[q_step * m] = YPoly.monomial(y_step * m, counts[m])
     return QSeries.from_terms(terms, order)

@@ -16,16 +16,18 @@ so repeated runs are byte-identical.
 The rank-r drivers draw their specializations and take their series
 through a SeriesMemo, which keeps each specialization and each finished
 series by value and serves a request from what it holds when it can: the
-request itself, a truncation of a longer series of the same shape, or,
-at a numeric y0, its symbolic twin evaluated at y0 (see SeriesMemo for
-the four rules and why each is exact).  verify_all, the documented grid,
-makes one memo per rank and hands it to every driver of that rank, so
-the corollary's y = 1 and y = 0 series come from the main theorem's
-symbolic builds, the limit check's shorter equivariant series from the
-main theorem's longer ones, and the blow-up series at one seed share the
-pair factors of its specialization; the memo is dropped when the next
-rank starts.  A driver called on its own makes a memo of its own and
-builds what it meets, so its report is the same either way.
+request itself or a truncation of a longer series of the same shape (see
+SeriesMemo for the three rules and why each is exact).  Every series is
+built with y symbolic; a driver that checks at a numeric y0 evaluates
+the finished pair once (QSeries.at_y), so the corollary's y = 1 and
+y = 0 checks at one seed share one build.  verify_all, the documented
+grid, makes one memo per rank and hands it to every driver of that rank,
+so the corollary's series come from the main theorem's builds, the limit
+check's shorter equivariant series from the main theorem's longer ones,
+and the blow-up series at one seed share the pair factors of its
+specialization; the memo is dropped when the next rank starts.  A driver
+called on its own makes a memo of its own and builds what it meets, so
+its report is the same either way.
 """
 
 from __future__ import annotations
@@ -42,13 +44,10 @@ from .coefficients import (
     DEFAULT_SEED_BASE,
     DEFAULT_SEED_COUNT,
     PRNG_NAME,
-    Specialization,
-    coeff_evaluate,
     sample_specialization,
 )
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
 from .partitions import blowup_max_n, blowup_virtual_dim, check_k
-from .qseries import QSeries
 from .records import Record
 
 logger = logging.getLogger("blowup_genera")
@@ -119,11 +118,8 @@ class ReseedLimitError(RuntimeError):
 class SeriesMemo:
     """Specializations and finished series that the drivers of one run share.
 
-    Specializations are keyed by (r, seed, y0), so every build at one seed
-    meets the same object.  Weight values p/q do not depend on y0, so the
-    specializations with the same t1, t2 and e, one per y mode, share one
-    weight memo; each keeps its own pair-factor memo, since a pair factor
-    does depend on y0.
+    Specializations are keyed by (r, seed), so every build at one seed
+    meets the same object, with its weight and pair-factor memos.
 
     Series are keyed by (kind, SeriesRequest), which hashes by value, and
     series() serves a request from the first of these that holds:
@@ -131,58 +127,30 @@ class SeriesMemo:
     1. the request itself was served before;
     2. a returned series of the same kind, rank, spec, k and mode has a
        larger max_n: it is cut with QSeries.truncate;
-    3. for a numeric y0, the symbolic twin request (the same request at
-       y0 = None) is served by rule 1 or 2: each of its YPoly
-       coefficients is evaluated at y0 and the series rebuilt through
-       QSeries.from_terms, so zeros fold as a numeric build folds them;
-    4. otherwise the series is built.
+    3. otherwise the series is built.
 
-    Every rule is exact.  The coefficient of one degree depends only on
-    the fixed points of that degree, and a longer build meets a superset
-    of the weights of a shorter one, so a truncation equals the shorter
-    build.  Evaluation at y0 is a ring map that commutes with the theta
-    sum, and a numeric build meets exactly the weights its symbolic twin
-    meets.  Whether a build is degenerate depends only on the values p/q
-    of the weights it meets, so a request served by rule 2 or 3 would
-    have returned if built.  Only a series that returns is stored: a
-    degenerate build raises again each time it is met, so every driver
+    Both reuse rules are exact.  The coefficient of one degree depends
+    only on the fixed points of that degree, and a longer build meets a
+    superset of the weights of a shorter one, so a truncation equals the
+    shorter build.  Whether a build is degenerate depends only on the
+    values p/q of the weights it meets, so a request served by rule 2
+    would have returned if built.  Only a series that returns is stored:
+    a degenerate build raises again each time it is met, so every driver
     reseeds and logs as it would on its own.
     """
 
     def __init__(self):
         self.specs = {}
-        self.weight_memos = {}
         self.built = {}
 
-    def specialization(self, r: int, seed: int, y0):
-        spec = self.specs.get((r, seed, y0))
+    def specialization(self, r: int, seed: int):
+        spec = self.specs.get((r, seed))
         if spec is None:
             # looked up at call time, so a wrapper installed on it sees every draw
-            spec = self.specs[r, seed, y0] = sample_specialization(r, seed, y0)
-            shared = self.weight_memos.setdefault((spec.t1, spec.t2, spec.e), spec.weight_memo)
-            object.__setattr__(spec, "weight_memo", shared)
+            spec = self.specs[r, seed] = sample_specialization(r, seed)
         return spec
 
     def series(self, kind: str, req: SeriesRequest):
-        series = self._served(kind, req)
-        if series is None:
-            spec = req.spec
-            if not spec.symbolic:
-                twin = Specialization(spec.t1, spec.t2, spec.e, None, spec.seed)
-                twin_req = SeriesRequest(req.rank, req.max_n, twin, req.k, req.mode)
-                symbolic = self._served(kind, twin_req)
-                if symbolic is not None:
-                    series = _evaluated(symbolic, spec.y0)
-            if series is None:
-                # looked up as module attributes at call time, so a wrapper
-                # installed on them (perfbench/spans.py) sees every build
-                build = z_series if kind == "z" else zhat_series
-                series = build(req)
-            self.built[kind, req] = series
-        return series
-
-    def _served(self, kind: str, req: SeriesRequest):
-        """The series of req by rule 1 or 2 (see the class), stored, or None."""
         series = self.built.get((kind, req))
         if series is None:
             for (other_kind, other), longer in self.built.items():
@@ -191,17 +159,18 @@ class SeriesMemo:
                         == (req.rank, req.spec, req.k, req.mode)):
                     k = 0 if kind == "z" else req.k
                     order = blowup_virtual_dim(req.rank, k, req.max_n) + 1
-                    series = self.built[kind, req] = longer.truncate(order)
+                    series = longer.truncate(order)
                     break
+            else:
+                # looked up as module attributes at call time, so a wrapper
+                # installed on them (perfbench/spans.py) sees every build
+                build = z_series if kind == "z" else zhat_series
+                series = build(req)
+            self.built[kind, req] = series
         return series
 
 
-def _evaluated(series: QSeries, y0) -> QSeries:
-    """A symbolic-y series at y = y0, folded as a numeric build folds it."""
-    return QSeries.from_terms({e: coeff_evaluate(c, y0) for e, c in series.items()}, series.order)
-
-
-def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str], memo=None):
+def _build_with_reseed(build, r: int, seed: int, retries: list[str], memo=None):
     """Run ``build(spec)``, resampling at seed+1 on degenerate collisions.
 
     The specializations come from memo (a fresh SeriesMemo for None).
@@ -210,7 +179,7 @@ def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str], memo=No
     memo = SeriesMemo() if memo is None else memo
     current = seed
     for _ in range(MAX_RESEEDS):
-        spec = memo.specialization(r, current, y0)
+        spec = memo.specialization(r, current)
         try:
             return build(spec), current
         except DegenerateSpecializationError as exc:
@@ -223,7 +192,10 @@ def _build_with_reseed(build, r: int, seed: int, y0, retries: list[str], memo=No
 
 
 def _series_pair(r, k, order, seed, y0, mode, retries, memo):
-    """Plane and blow-up series at one (possibly reseeded) specialization, through memo."""
+    """Plane and blow-up series at one (possibly reseeded) specialization, through memo.
+
+    The series are built with y symbolic; a rational y0 evaluates both at y0.
+    """
     z_max_n = blowup_max_n(r, 0, order)
     zhat_max_n = blowup_max_n(r, k, order)
 
@@ -232,7 +204,9 @@ def _series_pair(r, k, order, seed, y0, mode, retries, memo):
         zhat_req = SeriesRequest(rank=r, max_n=zhat_max_n, spec=spec, k=k, mode=mode)
         return memo.series("z", z_req), memo.series("zhat", zhat_req)
 
-    (z, zhat), used_seed = _build_with_reseed(build, r, seed, y0, retries, memo)
+    (z, zhat), used_seed = _build_with_reseed(build, r, seed, retries, memo)
+    if y0 is not None:
+        z, zhat = z.at_y(y0), zhat.at_y(y0)
     return z, zhat, used_seed
 
 
@@ -335,9 +309,7 @@ def verify_corollary(
     ok = True
 
     euler = yk_euler(r, k, order)
-    main_at_one = yk_main(r, k, order).map_coefficients(
-        lambda c: coeff_evaluate(c, Fraction(1))
-    )
+    main_at_one = yk_main(r, k, order).at_y(Fraction(1))
     if main_at_one.first_difference(euler, order) is not None:
         ok = False
         details.append("yk_main at y=1 disagrees with yk_euler")
@@ -416,7 +388,6 @@ def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
             lambda spec: rank1.verify_nekrasov_okounkov(spec, order),
             1,
             seed,
-            None,
             retries,
         )
         if not sub_report["pass"]:

@@ -19,7 +19,7 @@ from blowup_genera.blowup_factor import (
     yk_hol,
     yk_main,
 )
-from blowup_genera.coefficients import YPoly, coeff_evaluate
+from blowup_genera.coefficients import YPoly
 from blowup_genera.partitions import enumerate_lattice_vectors
 from blowup_genera.qseries import QSeries, euler_product
 
@@ -122,7 +122,7 @@ def test_gottsche_lattice_matches_fraction_scan(r):
 def test_higher_rank_forms_cross_check(r, k, order):
     main = yk_main(r, k, order)
     assert yk_gottsche(r, k, order) == main
-    at_one = main.map_coefficients(lambda c: coeff_evaluate(c, F(1)))
+    at_one = main.at_y(F(1))
     assert at_one == yk_euler(r, k, order)
 
 
@@ -157,7 +157,7 @@ def test_order_600_forms_agree():
     start = time.perf_counter()
     main = yk_main(2, 1, 600)
     assert yk_gottsche(2, 1, 600) == main
-    assert main.map_coefficients(lambda c: coeff_evaluate(c, F(1))) == yk_euler(2, 1, 600)
+    assert main.at_y(F(1)) == yk_euler(2, 1, 600)
     assert time.perf_counter() - start < 5
 
 
@@ -172,9 +172,7 @@ def test_yk_euler_examples():
 def test_yk_euler_is_y_one_specialization():
     for r in (1, 2, 3):
         for k in range(r):
-            at_one = yk_main(r, k, 2 * r * 4).map_coefficients(
-                lambda c: coeff_evaluate(c, F(1))
-            )
+            at_one = yk_main(r, k, 2 * r * 4).at_y(F(1))
             assert at_one == yk_euler(r, k, 2 * r * 4)
 
 

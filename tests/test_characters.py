@@ -1,7 +1,7 @@
 """Tangent characters and theta evaluation at exact specializations."""
 
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +29,7 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
+    coeff_evaluate,
     coeff_to_str,
     sample_specialization,
 )
@@ -42,8 +43,8 @@ from blowup_genera.partitions import (
 )
 
 
-def spec23(y0=None):
-    return Specialization(F(2), F(3), (F(5),), y0, seed=0)
+def spec23():
+    return Specialization(F(2), F(3), (F(5),), seed=0)
 
 
 def char_of(*weights):
@@ -54,10 +55,15 @@ def char_sum(*chars):
     return Character(chain.from_iterable(c.sorted_items() for c in chars))
 
 
-def theta_value(c, spec, limit=False):
-    """The coefficient theta_eval (or theta_limit_factor) gives for c."""
+def at(value, y0):
+    """A coefficient at y = y0, or the coefficient itself for y0 = None."""
+    return value if y0 is None else coeff_evaluate(value, y0)
+
+
+def theta_value(c, spec, limit=False, y0=None):
+    """The coefficient theta_eval (or theta_limit_factor) gives for c, at y0 if given."""
     theta = theta_limit_factor if limit else theta_eval
-    return cleared_value(theta(c, spec), spec)
+    return at(cleared_value(theta(c, spec)), y0)
 
 
 # -- weights and blocks ------------------------------------------------------
@@ -306,7 +312,7 @@ def test_theta_eval_trivial_weight_error():
 def test_theta_eval_degenerate_error_identifies_weight():
     # t1 * t2^-1 evaluates to 1 when t1 == t2 is forced via e-part values;
     # here use t1^2 t2^-1 with t2 = t1^2
-    bad_spec = Specialization(F(2), F(4), (F(5),), None, seed=11)
+    bad_spec = Specialization(F(2), F(4), (F(5),), seed=11)
     with pytest.raises(DegenerateSpecializationError) as err:
         theta_eval(char_of((2, -1)), bad_spec)
     assert err.value.weight == make_weight(2, -1)
@@ -321,19 +327,10 @@ def test_theta_eval_multiplicative():
 
 
 def test_theta_eval_at_y_one_counts_fixed_points():
-    s = spec23(F(1))
+    spec = sample_specialization(2, 3)
     for fp in enumerate_tuples(2, 2):
-        spec = sample_specialization(2, 3, F(1))
-        assert theta_value(tangent_p2(fp), spec) == 1
-    assert theta_value(char_of((1, 0), (0, 1)), s) == 1
-
-
-def test_theta_eval_numeric_matches_symbolic():
-    c = char_of((1, 0), (0, 1), (1, -1))
-    for y0 in (F(0), F(1), F(2, 5)):
-        sym = theta_value(c, spec23())
-        num = theta_value(c, spec23(y0))
-        assert sym.evaluate(y0) == num
+        assert theta_value(tangent_p2(fp), spec, y0=F(1)) == 1
+    assert theta_value(char_of((1, 0), (0, 1)), spec23(), y0=F(1)) == 1
 
 
 def test_theta_eval_of_tangent_characters_is_a_polynomial():
@@ -346,12 +343,12 @@ def test_theta_eval_of_tangent_characters_is_a_polynomial():
     pairs.append(theta_eval(Character(), spec))
     for num, den in pairs:
         assert all(type(x) is int for x in num + [den])
-        assert type(cleared_value((num, den), spec)) is YPoly
+        assert type(cleared_value((num, den))) is YPoly
 
 
 def test_degenerate_weight_with_e_part_is_named():
     # e2/e1 * t1 = (6/5) * (5/6) = 1: p == q for that weight only
-    s = Specialization(F(5, 6), F(3), (F(2), F(12, 5)), None, seed=7)
+    s = Specialization(F(5, 6), F(3), (F(2), F(12, 5)), seed=7)
     bad = make_weight(1, 0, 2, 1)
     c = Character([(make_weight(0, 1), 2), (bad, 1), (make_weight(1, 1), 1)])
     with pytest.raises(DegenerateSpecializationError) as err:
@@ -359,7 +356,7 @@ def test_degenerate_weight_with_e_part_is_named():
     assert err.value.weight == bad
     assert "1 * e2/e1 * t1^1 * t2^0 evaluates to 1" in str(err.value)
     # the limit keeps theta of pure t-monomials: t1^2 t2^-1 = 4/4
-    limit_spec = Specialization(F(2), F(4), (F(5), F(7)), None, seed=3)
+    limit_spec = Specialization(F(2), F(4), (F(5), F(7)), seed=3)
     with pytest.raises(DegenerateSpecializationError) as err:
         theta_limit_factor(Character([(make_weight(2, -1), 1)]), limit_spec)
     assert err.value.weight == make_weight(2, -1)
@@ -373,26 +370,25 @@ def test_cleared_theta_rejects_negative_multiplicities():
         # limit mode drops this weight (its value tends to infinity), yet it is rejected
         Character([(make_weight(1, 0), 1), (make_weight(0, 0, 2, 1), -1)]),
     ]
-    for y0 in (None, F(2, 3)):
-        s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
-        for c in negative:
-            for limit in (False, True):
-                theta = theta_limit_factor if limit else theta_eval
-                with pytest.raises(ValueError, match="positive multiplicities") as err:
-                    theta(c, s)
-                assert type(err.value) is ValueError
-                assert outcome(theta, c, s) == outcome(reference_theta, c, s, limit)
+    s = Specialization(F(2), F(3), (F(5), F(7)), seed=0)
+    for c in negative:
+        for limit in (False, True):
+            theta = theta_limit_factor if limit else theta_eval
+            with pytest.raises(ValueError, match="positive multiplicities") as err:
+                theta(c, s)
+            assert type(err.value) is ValueError
+            assert outcome(theta, c, s) == outcome(reference_theta, c, s, limit)
 
 
 def test_cleared_theta_is_the_reference_value_over_one_denominator():
     c = Character([(make_weight(1, 0), 2), (make_weight(0, 1, 1, 2), 1)])
-    for y0 in (None, F(0), F(2, 3)):
-        s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
-        for limit in (False, True):
-            num, den = (theta_limit_factor if limit else theta_eval)(c, s)
-            assert all(type(x) is int for x in num + [den])
-            assert len(num) == (4 if y0 is None else 1)
-            assert cleared_value((num, den), s) == reference_theta(c, s, limit)
+    s = Specialization(F(2), F(3), (F(5), F(7)), seed=0)
+    for limit in (False, True):
+        num, den = (theta_limit_factor if limit else theta_eval)(c, s)
+        assert all(type(x) is int for x in num + [den])
+        assert len(num) == 4
+        for y0 in (None, F(0), F(2, 3)):
+            assert at(cleared_value((num, den)), y0) == reference_theta(c, s, limit, y0)
 
 
 # -- the weight-value memo of a specialization ------------------------------------
@@ -425,7 +421,7 @@ def test_weight_memo_belongs_to_one_specialization():
 
 
 def test_degenerate_weight_raises_again_from_the_memo():
-    s = Specialization(F(2), F(4), (F(5),), None, seed=11)
+    s = Specialization(F(2), F(4), (F(5),), seed=11)
     bad = make_weight(2, -1)  # 2^2 / 4 = 1
     messages = []
     for theta in (theta_eval, theta_eval, theta_limit_factor):
@@ -440,7 +436,7 @@ def test_degenerate_weight_raises_again_from_the_memo():
 # -- ordered limit --------------------------------------------------------------
 
 def test_theta_limit_factor_case_table():
-    s = Specialization(F(2), F(3), (F(5), F(7)), None, seed=0)
+    s = Specialization(F(2), F(3), (F(5), F(7)), seed=0)
     # numerator slot above denominator slot: factor 1
     assert theta_value(Character([(make_weight(1, 0, 2, 1), 1)]), s, limit=True) == 1
     # numerator slot below denominator slot: factor y
@@ -452,7 +448,7 @@ def test_theta_limit_factor_case_table():
 
 
 def test_theta_limit_factor_trivial_weight():
-    s = Specialization(F(2), F(3), (F(5),), None, seed=0)
+    s = Specialization(F(2), F(3), (F(5),), seed=0)
     with pytest.raises(TrivialWeightError):
         theta_limit_factor(char_of((0, 0)), s)
 
@@ -464,7 +460,7 @@ def test_limit_bookkeeping_matches_hook_product():
 
     r = 3
     spec = sample_specialization(r, 17)
-    rank1_spec = Specialization(spec.t1, spec.t2, (spec.e[0],), None, seed=spec.seed)
+    rank1_spec = Specialization(spec.t1, spec.t2, (spec.e[0],), seed=spec.seed)
     for fp in enumerate_tuples(r, 2):
         got = theta_value(tangent_p2(fp), spec, limit=True)
         expected = YRat(YPoly.one())
@@ -475,7 +471,7 @@ def test_limit_bookkeeping_matches_hook_product():
 
 
 def test_weight_value():
-    s = Specialization(F(2), F(3), (F(5), F(7)), None, seed=0)
+    s = Specialization(F(2), F(3), (F(5), F(7)), seed=0)
     assert weight_value(make_weight(1, 1), s) == 6
     assert weight_value(make_weight(0, 0, 2, 1), s) == F(7, 5)
     assert weight_value(make_weight(-1, 0, 1, 2), s) == F(5, 14)
@@ -489,13 +485,13 @@ def test_character_serialization():
 
 # -- differential test against the Fraction/YPoly kernel -------------------------
 
-def reference_theta_product(factors, spec):
+def reference_theta_product(factors, y0):
     """The theta kernel before integer clearing: one YPoly/Fraction multiply per factor.
 
-    Every multiplicity is positive, so the denominator prod (x - 1)**m is a
-    rational number.
+    Symbolic y for y0 = None, else numeric throughout.  Every multiplicity
+    is positive, so the denominator prod (x - 1)**m is a rational number.
     """
-    if spec.symbolic:
+    if y0 is None:
         num = YPoly.one()
         den = F(1)
         for _w, x, m in factors:
@@ -504,12 +500,12 @@ def reference_theta_product(factors, spec):
         return num * (1 / den)
     result = F(1)
     for _w, x, m in factors:
-        result = result * ((x - spec.y0) / (x - 1)) ** m
+        result = result * ((x - y0) / (x - 1)) ** m
     return result
 
 
-def reference_theta(c, spec, limit=False):
-    """Theta of c as a YPoly, or a Fraction for numeric y, weight by weight.
+def reference_theta(c, spec, limit=False, y0=None):
+    """Theta of c as a YPoly, or a Fraction at a numeric y0, weight by weight.
 
     The checks raise in sorted_items() order: the trivial weight, then a
     negative multiplicity, then a weight whose value is 1.
@@ -529,8 +525,8 @@ def reference_theta(c, spec, limit=False):
         if x == 1:
             raise DegenerateSpecializationError(w, spec.seed)
         factors.append((w, x, m))
-    y_power = YPoly.monomial(y_exp) if spec.symbolic else spec.y0**y_exp
-    return y_power * reference_theta_product(factors, spec)
+    y_power = YPoly.monomial(y_exp) if y0 is None else y0**y_exp
+    return y_power * reference_theta_product(factors, y0)
 
 
 def outcome(fn, *args):
@@ -570,9 +566,11 @@ positive_characters = (
 
 
 def assert_theta_matches_reference(c, seed, y0):
-    spec = sample_specialization(3, seed, y0)
-    assert_same(outcome(theta_value, c, spec), outcome(reference_theta, c, spec))
-    assert_same(outcome(theta_value, c, spec, True), outcome(reference_theta, c, spec, True))
+    spec = sample_specialization(3, seed)
+    for limit in (False, True):
+        assert_same(
+            outcome(theta_value, c, spec, limit, y0), outcome(reference_theta, c, spec, limit, y0)
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -590,27 +588,27 @@ def test_theta_kernel_values_match_fraction_reference(c, seed, y0):
 
 def test_theta_limit_factor_folds_y_exponent():
     up = make_weight(1, 0, 1, 2)  # contributes y
+    s = Specialization(F(2), F(3), (F(5), F(7)), seed=0)
     for y0 in Y_MODES:
-        s = Specialization(F(2), F(3), (F(5), F(7)), y0, seed=0)
         for mult in (3, 2):
             c = Character([(up, mult), (make_weight(1, -1), 1), (make_weight(0, 1), 1)])
-            assert_same(theta_value(c, s, True), reference_theta(c, s, True))
+            assert_same(theta_value(c, s, True, y0), reference_theta(c, s, True, y0))
 
 
 def test_theta_kernel_matches_reference_on_tangent_characters():
-    for y0 in Y_MODES:
-        spec = sample_specialization(2, 1, y0)
-        for n in range(4):
-            for fp in enumerate_blowup_fixed_points(2, 1, n):
-                c = tangent_blowup(fp)
-                assert_same(theta_value(c, spec), reference_theta(c, spec))
-                assert_same(theta_value(c, spec, True), reference_theta(c, spec, True))
+    spec = sample_specialization(2, 1)
+    for n in range(4):
+        for fp in enumerate_blowup_fixed_points(2, 1, n):
+            c = tangent_blowup(fp)
+            for y0, limit in product(Y_MODES, (False, True)):
+                assert_same(theta_value(c, spec, limit, y0), reference_theta(c, spec, limit, y0))
 
 
 # -- blow-up blocks from pair factors ------------------------------------------
 # plane_block_theta multiplies one cleared pair per slot pair; theta_eval (or
 # theta_limit_factor) of the whole plane_block is the reference, and the two
-# must agree integer for integer, not only in value.
+# must agree integer for integer, not only in value.  Its value at y0 must be
+# the Fraction reference's theta of the block.
 
 @st.composite
 def plane_blocks(draw):
@@ -630,7 +628,7 @@ def plane_blocks(draw):
 )
 def test_pair_factor_theta_is_the_block_theta(block, side, seed, y0, limit):
     pt, kvec = block
-    spec = sample_specialization(pt.rank, seed, y0)
+    spec = sample_specialization(pt.rank, seed)
     theta = theta_limit_factor if limit else theta_eval
     factors = {}
     try:
@@ -644,3 +642,5 @@ def test_pair_factor_theta_is_the_block_theta(block, side, seed, y0, limit):
         got = plane_block_theta(pt, kvec, side, spec, limit, factors)
         assert got == want
         assert len(factors) == pt.rank**2
+    block = plane_block(pt, kvec, side)
+    assert_same(at(cleared_value(got), y0), reference_theta(block, spec, limit, y0))

@@ -148,17 +148,9 @@ def test_sample_specialization_invariants():
 
 def test_specialization_validation():
     with pytest.raises(ValueError):
-        Specialization(F(1), F(2), (F(3),), None, 0)
+        Specialization(F(1), F(2), (F(3),), 0)
     with pytest.raises(ValueError):
-        Specialization(F(2), F(2), (F(3),), None, 0)
-
-
-def test_sample_specialization_y_modes():
-    sym = sample_specialization(2, 5)
-    num = sample_specialization(2, 5, F(1))
-    assert sym.symbolic and not num.symbolic
-    # the drawn parameter values do not depend on the y mode
-    assert (sym.t1, sym.t2, sym.e) == (num.t1, num.t2, num.e)
+        Specialization(F(2), F(2), (F(3),), 0)
 
 
 # -- the integer y-polynomial product against a Fraction schoolbook product --------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_characters import reference_theta
+from test_characters import at, reference_theta
 
 from blowup_genera.characters import (
     Character,
@@ -29,7 +29,6 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
-    coeff_evaluate,
     coeff_to_str,
     sample_specialization,
 )
@@ -55,14 +54,12 @@ from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import w_series
 
 
-def spec23(y0=None):
-    return Specialization(F(2), F(3), (F(5),), y0, seed=0)
+def spec23():
+    return Specialization(F(2), F(3), (F(5),), seed=0)
 
 
-def theta(x, y0=None):
-    if y0 is None:
-        return YRat(YPoly((x, -1)), YPoly((x - 1,)))
-    return (x - y0) / (x - 1)
+def theta(x):
+    return YRat(YPoly((x, -1)), YPoly((x - 1,)))
 
 
 def test_z_series_rank1_base():
@@ -80,8 +77,8 @@ def test_z_series_rank1_first_coefficient():
 
 def test_z_series_at_y_one_counts_tuples():
     for r in (1, 2):
-        spec = sample_specialization(r, 21, F(1))
-        z = z_series(SeriesRequest(rank=r, max_n=3, spec=spec))
+        spec = sample_specialization(r, 21)
+        z = z_series(SeriesRequest(rank=r, max_n=3, spec=spec)).at_y(F(1))
         for n in range(4):
             assert z.coefficient(2 * r * n) == len(enumerate_tuples(r, n))
 
@@ -95,8 +92,8 @@ def test_zhat_series_rank1_examples():
 
 
 def test_zhat_series_rank2_k1_counts_at_y_one():
-    spec = sample_specialization(2, 9, F(1))
-    zh = zhat_series(SeriesRequest(rank=2, max_n=0, spec=spec, k=1))
+    spec = sample_specialization(2, 9)
+    zh = zhat_series(SeriesRequest(rank=2, max_n=0, spec=spec, k=1)).at_y(F(1))
     assert zh.offset == 1
     assert zh.coefficient(1) == 2
 
@@ -111,7 +108,7 @@ def test_zhat_support_congruence():
 
 def test_degenerate_specialization_propagates():
     # t2 = t1^2 collides with the hook weight t1^2/t2 of the row diagram (3)
-    bad = Specialization(F(4), F(16), (F(5),), None, seed=77)
+    bad = Specialization(F(4), F(16), (F(5),), seed=77)
     with pytest.raises(DegenerateSpecializationError) as err:
         z_series(SeriesRequest(rank=1, max_n=3, spec=bad))
     assert err.value.seed == 77
@@ -163,17 +160,18 @@ def test_plane_series_inverts_without_y_denominators():
 
 
 def test_symbolic_numeric_cross_mode():
-    seed = 12
-    for y0 in (F(1), F(2, 3)):
-        sym_spec = sample_specialization(2, seed)
-        num_spec = sample_specialization(2, seed, y0)
-        sym = z_series(SeriesRequest(rank=2, max_n=2, spec=sym_spec))
-        num = z_series(SeriesRequest(rank=2, max_n=2, spec=num_spec))
-        assert sym.map_coefficients(lambda c: coeff_evaluate(c, y0)) == num
-
-        sym = zhat_series(SeriesRequest(rank=2, max_n=2, spec=sym_spec, k=1))
-        num = zhat_series(SeriesRequest(rank=2, max_n=2, spec=num_spec, k=1))
-        assert sym.map_coefficients(lambda c: coeff_evaluate(c, y0)) == num
+    # a numeric report is the symbolic series evaluated once at y0
+    spec = sample_specialization(2, 12)
+    for kind, build in (("z", z_series), ("zhat", zhat_series)):
+        req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1 if kind == "zhat" else 0)
+        sym = series_report(kind, req, include_timing=False)
+        assert sym["params"]["y_mode"] == "symbolic"
+        assert sym["series"] == build(req).to_json()
+        for y0 in (F(1), F(2, 3)):
+            num = series_report(kind, req, y0, include_timing=False)
+            assert num["params"]["y_mode"] == f"numeric:{y0}"
+            assert num["series"] == build(req).at_y(y0).to_json()
+            assert num["fixed_point_counts"] == sym["fixed_point_counts"]
 
 
 def test_series_report_schema():
@@ -196,9 +194,9 @@ def test_series_report_schema():
 def test_series_report_counts_fixed_points_without_enumerating(kind, r, k, max_n):
     # fixed_point_counts is counted from colored-partition counts (and, on the
     # blow-up, lattice vectors); neither series enumerates blow-up fixed points
-    spec = sample_specialization(r, 6, F(1))
+    spec = sample_specialization(r, 6)
     before = enumerate_blowup_fixed_points.cache_info()
-    rep = series_report(kind, SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
+    rep = series_report(kind, SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k), F(1))
     assert enumerate_blowup_fixed_points.cache_info() == before
     if kind == "z":
         want = {str(2 * r * n): len(enumerate_tuples(r, n)) for n in range(max_n + 1)}
@@ -215,13 +213,13 @@ def test_series_report_counts_fixed_points_without_enumerating(kind, r, k, max_n
 # zhat_series as it was before the factored sum: theta of the full tangent
 # character of every blow-up fixed point, summed degree by degree.
 
-def reference_zhat_series(req):
+def reference_zhat_series(req, y0=None):
     r, k, limit = req.rank, req.k, req.mode == LIMIT
     terms = {}
     for n in range(req.max_n + 1):
         acc = 0
         for fp in enumerate_blowup_fixed_points(r, k, n):
-            acc = acc + reference_theta(tangent_blowup.__wrapped__(fp), req.spec, limit)
+            acc = acc + reference_theta(tangent_blowup.__wrapped__(fp), req.spec, limit, y0)
         terms[blowup_virtual_dim(r, k, n)] = acc
     return QSeries.from_terms(terms, blowup_virtual_dim(r, k, req.max_n) + 1)
 
@@ -233,11 +231,12 @@ ZHAT_DIFFERENTIAL_RANGE = ((1, 4), (2, 3), (3, 2))  # (r, largest n)
 @pytest.mark.parametrize("y0", [None, F(0), F(1), F(2, 3)])
 def test_zhat_series_matches_per_fixed_point_reference(mode, y0):
     for r, max_n in ZHAT_DIFFERENTIAL_RANGE:
-        spec = sample_specialization(r, 1729, y0)
+        spec = sample_specialization(r, 1729)
         for k in range(r):
             for n in range(max_n + 1):
                 req = SeriesRequest(rank=r, max_n=n, spec=spec, k=k, mode=mode)
-                got, want = zhat_series(req), reference_zhat_series(req)
+                got = zhat_series(req)
+                got, want = got if y0 is None else got.at_y(y0), reference_zhat_series(req, y0)
                 assert got.to_json() == want.to_json()
                 assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
@@ -265,25 +264,27 @@ def test_zhat_series_degeneracy_inside_an_off_diagonal_z_pair():
     others += [simplex_block(fp.kvec) for fp in fps]
     assert any(w == bad for c in z_blocks for w, _m in c.sorted_items())
     assert not any(w == bad for c in others for w, _m in c.sorted_items())
+    spec = Specialization(F(2), F(3), (F(15, 2), F(5)), seed=11)
+    req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1)
+    with pytest.raises(DegenerateSpecializationError) as got:
+        zhat_series(req)
+    with pytest.raises(DegenerateSpecializationError) as want:
+        reference_zhat_series(req)
+    assert got.value.weight == bad
+    assert str(got.value) == str(want.value)
+    # the limit evaluates no weight with an e-part, so nothing degenerates
+    req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1, mode=LIMIT)
+    limit = zhat_series(req)
     for y0 in Y_MODES:
-        spec = Specialization(F(2), F(3), (F(15, 2), F(5)), y0, seed=11)
-        req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1)
-        with pytest.raises(DegenerateSpecializationError) as got:
-            zhat_series(req)
-        with pytest.raises(DegenerateSpecializationError) as want:
-            reference_zhat_series(req)
-        assert got.value.weight == bad
-        assert str(got.value) == str(want.value)
-        # the limit evaluates no weight with an e-part, so nothing degenerates
-        req = SeriesRequest(rank=2, max_n=2, spec=spec, k=1, mode=LIMIT)
-        assert zhat_series(req).to_json() == reference_zhat_series(req).to_json()
+        got = limit if y0 is None else limit.at_y(y0)
+        assert got.to_json() == reference_zhat_series(req, y0).to_json()
 
 
 def test_degenerate_side_names_the_weight_of_the_sorted_block():
     # t2 = -1 and e2/e1 = -1: in the Z block of (empty, (2)) at kvec (0, 1)
     # the pair (1, 2) holds e2/e1 * t2 = 1, met first in pair order, and the
     # diagonal pair (2, 2) holds t2^2 = 1, met first in sorted order
-    spec = Specialization(F(2), F(-1), (F(5), F(-5)), None, seed=5)
+    spec = Specialization(F(2), F(-1), (F(5), F(-5)), seed=5)
     req = SeriesRequest(rank=2, max_n=0, spec=spec, k=1)
     pt, kvec = PartitionTuple((Partition(), Partition((2,)))), LatticeVector((0, 1))
     with pytest.raises(DegenerateSpecializationError) as pairs:
@@ -308,10 +309,9 @@ def test_zhat_series_builds_no_plane_block(monkeypatch):
 
     monkeypatch.setattr(genera, "plane_block", refuse)
     monkeypatch.setattr(characters, "plane_block", refuse)
+    spec = sample_specialization(2, 6)
     for mode in (EQUIVARIANT, LIMIT):
-        for y0 in Y_MODES:
-            spec = sample_specialization(2, 6, y0)
-            zhat_series(SeriesRequest(rank=2, max_n=3, spec=spec, k=1, mode=mode))
+        zhat_series(SeriesRequest(rank=2, max_n=3, spec=spec, k=1, mode=mode))
 
 
 def _no_pairs(*_args):
@@ -431,26 +431,26 @@ positive_characters = st.lists(
 block_sums = st.lists(st.lists(positive_characters, max_size=3), min_size=1, max_size=3)
 
 
-def _zero(spec):
-    return spec.y_power(0) * 0  # YPoly() for symbolic y, Fraction(0) for numeric y
+def _zero(y0):
+    return YPoly() if y0 is None else F(0)
 
 
 def accumulate(req, chars):
     return theta_sum(chars, req.spec, req.mode == LIMIT)
 
 
-def cleared_share(req, simplex, a_blocks, b_blocks):
+def cleared_share(req, y0, simplex, a_blocks, b_blocks):
     s = accumulate(req, [simplex])
     a = [accumulate(req, chars) for chars in a_blocks]
     b = [accumulate(req, chars) for chars in b_blocks]
-    return cleared_value(cleared_product(s, cleared_convolution(a, b)), req.spec)
+    return at(cleared_value(cleared_product(s, cleared_convolution(a, b))), y0)
 
 
-def plain_share(req, simplex, a_blocks, b_blocks):
+def plain_share(req, y0, simplex, a_blocks, b_blocks):
     def theta(c):
-        return reference_theta(c, req.spec, req.mode == LIMIT)
+        return reference_theta(c, req.spec, req.mode == LIMIT, y0)
 
-    zero = _zero(req.spec)
+    zero = _zero(y0)
     s = theta(simplex)
     a = [sum((theta(c) for c in chars), zero) for chars in a_blocks]
     b = [sum((theta(c) for c in chars), zero) for chars in b_blocks]
@@ -483,8 +483,8 @@ def assert_same_coefficient(got, want):
 )
 def test_cleared_kernel_matches_plain_theta_sums(simplex, a_blocks, b_blocks, seed, y0, mode):
     n = min(len(a_blocks), len(b_blocks))
-    req = SeriesRequest(rank=3, max_n=0, spec=sample_specialization(3, seed, y0), mode=mode)
-    args = (req, simplex, a_blocks[:n], b_blocks[:n])
+    req = SeriesRequest(rank=3, max_n=0, spec=sample_specialization(3, seed), mode=mode)
+    args = (req, y0, simplex, a_blocks[:n], b_blocks[:n])
     assert_same_coefficient(share_outcome(cleared_share, *args), share_outcome(plain_share, *args))
 
 
@@ -492,27 +492,27 @@ def test_cleared_kernel_on_an_empty_sum_and_a_cancelling_sum():
     # at y = 0, theta(2) = 2 and theta(2/3) = -2: t1 and t2 cancel
     cancelling = [Character([(make_weight(1, 0), 1)]), Character([(make_weight(0, 1), 1)])]
     simplex = Character([(make_weight(1, 1), 1)])
+    spec = Specialization(F(2), F(2, 3), (F(5), F(7)), seed=0)
     for mode in (EQUIVARIANT, LIMIT):
+        req = SeriesRequest(rank=2, max_n=0, spec=spec, mode=mode)
         for y0 in Y_MODES:
-            spec = Specialization(F(2), F(2, 3), (F(5), F(7)), y0, seed=0)
-            req = SeriesRequest(rank=2, max_n=0, spec=spec, mode=mode)
             for blocks in ([[]], [[], cancelling], [cancelling, cancelling]):
-                args = (req, simplex, blocks, blocks)
+                args = (req, y0, simplex, blocks, blocks)
                 assert_same_coefficient(cleared_share(*args), plain_share(*args))
-            empty = cleared_value(accumulate(req, []), spec)
-            assert_same_coefficient(empty, _zero(spec))
+            empty = at(cleared_value(accumulate(req, [])), y0)
+            assert_same_coefficient(empty, _zero(y0))
             if y0 == 0:
-                total = cleared_value(accumulate(req, cancelling), spec)
+                total = at(cleared_value(accumulate(req, cancelling)), y0)
                 assert_same_coefficient(total, F(0))
 
 
 def test_cleared_kernel_names_the_same_degenerate_weight():
     # t1^2 * t2^-1 = 4/4 in the second Y block, after the simplex and the first blocks
-    spec = Specialization(F(2), F(4), (F(5), F(7), F(11)), None, seed=3)
+    spec = Specialization(F(2), F(4), (F(5), F(7), F(11)), seed=3)
     ok, bad = Character([(make_weight(1, 0), 1)]), Character([(make_weight(2, -1), 1)])
     for mode in (EQUIVARIANT, LIMIT):
         req = SeriesRequest(rank=3, max_n=0, spec=spec, mode=mode)
-        args = (req, ok, [[ok], [ok, bad]], [[ok], [ok]])
+        args = (req, None, ok, [[ok], [ok, bad]], [[ok], [ok]])
         got = share_outcome(cleared_share, *args)
         assert "t1^2 * t2^-1 evaluates to 1" in got
         assert_same_coefficient(got, share_outcome(plain_share, *args))

@@ -48,6 +48,14 @@ GOLDEN = {
         "3061ff0d2cee2867abf8d128099ba6d6f969ca1f622f5d8f956214bdcaa543fc",
     ("verify-all", "--seed-list", "53,192,101"):
         "9bfc5b93d452826fb48338c77a4612bb150d46be101fa5bfbbf929519f824a96",
+    ("compute-z", "--rank", "2", "--order", "21", "--seed", "101", "--y-mode", "numeric",
+     "--y0", "2/3"):
+        "385489c5e31dbc2931d496c2d2887a4caba1fa31f83e5ca95ad53d10f628c2c1",
+    ("compute-zhat", "--rank", "2", "--k", "1", "--max-n", "3", "--seed", "7",
+     "--y-mode", "numeric", "--mode", "limit"):
+        "7cd2ee1deaf397f9ab50d5a6c38578d22b16adff58ac811d0c4b1934fe1e6f83",
+    ("verify-corollary", "--rank", "2", "--k", "1", "--seed-list", "53,192"):
+        "2c33529b8a1c91b79fdbe86d222895ea3f1e24c320d54f62866c5dc58b6ce376",
 }
 
 

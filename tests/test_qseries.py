@@ -140,7 +140,7 @@ def test_euler_product_power_matches_repeated_product():
 
 
 def reference_euler_product(q_step, y_step, power, order, y0=None):
-    """The factor-by-factor expansion that euler_product replaced.
+    """The factor-by-factor expansion that euler_product replaced, at y0 if given.
 
     Each factor (1 - c * q**(q_step*n))**power, c = y**(y_step*n), is expanded
     by the binomial series and multiplied into the running QSeries product.
@@ -170,12 +170,15 @@ def reference_euler_product(q_step, y_step, power, order, y0=None):
 @pytest.mark.parametrize("q_step", (1, 2, 3, 6))
 def test_euler_product_matches_factor_by_factor_reference(q_step, y_step, power):
     for order in (0, 1, 2, 7, 19, 40):
-        for y0 in (None, F(0), F(1), F(2, 3)):
-            got = euler_product(q_step, y_step, power, order, y0=y0)
+        got = euler_product(q_step, y_step, power, order)
+        want = reference_euler_product(q_step, y_step, power, order)
+        assert got.to_json() == want.to_json()
+        # same coefficient types too: downstream products depend on them
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+        for y0 in (F(0), F(1), F(2, 3)):
             want = reference_euler_product(q_step, y_step, power, order, y0=y0)
-            assert got.to_json() == want.to_json()
-            # same coefficient types too: downstream products depend on them
-            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            assert got.at_y(y0) == want
+            assert got.at_y(y0).to_json() == want.to_json()
 
 
 def test_euler_product_rejects_positive_power_and_step():
@@ -186,12 +189,24 @@ def test_euler_product_rejects_positive_power_and_step():
 
 
 def test_euler_product_numeric_y():
-    sym = euler_product(1, 1, -1, 8)
-    num = euler_product(1, 1, -1, 8, y0=F(2))
-    evaluated = sym.map_coefficients(
-        lambda c: c.evaluate(F(2)) if isinstance(c, YPoly) else F(c)
-    )
-    assert evaluated == num
+    # prod (1 - (y q)^n)^-1 at y = 2: p(n) * 2^n
+    at_two = euler_product(1, 1, -1, 8).at_y(F(2))
+    assert at_two.coeffs == (1, 2, 8, 24, 80, 224, 704, 1920)
+    assert all(type(c) is F for c in at_two.coeffs)
+
+
+def test_at_y_folds_zeros_like_from_terms():
+    s = QSeries.from_terms({1: YPoly((0, 1)), 2: YPoly((3,)), 3: F(2), 5: YPoly((1, -1))}, 7)
+    at_zero = s.at_y(F(0))
+    assert (at_zero.offset, at_zero.order) == (2, 7)
+    assert at_zero.coeffs == (3, 2, 0, 1, 0)
+    at_one = s.at_y(F(1))
+    assert (at_one.offset, at_one.coeffs) == (1, (1, 3, 2, 0, 0, 0))
+    assert [type(c) for c in at_one.items()[0]] == [int, F]
+    # a series that vanishes at y0 is the zero series of the same order
+    vanishing = QSeries.from_terms({2: YPoly((0, 1))}, 5).at_y(F(0))
+    assert vanishing == QSeries.zero(5) and vanishing.offset == 5
+    assert s.at_y(F(2, 3)).to_json()["coeffs"] == ["2/3", "3", "2", "0", "1/3", "0"]
 
 
 def test_json_encoding():

@@ -21,8 +21,8 @@ from blowup_genera.rank1 import (
 )
 
 
-def spec23(y0=None):
-    return Specialization(F(2), F(3), (F(5),), y0, seed=0)
+def spec23():
+    return Specialization(F(2), F(3), (F(5),), seed=0)
 
 
 def char_of(*weights):
@@ -36,15 +36,13 @@ def test_w_series_base_and_first_coefficient():
 
 
 def test_w_series_at_y_one_counts_partitions():
-    spec = sample_specialization(1, 44, F(1))
-    w = w_series(spec, 6)
+    w = w_series(sample_specialization(1, 44), 6).at_y(F(1))
     for n in range(7):
         assert w.coefficient(n) == len(enumerate_partitions(n))
 
 
 def test_w_series_at_y_zero_is_finite():
-    spec = sample_specialization(1, 45, F(0))
-    w = w_series(spec, 6)
+    w = w_series(sample_specialization(1, 45), 6).at_y(F(0))
     for n in range(7):
         assert isinstance(w.coefficient(n), (int, F))  # exact finite rationals
 

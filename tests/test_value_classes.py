@@ -19,7 +19,7 @@ from blowup_genera.verify import CONVENTIONS, VerificationReport
 
 SPEC_REPR = (
     "Specialization(t1=Fraction(14, 45), t2=Fraction(73, 7), "
-    "e=(Fraction(13, 2), Fraction(5, 11)), y0=None, seed=5)"
+    "e=(Fraction(13, 2), Fraction(5, 11)), seed=5)"
 )
 
 # (make, an unequal instance, its repr, a field) per frozen class; make() builds
@@ -27,7 +27,8 @@ SPEC_REPR = (
 FROZEN = {
     "Specialization": (
         lambda: sample_specialization(2, 5),
-        lambda: sample_specialization(2, 5, F(1)),
+        # the same values drawn from another seed
+        lambda: Specialization(F(14, 45), F(73, 7), (F(13, 2), F(5, 11)), 6),
         SPEC_REPR,
         "t1",
     ),
@@ -83,7 +84,7 @@ def test_frozen_record_is_a_value(make, other, text, field):
 
 # the field names of each frozen class, in declaration order
 FIELDS = {
-    "Specialization": ("t1", "t2", "e", "y0", "seed"),
+    "Specialization": ("t1", "t2", "e", "seed"),
     "SeriesRequest": ("rank", "max_n", "spec", "k", "mode"),
     "PartitionTuple": ("entries",),
     "LatticeVector": ("entries",),
@@ -110,15 +111,14 @@ def test_records_of_two_classes_never_compare_equal():
 
 
 def test_frozen_record_keeps_its_keywords_and_validation():
-    spec = Specialization(t1=F(2), t2=F(-3, 4), e=(F(5),), y0=F(2, 3), seed=11)
+    spec = Specialization(t1=F(2), t2=F(-3, 4), e=(F(5),), seed=11)
     assert repr(spec) == (
-        "Specialization(t1=Fraction(2, 1), t2=Fraction(-3, 4), e=(Fraction(5, 1),), "
-        "y0=Fraction(2, 3), seed=11)"
+        "Specialization(t1=Fraction(2, 1), t2=Fraction(-3, 4), e=(Fraction(5, 1),), seed=11)"
     )
     assert SeriesRequest(rank=1, max_n=0, spec=spec, k=0, mode="limit").mode == "limit"
     cases = [
-        (lambda: Specialization(F(1), F(2), (F(3),), None, 0), "value 1 is forbidden"),
-        (lambda: Specialization(F(2), F(2), (F(3),), None, 0), "pairwise distinct"),
+        (lambda: Specialization(F(1), F(2), (F(3),), 0), "value 1 is forbidden"),
+        (lambda: Specialization(F(2), F(2), (F(3),), 0), "pairwise distinct"),
         (lambda: SeriesRequest(0, 1, spec), "rank must be positive"),
         (lambda: SeriesRequest(1, -1, spec), "max_n must be nonnegative"),
         (lambda: SeriesRequest(1, 1, spec, mode="x"), "unknown mode 'x'"),

@@ -132,7 +132,7 @@ def test_reseed_on_degenerate_collision():
         return "ok"
 
     retries = []
-    result, used = _build_with_reseed(build, 1, 100, None, retries)
+    result, used = _build_with_reseed(build, 1, 100, retries)
     assert result == "ok"
     assert used == 102
     assert calls == [100, 101, 102]
@@ -149,31 +149,26 @@ def test_reseed_limit_raises_a_typed_error():
     retries = []
     message = "^no nondegenerate specialization found near seed 100$"
     with pytest.raises(ReseedLimitError, match=message):
-        _build_with_reseed(build, 1, 100, None, retries)
+        _build_with_reseed(build, 1, 100, retries)
     assert MAX_RESEEDS == 64 and issubclass(ReseedLimitError, RuntimeError)
     assert calls == list(range(100, 100 + MAX_RESEEDS))
     assert len(retries) == MAX_RESEEDS
 
 
 def test_series_memo_keys_by_value():
+    # one specialization per (r, seed), with weight memos of its own
     memo = SeriesMemo()
-    spec = memo.specialization(2, 5, None)
-    assert memo.specialization(2, 5, None) is spec and spec == sample_specialization(2, 5)
-    assert memo.specialization(2, 5, F(1)) is not spec
+    spec = memo.specialization(2, 5)
+    assert memo.specialization(2, 5) is spec and spec == sample_specialization(2, 5)
+    other = memo.specialization(2, 6)
+    assert other is not spec and other.weight_memo is not spec.weight_memo
+    assert sample_specialization(2, 5).weight_memo is not spec.weight_memo
+    assert list(memo.specs) == [(2, 5), (2, 6)]
     # a request over an equal specialization drawn apart is the same key
     req = genera.SeriesRequest(rank=2, max_n=1, spec=spec, k=1)
     same = genera.SeriesRequest(rank=2, max_n=1, spec=sample_specialization(2, 5), k=1)
     assert req == same and hash(req) == hash(same)
     assert memo.series("zhat", same) is memo.series("zhat", req)
-
-
-def test_series_memo_shares_weight_memos_across_y_modes():
-    memo = SeriesMemo()
-    specs = [memo.specialization(2, 5, y0) for y0 in (None, F(1), F(0))]
-    assert len({id(spec) for spec in specs}) == 3
-    assert all(spec.weight_memo is specs[0].weight_memo for spec in specs)
-    assert memo.specialization(2, 6, None).weight_memo is not specs[0].weight_memo
-    assert sample_specialization(2, 5).weight_memo is not specs[0].weight_memo
 
 
 def test_verify_all_fills_one_weight_memo_per_seed(monkeypatch):
@@ -184,16 +179,16 @@ def test_verify_all_fills_one_weight_memo_per_seed(monkeypatch):
             super().__init__()
             memos.append(self)
 
-    def counted(r, seed, y0=None):
-        draws.append((r, seed, y0))
-        return sample_specialization(r, seed, y0)
+    def counted(r, seed):
+        draws.append((r, seed))
+        return sample_specialization(r, seed)
 
     monkeypatch.setattr(verify, "SeriesMemo", Recording)
     monkeypatch.setattr(verify, "sample_specialization", counted)
     verify.verify_all((101,))
     specs = [spec for memo in memos for spec in memo.specs.values()]
     # every specialization is still drawn through the module attribute
-    assert len(draws) == len(specs) == 10
+    assert len(draws) == len(specs) == 4
     weight_memos = {id(spec.weight_memo): spec.weight_memo for spec in specs}
     assert sum(len(m) for m in weight_memos.values()) == 606
 
@@ -240,15 +235,11 @@ def test_verify_all_shares_series_within_a_rank(monkeypatch):
     # stored, so each driver that meets it builds it again and reseeds
     assert len(set(built)) == len(built) < alone_builds
     assert len(set(failed)) < len(failed)
-    # every numeric-y series that returned came from its symbolic twin
-    assert all(req.spec.symbolic for _kind, req in built)
-    assert not all(req.spec.symbolic for _kind, req in failed)
 
     built.clear()
     failed.clear()
     verify.verify_all((101,))
     assert len(built) == 22 and not failed
-    assert all(req.spec.symbolic for _kind, req in built)
 
 
 def grid_requests():
@@ -271,10 +262,10 @@ def same_series(a, b):
             and [type(c) for c in a.coeffs] == [type(c) for c in b.coeffs])
 
 
-def built_or_error(kind, r, k, max_n, mode, seed, y0):
+def built_or_error(kind, r, k, max_n, mode, seed):
     """The series built from scratch, or the message of its degenerate weight."""
     build = genera.z_series if kind == "z" else genera.zhat_series
-    spec = sample_specialization(r, seed, y0)
+    spec = sample_specialization(r, seed)
     req = SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k, mode=mode)
     try:
         return build(req)
@@ -283,47 +274,48 @@ def built_or_error(kind, r, k, max_n, mode, seed, y0):
 
 
 @pytest.mark.parametrize("seed", [101, 192])  # 192 degenerates at ranks 2 and 3
-def test_numeric_and_shorter_series_follow_from_the_symbolic_build(seed):
-    # the exactness of SeriesMemo rules 2 and 3 on every verify_all shape,
-    # against the numeric kernel path that verify_all no longer runs
+def test_shorter_series_follow_from_the_longer_build(seed):
+    # the exactness of SeriesMemo rule 2 on every verify_all shape
     degenerate = 0
     for kind, r, k, max_n, mode in grid_requests():
-        symbolic = built_or_error(kind, r, k, max_n, mode, seed, None)
-        longer = built_or_error(kind, r, k, max_n + 1, mode, seed, None)
-        if isinstance(symbolic, str):
+        shorter = built_or_error(kind, r, k, max_n, mode, seed)
+        longer = built_or_error(kind, r, k, max_n + 1, mode, seed)
+        if isinstance(shorter, str):
             degenerate += 1
             # a longer build meets every weight of a shorter one
             assert isinstance(longer, str)
         elif not isinstance(longer, str):
-            assert same_series(longer.truncate(symbolic.order), symbolic)
-        for y0 in (F(1), F(0)):
-            numeric = built_or_error(kind, r, k, max_n, mode, seed, y0)
-            if isinstance(symbolic, str):
-                assert numeric == symbolic  # the same weight degenerates
-            else:
-                assert same_series(numeric, verify._evaluated(symbolic, y0))
+            assert same_series(longer.truncate(shorter.order), shorter)
     assert (degenerate > 0) == (seed == 192)
 
 
 def test_series_memo_truncates_and_evaluates_without_building(monkeypatch):
     memo = SeriesMemo()
-    spec = memo.specialization(2, 101, None)
+    spec = memo.specialization(2, 101)
     memo.series("zhat", SeriesRequest(rank=2, max_n=3, spec=spec, k=1))
     memo.series("z", SeriesRequest(rank=2, max_n=3, spec=spec))
     built, failed = count_series_builds(monkeypatch)
+    served = {}
     for kind, k in (("z", 0), ("zhat", 1)):
         build = genera.z_series if kind == "z" else genera.zhat_series
-        for y0 in (None, F(1), F(0)):
-            req = SeriesRequest(rank=2, max_n=2, spec=memo.specialization(2, 101, y0), k=k)
-            served = memo.series(kind, req)
-            assert same_series(served, build(req))
-            assert memo.series(kind, req) is served
+        req = SeriesRequest(rank=2, max_n=2, spec=spec, k=k)
+        served[kind] = memo.series(kind, req)
+        assert same_series(served[kind], build(req))
+        assert memo.series(kind, req) is served[kind]
+    # a numeric y0 evaluates the served pair once, after the memo: through
+    # q^9 the pair is Z at n <= 3 and Zhat at n <= 2
+    pair = memo.series("z", SeriesRequest(rank=2, max_n=3, spec=spec)), served["zhat"]
+    for y0 in (None, F(1), F(0)):
+        got = verify._series_pair(2, 1, 9, 101, y0, EQUIVARIANT, [], memo)
+        assert got[2] == 101
+        for got_series, series in zip(got, pair):
+            assert same_series(got_series, series if y0 is None else series.at_y(y0))
     assert not built and not failed
     # another kind, k, mode or seed, or a larger max_n, is built
     others = [(2, 0, EQUIVARIANT, 101), (2, 1, LIMIT, 101), (2, 1, EQUIVARIANT, 102),
               (4, 1, EQUIVARIANT, 101)]
     for max_n, k, mode, seed in others:
-        spec = memo.specialization(2, seed, F(1))
+        spec = memo.specialization(2, seed)
         req = SeriesRequest(rank=2, max_n=max_n, spec=spec, k=k, mode=mode)
         memo.series("zhat", req)
         assert built[-1] == ("zhat", req)
@@ -331,24 +323,21 @@ def test_series_memo_truncates_and_evaluates_without_building(monkeypatch):
 
 
 def test_pair_memo_belongs_to_one_specialization_and_mode():
-    memo = SeriesMemo()
-    specs = [memo.specialization(2, 5, y0) for y0 in (None, F(1), F(0))]
-    for spec in specs:
-        for mode in (EQUIVARIANT, LIMIT):
-            genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=1, mode=mode))
-    pair_memos = [spec.pair_memo[mode] for spec in specs for mode in (EQUIVARIANT, LIMIT)]
-    assert all(spec.pair_memo.keys() == {EQUIVARIANT, LIMIT} for spec in specs)
-    assert len({id(m) for m in pair_memos}) == 6
-    # the factors differ with y0 and with the mode, so none may be shared
-    assert specs[0].pair_memo[EQUIVARIANT] != specs[1].pair_memo[EQUIVARIANT]
-    assert specs[0].pair_memo[EQUIVARIANT] != specs[0].pair_memo[LIMIT]
+    # one pair memo per mode
+    spec = SeriesMemo().specialization(2, 5)
+    for mode in (EQUIVARIANT, LIMIT):
+        genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=1, mode=mode))
+    assert spec.pair_memo.keys() == {EQUIVARIANT, LIMIT}
+    # the factors differ with the mode, so they may not be shared
+    assert spec.pair_memo[EQUIVARIANT] is not spec.pair_memo[LIMIT]
+    assert spec.pair_memo[EQUIVARIANT] != spec.pair_memo[LIMIT]
     # a later build at another k reuses the factors, and the memo stays out of the value
     equal = sample_specialization(2, 5)
-    before = dict(specs[0].pair_memo[EQUIVARIANT])
-    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=specs[0], k=0))
-    assert before.items() <= specs[0].pair_memo[EQUIVARIANT].items()
-    assert specs[0] == equal and hash(specs[0]) == hash(equal) and not equal.pair_memo
-    assert repr(specs[0]) == repr(equal) and "pair_memo" not in repr(equal)
+    before = dict(spec.pair_memo[EQUIVARIANT])
+    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=0))
+    assert before.items() <= spec.pair_memo[EQUIVARIANT].items()
+    assert spec == equal and hash(spec) == hash(equal) and not equal.pair_memo
+    assert repr(spec) == repr(equal) and "pair_memo" not in repr(equal)
 
 
 def test_degenerate_pair_factor_is_never_stored(monkeypatch):

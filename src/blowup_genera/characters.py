@@ -46,8 +46,9 @@ engine: a numeric y0 is one evaluation of the finished series
 (QSeries.at_y).  theta_eval and theta_limit_factor return that pair, and
 a negative multiplicity, which would leave a y-denominator, raises
 ValueError.  The pair helpers (Cleared, cleared_sum, cleared_product,
-cleared_convolution and cleared_value) live in coefficients, where YPoly
-multiplies with them too, and are imported here under the same names;
+cleared_convolution and cleared_value) live in coefficients, where a
+YPoly is itself a pair in lowest terms, and are imported here under the
+same names;
 theta_sum is the sum over the characters of one q-degree that every
 series makes.
 theta_limit_factor applies the ordered e_r -> 0, ..., e_1 -> 0 limit as

@@ -1,23 +1,22 @@
 """Exact coefficient arithmetic for the localization sums.
 
-Scalars are arbitrary-precision rationals (fractions.Fraction).  On top of
-those sit YPoly, polynomials in the genus variable y, and YRat, reduced
-ratios of two YPoly.  Every series coefficient is a YPoly, since y stays
-symbolic throughout the engine, and a numeric y0 is one evaluation of the
-finished series (QSeries.at_y); a YRat arises only where a YPoly is
-divided by a non-constant one.  Both interoperate with int and Fraction
-through the usual operators, so the q-series code can stay agnostic
-about which ring it multiplies in.
-
 A cleared pair (Cleared) is an integer coefficient list in y, lowest
 power first, over one integer denominator.  cleared_sum, cleared_product
-and cleared_convolution add, multiply and convolve pairs in integers,
-and cleared_value turns a pair into its YPoly coefficient.  The series
-code sums theta in this form, and YPoly products run on it too: each
-operand is cleared over the lcm of its denominators, the integer lists
-are multiplied by cleared_product, and each output coefficient becomes
-one canonical Fraction, so the product is the Fraction product
-coefficient for coefficient.
+and cleared_convolution add, multiply and convolve pairs in integers;
+the series code sums theta in this form.
+
+YPoly, a polynomial in the genus variable y, is such a pair in lowest
+terms: a tuple of ints with no trailing zeros over one positive
+denominator that shares no factor with their content, zero being
+((), 1).  cleared_value brings any pair to that form, and it is the one
+normalization that every YPoly sum and product ends with.  Every series
+coefficient is a YPoly, since y stays symbolic throughout the engine, and
+a numeric y0 is one evaluation of the finished series (QSeries.at_y), an
+integer Horner loop with one Fraction at the end.  YRat, a reduced ratio
+of two YPoly, arises only where a YPoly is divided by a non-constant one;
+it works on the Fraction view YPoly.coeffs.  Both interoperate with int
+and Fraction through the usual operators, so the q-series code can stay
+agnostic about which ring it multiplies in.
 
 Specialization holds one exact rational value per equivariant parameter
 (t1, t2, e_1..e_r) and the seed it was drawn from.  sample_specialization draws
@@ -50,9 +49,24 @@ Cleared = tuple[list[int], int]
 
 
 def cleared_value(pair: Cleared) -> YPoly:
-    """The coefficient a cleared pair stands for, as a YPoly."""
+    """The YPoly a cleared pair stands for: the pair brought to lowest terms.
+
+    Trailing zeros go, the denominator's sign moves into the numerators,
+    and numerators and denominator are divided by their common gcd.
+    """
     num, den = pair
-    return YPoly(Fraction(c, den) for c in num)
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return _ZERO
+    num = num[:n]
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return _ypoly(tuple(num), den)
 
 
 def cleared_sum(pairs) -> Cleared:
@@ -84,15 +98,30 @@ def cleared_convolution(a, b) -> Cleared:
 
 
 class YPoly:
-    """Polynomial in y over Fraction, canonical form with no trailing zeros."""
+    """Polynomial in y over the rationals, stored as its cleared pair in lowest terms.
 
-    __slots__ = ("coeffs",)
+    num is a tuple of ints, lowest power of y first, with no trailing
+    zeros; den is a positive int with gcd(content of num, den) = 1; zero
+    is ((), 1).  Each polynomial has exactly one such pair, so equality
+    and hashing read it directly.  The constructor takes any int and
+    Fraction coefficients; coeffs is a read-only view of the coefficients
+    as Fractions.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = list(coeffs)
+        den = 1
+        if not all(type(c) is int for c in cs):
+            fs = [Fraction(c) for c in cs]
+            den = lcm(*(c.denominator for c in fs))
+            cs = [c.numerator * (den // c.denominator) for c in fs]
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        # a common lcm of reduced denominators leaves gcd(content, den) = 1
+        self.num, self.den = tuple(cs[:n]), den if n else 1
 
     @classmethod
     def zero(cls) -> "YPoly":
@@ -113,41 +142,36 @@ class YPoly:
         return cls((0,) * exp + (coeff,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest power of y first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     def __bool__(self):
-        return bool(self.coeffs)
-
-    def _cleared(self) -> Cleared:
-        """The coefficients as a cleared pair over the lcm of their denominators."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+        return bool(self.num)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, YPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return YPoly((other,))
+            return cleared_value(((other.numerator,), other.denominator))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return YPoly(out)
+        return cleared_value(cleared_sum(((self.num, self.den), (o.num, o.den))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return YPoly(tuple(-c for c in self.coeffs))
+        return _ypoly(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -166,9 +190,8 @@ class YPoly:
         if o is None:
             return NotImplemented
         if not self or not o:
-            return YPoly()
-        num, den = cleared_product(self._cleared(), o._cleared())
-        return YPoly(Fraction(c, den) for c in num)
+            return _ZERO
+        return cleared_value(cleared_product((self.num, self.den), (o.num, o.den)))
 
     __rmul__ = __mul__
 
@@ -185,39 +208,48 @@ class YPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = 1 / Fraction(other)
-            return YPoly(c * inv for c in self.coeffs)
+            return self * (1 / Fraction(other))
         if isinstance(other, YPoly):
             return YRat(self, other)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, YPoly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return other == 0
-            return self.degree == 0 and self.coeffs[0] == other
+            num = self.num
+            if len(num) > 1:
+                return False
+            return (num[0] if num else 0) == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.degree <= 0:
-            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
-        return hash(self.coeffs)
+        num = self.num
+        if len(num) <= 1:
+            return hash(Fraction(num[0], self.den) if num else 0)
+        return hash((num, self.den))
 
     def evaluate(self, y0) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * y0 + c
-        return acc
+        """The value at y = y0 (an int or a Fraction), by integer Horner steps."""
+        num = self.num
+        if not num:
+            return Fraction(0)
+        p, q = y0.numerator, y0.denominator
+        acc, scale = num[-1], 1
+        for c in num[-2::-1]:
+            scale *= q
+            acc = acc * p + c * scale
+        # acc = sum of c_i p^i q^(deg - i), and scale = q^deg
+        return Fraction(acc, self.den * scale)
 
     def divmod(self, other: "YPoly") -> tuple["YPoly", "YPoly"]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
+        q = [Fraction(0)] * max(len(self.num) - len(other.num) + 1, 0)
         rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        d = len(other.coeffs) - 1
+        divisor = other.coeffs
+        lead = divisor[-1]
+        d = len(divisor) - 1
         while len(rem) - 1 >= d and any(rem):
             if not rem[-1]:
                 rem.pop()
@@ -225,44 +257,49 @@ class YPoly:
             shift = len(rem) - 1 - d
             factor = rem[-1] / lead
             q[shift] = factor
-            for i, c in enumerate(other.coeffs):
+            for i, c in enumerate(divisor):
                 rem[shift + i] -= factor * c
             rem.pop()
         return YPoly(q), YPoly(rem)
 
     def content(self) -> Fraction:
         """Positive rational c such that self / c has coprime integer coefficients."""
-        if not self.coeffs:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+        # the pair is in lowest terms, so gcd(num) / den needs no reduction
+        return Fraction(gcd(*self.num), self.den)
 
     def to_str(self) -> str:
         """Fixed report grammar: ascending powers joined by signs, e.g. "2 - y + y^2"."""
-        if not self.coeffs:
-            return "0"
+        den = self.den
         pieces = []
-        for exp, c in enumerate(self.coeffs):
+        for exp, c in enumerate(self.num):
             if not c:
                 continue
-            mag = abs(c)
+            g = gcd(c, den)
+            p, q = abs(c) // g, den // g
+            mag = str(p) if q == 1 else f"{p}/{q}"
             if exp == 0:
-                body = _frac_str(mag)
+                body = mag
             else:
                 ypow = "y" if exp == 1 else f"y^{exp}"
-                body = ypow if mag == 1 else f"{_frac_str(mag)}*{ypow}"
+                body = ypow if mag == "1" else f"{mag}*{ypow}"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
                 pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return " ".join(pieces) or "0"
 
     def __repr__(self):
         return f"YPoly({self.to_str()})"
+
+
+def _ypoly(num: tuple[int, ...], den: int) -> YPoly:
+    """A YPoly on a pair that is already in lowest terms."""
+    out = object.__new__(YPoly)
+    out.num, out.den = num, den
+    return out
+
+
+_ZERO = YPoly()
 
 
 def poly_gcd(a: YPoly, b: YPoly) -> YPoly:

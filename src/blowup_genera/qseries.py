@@ -5,15 +5,28 @@ exclusive ``order``: coefficients are exact for every exponent below
 ``order`` and unknown past it.  Truncation is tracked, never inferred;
 asking for a coefficient at or beyond ``order`` raises TruncationError.
 Coefficient values may be int, Fraction, YPoly or YRat, mixed freely.
-Series in y are built symbolic, and at_y evaluates every coefficient at
-one rational y0, which is the only way a numeric y enters.
+Products and inverses sum in integers: each coefficient is read as a
+cleared pair, every output coefficient is one cleared sum of pair
+products, normalized once, and it takes the type that term-by-term
+arithmetic would give (a YPoly if a YPoly took part, else a Fraction if
+one took part, else an int).  A YRat coefficient falls back to term-by-term
+arithmetic.  Series in y are built symbolic, and at_y evaluates every
+coefficient at one rational y0, which is the only way a numeric y enters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import YPoly, YRat, coeff_evaluate, coeff_to_str
+from .coefficients import (
+    YPoly,
+    YRat,
+    cleared_product,
+    cleared_sum,
+    cleared_value,
+    coeff_evaluate,
+    coeff_to_str,
+)
 
 
 class TruncationError(ValueError):
@@ -31,11 +44,42 @@ def _reciprocal(c):
         return 1 / c
     if isinstance(c, YPoly):
         if c.degree == 0:
-            return 1 / c.coeffs[0]
+            return Fraction(c.den, c.num[0])
         return YRat(YPoly.one(), c)
     if isinstance(c, YRat):
         return c.reciprocal()
     raise TypeError(f"no reciprocal for {type(c).__name__}")
+
+
+# A coefficient's kind orders the three types a product or sum can take:
+# int (0) < Fraction (1) < YPoly (2), and a sum or product of coefficients
+# has the type of the largest kind among its operands.
+
+
+def _pair(c):
+    """c as (its cleared pair, its kind); None if c is zero."""
+    t = type(c)
+    if t is YPoly:
+        return ((c.num, c.den), 2) if c else None
+    if t is int or t is Fraction:
+        return (((c.numerator,), c.denominator), 1 if t is Fraction else 0) if c else None
+    raise TypeError(f"no cleared pair for {t.__name__}")
+
+
+def _pairs(coeffs):
+    """The _pair of every coefficient, or None if one of them has no pair (a YRat)."""
+    try:
+        return [_pair(c) for c in coeffs]
+    except TypeError:
+        return None
+
+
+def _typed(pair, kind: int):
+    """The coefficient a cleared pair stands for, normalized once, of the type ``kind``."""
+    if kind == 2:
+        return cleared_value(pair)
+    num, den = pair  # a scalar: one coefficient
+    return Fraction(num[0], den) if kind else num[0]
 
 
 class QSeries:
@@ -165,18 +209,27 @@ class QSeries:
         offset = self.offset + other.offset
         if offset >= order or self.is_zero() or other.is_zero():
             return QSeries.zero(order)
-        out = [0] * (order - offset)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        width = order - offset
+        a, b = _pairs(self.coeffs), _pairs(other.coeffs)
+        if a is None or b is None:  # a YRat coefficient: add term by term
+            out = [0] * width
+            for i, x in enumerate(self.coeffs[:width]):
+                if x:
+                    for j, y in enumerate(other.coeffs[: width - i]):
+                        if y:
+                            out[i + j] = out[i + j] + x * y
+            return QSeries(offset, out, order)
+        terms = [[] for _ in range(width)]
+        kinds = [0] * width
+        for i, entry in enumerate(a[:width]):
+            if entry is None:
                 continue
-            ea = self.offset + i
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                e = ea + other.offset + j
-                if e >= order:
-                    break
-                out[e - offset] = out[e - offset] + a * b
+            x, kx = entry
+            for j, y in enumerate(b[: width - i], i):
+                if y is not None:
+                    terms[j].append(cleared_product(x, y[0]))
+                    kinds[j] = max(kinds[j], kx, y[1])
+        out = [_typed(cleared_sum(t), kind) if t else 0 for t, kind in zip(terms, kinds)]
         return QSeries(offset, out, order)
 
     def __rmul__(self, other):
@@ -196,15 +249,33 @@ class QSeries:
         m = self.offset  # canonical form puts the first nonzero coefficient here
         n_terms = self.order - m
         inv0 = _reciprocal(self.coeffs[0])
-        out = [0] * n_terms
-        out[0] = inv0
+        out = [inv0] + [0] * (n_terms - 1)
+        a = _pairs(self.coeffs)
+        if a is None or not isinstance(inv0, Fraction):  # a YRat: add term by term
+            for n in range(1, n_terms):
+                acc = 0
+                for j in range(1, min(n, len(self.coeffs) - 1) + 1):
+                    x = self.coeffs[j]
+                    if x:
+                        acc = acc + x * out[n - j]
+                out[n] = -inv0 * acc if acc else 0
+            return QSeries(-m, out, self.order - 2 * m)
+        minus_inv0 = ((-inv0.numerator,), inv0.denominator)
+        known = [_pair(inv0)]  # the _pair of each out[n] so far
         for n in range(1, n_terms):
-            acc = 0
-            for j in range(1, min(n, len(self.coeffs) - 1) + 1):
-                a = self.coeffs[j]
-                if a:
-                    acc = acc + a * out[n - j]
-            out[n] = -inv0 * acc if acc else 0
+            terms, kind = [], 0
+            for j in range(1, min(n, len(a) - 1) + 1):
+                x, y = a[j], known[n - j]
+                if x is None:
+                    continue
+                kind = max(kind, x[1])  # a zero out[n - j] still sets the type, as x * 0 does
+                if y is not None:
+                    terms.append(cleared_product(x[0], y[0]))
+                    kind = max(kind, y[1])
+            acc = cleared_sum(terms)
+            if any(acc[0]):
+                out[n] = _typed(cleared_product(acc, minus_inv0), max(kind, 1))
+            known.append(_pair(out[n]))
         return QSeries(-m, out, self.order - 2 * m)
 
     def __pow__(self, n: int):

@@ -56,6 +56,11 @@ GOLDEN = {
         "7cd2ee1deaf397f9ab50d5a6c38578d22b16adff58ac811d0c4b1934fe1e6f83",
     ("verify-corollary", "--rank", "2", "--k", "1", "--seed-list", "53,192"):
         "2c33529b8a1c91b79fdbe86d222895ea3f1e24c320d54f62866c5dc58b6ce376",
+    ("compute-zhat", "--rank", "2", "--k", "1", "--max-n", "5", "--seed", "101"):
+        "3d3d9229e112466a0fe3b47266e3d0612201e8b805fac53ab51564ae9e68a81d",
+    ("compute-zhat", "--rank", "2", "--k", "1", "--max-n", "5", "--seed", "101",
+     "--y-mode", "numeric", "--y0", "2/3"):
+        "0df24d51f382d1d922977c30d765bd37e62cec8a75ceef942553e23a12c852c3",
 }
 
 

@@ -12,11 +12,14 @@ denominator that shares no factor with their content, zero being
 normalization that every YPoly sum and product ends with.  Every series
 coefficient is a YPoly, since y stays symbolic throughout the engine, and
 a numeric y0 is one evaluation of the finished series (QSeries.at_y), an
-integer Horner loop with one Fraction at the end.  YRat, a reduced ratio
-of two YPoly, arises only where a YPoly is divided by a non-constant one;
-it works on the Fraction view YPoly.coeffs.  Both interoperate with int
-and Fraction through the usual operators, so the q-series code can stay
-agnostic about which ring it multiplies in.
+integer Horner loop with one Fraction at the end.  YPoly interoperates
+with int and Fraction through the usual operators, and divides only by
+them.
+
+YRat, a reduced ratio of two YPoly, is the rational-function reference
+that the tests compare against; no engine path builds one, and the
+q-series layer does not accept it.  It works on the Fraction view
+YPoly.coeffs, with divmod, content and poly_gcd.
 
 Specialization holds one exact rational value per equivariant parameter
 (t1, t2, e_1..e_r) and the seed it was drawn from.  sample_specialization draws
@@ -197,7 +200,7 @@ class YPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power of a polynomial, use YRat")
+            raise ValueError("a negative power of a y-polynomial is not a polynomial")
         result, base = YPoly.one(), self
         while n:
             if n & 1:
@@ -209,8 +212,6 @@ class YPoly:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        if isinstance(other, YPoly):
-            return YRat(self, other)
         return NotImplemented
 
     def __eq__(self, other):

@@ -4,14 +4,16 @@ A QSeries stores a dense coefficient vector starting at ``offset`` and an
 exclusive ``order``: coefficients are exact for every exponent below
 ``order`` and unknown past it.  Truncation is tracked, never inferred;
 asking for a coefficient at or beyond ``order`` raises TruncationError.
-Coefficient values may be int, Fraction, YPoly or YRat, mixed freely.
+Coefficient values may be int, Fraction or YPoly, mixed freely: the
+engine's series are polynomial in y, so Q[y] is the one coefficient ring.
 Products and inverses sum in integers: each coefficient is read as a
 cleared pair, every output coefficient is one cleared sum of pair
 products, normalized once, and it takes the type that term-by-term
 arithmetic would give (a YPoly if a YPoly took part, else a Fraction if
-one took part, else an int).  A YRat coefficient falls back to term-by-term
-arithmetic.  Series in y are built symbolic, and at_y evaluates every
-coefficient at one rational y0, which is the only way a numeric y enters.
+one took part, else an int).  A series inverts only when its lowest
+coefficient is a unit of Q[y], a nonzero constant.  Series in y are
+built symbolic, and at_y evaluates every coefficient at one rational y0,
+which is the only way a numeric y enters.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from fractions import Fraction
 
 from .coefficients import (
     YPoly,
-    YRat,
     cleared_product,
     cleared_sum,
     cleared_value,
@@ -37,17 +38,16 @@ class InvertNonUnitError(ZeroDivisionError):
     """The series has no invertible lowest term within its known range."""
 
 
-def _reciprocal(c):
+def _reciprocal(c) -> Fraction:
+    """1/c for a unit c of Q[y]: a nonzero int, Fraction or constant YPoly."""
     if isinstance(c, int):
         return Fraction(1, c)
     if isinstance(c, Fraction):
         return 1 / c
     if isinstance(c, YPoly):
-        if c.degree == 0:
-            return Fraction(c.den, c.num[0])
-        return YRat(YPoly.one(), c)
-    if isinstance(c, YRat):
-        return c.reciprocal()
+        if c.degree != 0:
+            raise InvertNonUnitError(f"lowest coefficient {c.to_str()} is not a unit of Q[y]")
+        return Fraction(c.den, c.num[0])
     raise TypeError(f"no reciprocal for {type(c).__name__}")
 
 
@@ -64,14 +64,6 @@ def _pair(c):
     if t is int or t is Fraction:
         return (((c.numerator,), c.denominator), 1 if t is Fraction else 0) if c else None
     raise TypeError(f"no cleared pair for {t.__name__}")
-
-
-def _pairs(coeffs):
-    """The _pair of every coefficient, or None if one of them has no pair (a YRat)."""
-    try:
-        return [_pair(c) for c in coeffs]
-    except TypeError:
-        return None
 
 
 def _typed(pair, kind: int):
@@ -210,15 +202,7 @@ class QSeries:
         if offset >= order or self.is_zero() or other.is_zero():
             return QSeries.zero(order)
         width = order - offset
-        a, b = _pairs(self.coeffs), _pairs(other.coeffs)
-        if a is None or b is None:  # a YRat coefficient: add term by term
-            out = [0] * width
-            for i, x in enumerate(self.coeffs[:width]):
-                if x:
-                    for j, y in enumerate(other.coeffs[: width - i]):
-                        if y:
-                            out[i + j] = out[i + j] + x * y
-            return QSeries(offset, out, order)
+        a, b = [_pair(c) for c in self.coeffs], [_pair(c) for c in other.coeffs]
         terms = [[] for _ in range(width)]
         kinds = [0] * width
         for i, entry in enumerate(a[:width]):
@@ -241,8 +225,9 @@ class QSeries:
     def invert(self) -> "QSeries":
         """Multiplicative inverse as a Laurent series.
 
-        The lowest nonzero known coefficient must be invertible; with the
-        lowest term at q^m the inverse is valid below q^(order - 2m).
+        The lowest nonzero known coefficient must be a unit of Q[y], a
+        nonzero constant, or InvertNonUnitError names it; with the lowest
+        term at q^m the inverse is valid below q^(order - 2m).
         """
         if self.is_zero():
             raise InvertNonUnitError("cannot invert a series that is zero to its order")
@@ -250,16 +235,7 @@ class QSeries:
         n_terms = self.order - m
         inv0 = _reciprocal(self.coeffs[0])
         out = [inv0] + [0] * (n_terms - 1)
-        a = _pairs(self.coeffs)
-        if a is None or not isinstance(inv0, Fraction):  # a YRat: add term by term
-            for n in range(1, n_terms):
-                acc = 0
-                for j in range(1, min(n, len(self.coeffs) - 1) + 1):
-                    x = self.coeffs[j]
-                    if x:
-                        acc = acc + x * out[n - j]
-                out[n] = -inv0 * acc if acc else 0
-            return QSeries(-m, out, self.order - 2 * m)
+        a = [_pair(c) for c in self.coeffs]
         minus_inv0 = ((-inv0.numerator,), inv0.denominator)
         known = [_pair(inv0)]  # the _pair of each out[n] so far
         for n in range(1, n_terms):
@@ -296,7 +272,7 @@ class QSeries:
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise TruncationError(f"cannot extend valid order {self.order} to {order}")
-        return QSeries(self.offset, list(self.coeffs)[: max(order - self.offset, 0)], order)
+        return QSeries.from_terms(dict(self.items()), order)
 
     def at_y(self, y0) -> "QSeries":
         """The series with every coefficient evaluated at y = y0, zeros folded."""

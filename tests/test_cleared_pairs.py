@@ -10,10 +10,11 @@ coefficient that no YPoly reached stays an int or a Fraction.
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from blowup_genera.coefficients import YPoly, YRat, cleared_value
-from blowup_genera.qseries import QSeries
+from blowup_genera.qseries import InvertNonUnitError, QSeries
 
 
 class RefPoly:
@@ -288,11 +289,20 @@ def test_series_at_y_is_the_fraction_evaluation(a, y0):
     assert described(a.at_y(y0)) == described(ref_at_y(a, y0))
 
 
-def test_a_yrat_coefficient_still_multiplies_and_inverts():
-    one_minus_y = YPoly((1, -1))
-    s = QSeries(0, [one_minus_y, 2, YPoly.y()], 3)
-    inv = s.invert()
-    assert type(inv.coefficient(0)) is YRat
-    prod = s * inv
-    assert [prod.coefficient(e) for e in range(3)] == [1, 0, 0]
-    assert (prod * QSeries(0, [F(1, 2)], 3)).coefficient(0) == F(1, 2)
+def test_rational_functions_of_y_are_typed_errors():
+    # Q[y] is the one coefficient ring: a non-constant lowest coefficient
+    # is no unit, a polynomial divides only by a scalar, and a YRat
+    # coefficient has no cleared pair
+    s = QSeries(0, [YPoly((1, -1)), 2, YPoly.y()], 3)
+    with pytest.raises(InvertNonUnitError, match="1 - y"):
+        s.invert()
+    with pytest.raises(TypeError):
+        YPoly((1, 1)) / YPoly((2,))
+    assert YPoly((1, 1)) / 3 == YPoly((F(1, 3), F(1, 3)))
+    assert YPoly((1, 1)) / F(2, 3) == YPoly((F(3, 2), F(3, 2)))
+    assert YPoly.one() / YRat(YPoly((1, -1))) == YRat(YPoly.one(), YPoly((1, -1)))
+    rat = QSeries(0, [1, YRat(YPoly.one(), YPoly((1, -1)))], 2)
+    for op in (lambda: rat * rat, lambda: rat * QSeries.one(2), lambda: QSeries.one(2) * rat,
+               rat.invert, QSeries(0, [YRat(YPoly((2,)))], 1).invert):
+        with pytest.raises(TypeError):
+            op()

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,17 @@ def test_each_export_is_the_submodule_object(module, names):
     assert getattr(blowup_genera, module) is sub
     for name in names:
         assert getattr(blowup_genera, name) is getattr(sub, name), name
+
+
+def test_only_coefficients_binds_yrat():
+    # Q[y] is the one coefficient ring of the engine: YRat stays in
+    # coefficients as the tests' rational-function reference, and no other
+    # module takes it back in
+    for info in pkgutil.iter_modules(blowup_genera.__path__):
+        if info.name != "coefficients":
+            sub = importlib.import_module(f"blowup_genera.{info.name}")
+            assert "YRat" not in vars(sub), info.name
+    assert blowup_genera.YRat is importlib.import_module("blowup_genera.coefficients").YRat
 
 
 # A fresh process: a submodule resolves as a package attribute without a prior

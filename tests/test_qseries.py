@@ -69,6 +69,10 @@ def test_truncation_is_tracked():
     assert a.agrees_to(b, 2)
     with pytest.raises(TruncationError):
         a.truncate(9)
+    # an order at or below the offset leaves the zero series O(q^order)
+    assert QSeries.zero(5).truncate(3) == QSeries.zero(3)
+    assert QSeries(4, [1], 8).truncate(3) == QSeries.zero(3)
+    assert series(0, [1, 0, 3], 3).truncate(2) == series(0, [1], 2)
 
 
 def test_mul_order_bookkeeping():

@@ -87,6 +87,26 @@ def test_limit_consistency_small(r, k, order, seeds):
     assert verify_limit_consistency(r, k, order, seeds).outcome
 
 
+def test_limit_pair_returns_where_the_equivariant_pair_returned():
+    # seeds 53 and 192 reseed at r = 2, k = 1, n <= 3 on weights with an
+    # e-part, which limit mode sends to its case table and never evaluates
+    order = blowup_virtual_dim(2, 1, 3)
+    memo = SeriesMemo()
+    for seed, weight in ((53, "e2/e1 * t1^2 * t2^2"), (192, "e1/e2 * t1^-1")):
+        retries = []
+        *_, used = verify._series_pair(2, 1, order, seed, None, EQUIVARIANT, retries, memo)
+        assert used == seed + 1 and len(retries) == 1 and weight in retries[0]
+        *_, used_lim = verify._series_pair(2, 1, order, used, None, LIMIT, retries, memo)
+        assert used_lim == used and len(retries) == 1
+        # the limit pair returns even at the seed that degenerated above
+        assert verify._series_pair(2, 1, order, seed, None, LIMIT, retries, memo)[2] == seed
+        assert len(retries) == 1
+    report = verify_limit_consistency(2, 1, order, (53, 192))
+    assert report.outcome and report.details == []
+    assert [line.split(" degenerate")[0] for line in report.params["reseeds"]] == [
+        "seed 53", "seed 192"]
+
+
 def test_rank1_identity_driver():
     assert verify_rank1_identity(5, default_seeds(2)).outcome
 

@@ -44,8 +44,6 @@ _EXPORTS = {
         "SplitMix64",
         "YPoly",
         "YRat",
-        "coeff_evaluate",
-        "coeff_to_str",
         "sample_specialization",
     ),
     "genera": (

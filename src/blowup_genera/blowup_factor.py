@@ -7,8 +7,8 @@ x^m coefficient is c_r(m), the number of r-colored partitions of m
 exponent pairs (Q, e), and the product is a shift-add: each term q^Q y^e
 adds c_r(m) to the coefficient of q^(Q + 2rm) y^(e + rm), for every m
 with Q + 2rm within the order.  The sums stay in plain ints, and one
-YPoly (at y = 1, one int) is built per q-coefficient; no q-series is
-multiplied.
+YPoly (at y = 1, one constant) is built per q-coefficient; no q-series
+is multiplied.
 
 yk_main: the lattice sum over integer vectors with sum k, each
 contributing q^Q * y^((Q + L)/2) where Q = sum_{i<j} (k_i - k_j)^2 and
@@ -23,7 +23,7 @@ yk_main's, so the two presentations cross-check each other.
 
 yk_euler: the y = 1 specialization, prod (1 - q^(2rn))^-r times
 sum q^Q: yk_main's lattice and shift-add, with the y-exponents dropped
-and every coefficient an int.
+and every coefficient an integer constant.
 
 yk_hol: the y = 0 branch.  The stated table value is 1 for k = 0 and 0
 otherwise; direct evaluation of yk_main at y = 0 instead leaves the single
@@ -91,8 +91,9 @@ def _times_prefactor(
 
     ``lattice`` counts the sum's terms q^Q y^e by (Q, e).  Each term shifts
     along x = q^(2r) y^r with weight c_r(m); the coefficients are summed in
-    ints per (q, y) exponent.  symbolic=False sets y = 1 (one int per
-    q-coefficient), otherwise each q-coefficient is one YPoly.
+    ints per (q, y) exponent.  symbolic=False sets y = 1 (one int sum per
+    q-coefficient, a constant YPoly in the series), otherwise each
+    q-coefficient is one YPoly.
     """
     step = 2 * r
     counts = colored_partition_counts(r, order // step)
@@ -166,7 +167,7 @@ def yk_gottsche(r: int, k: int, order: int) -> QSeries:
 
 
 def yk_euler(r: int, k: int, order: int) -> QSeries:
-    """Euler-characteristic branch: the blow-up factor at y = 1, over int."""
+    """Euler-characteristic branch: the blow-up factor at y = 1, integer constants."""
     check_k(r, k)
     return _times_prefactor(r, lattice_theta_series(r, k, order), order, symbolic=False)
 
@@ -181,10 +182,7 @@ class YkHolReport(Record):
 
     @property
     def discrepant(self) -> bool:
-        stated_series = QSeries.monomial(
-            Fraction(self.stated), 0, self.main_at_y0.order
-        )
-        return self.main_at_y0 != stated_series
+        return self.main_at_y0 != QSeries.monomial(self.stated, 0, self.main_at_y0.order)
 
     def to_json(self) -> dict:
         return {

@@ -103,7 +103,10 @@ def _series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("equivariant", "limit"), default="equivariant")
     p.add_argument("--y-mode", choices=("symbolic", "numeric"), default="symbolic")
     p.add_argument(
-        "--y0", type=_rational, help="rational y value, e.g. 2/3; numeric y mode only (default 1)"
+        "--y0",
+        type=_rational,
+        help="rational y value, e.g. 2/3; numeric y mode only (default 1); "
+        "give a negative value with an equals sign, as in --y0=-3/7",
     )
     _output_flags(p)
 

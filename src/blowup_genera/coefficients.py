@@ -9,16 +9,18 @@ YPoly, a polynomial in the genus variable y, is such a pair in lowest
 terms: a tuple of ints with no trailing zeros over one positive
 denominator that shares no factor with their content, zero being
 ((), 1).  cleared_value brings any pair to that form, and it is the one
-normalization that every YPoly sum and product ends with.  Every series
-coefficient is a YPoly, since y stays symbolic throughout the engine, and
-a numeric y0 is one evaluation of the finished series (QSeries.at_y), an
-integer Horner loop with one Fraction at the end.  YPoly interoperates
-with int and Fraction through the usual operators, and divides only by
-them.
+normalization that every YPoly sum and product ends with.  YPoly is the
+one coefficient type of a QSeries, since y stays symbolic throughout the
+engine, and a numeric y0 is one evaluation of the finished series
+(QSeries.at_y, YPoly.evaluate), an integer Horner loop with one Fraction
+at the end, which the series stores as a constant YPoly.  to_str prints a
+constant exactly as str prints the int or Fraction it equals.  YPoly
+interoperates with int and Fraction through the usual operators (==
+and hash included), and divides only by them.
 
 YRat, a reduced ratio of two YPoly, is the rational-function reference
-that the tests compare against; no engine path builds one, and the
-q-series layer does not accept it.  It works on the Fraction view
+that the tests compare against; no engine path builds one, and a QSeries
+refuses it as a coefficient.  It works on the Fraction view
 YPoly.coeffs, with divmod, content and poly_gcd.
 
 Specialization holds one exact rational value per equivariant parameter
@@ -41,10 +43,6 @@ PRNG_NAME = "splitmix64"
 DEFAULT_SEED_BASE = 1729
 DEFAULT_SEED_COUNT = 5
 SAMPLE_RANGE = (2, 97)
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c)  # "p" or "p/q", denominator always positive
 
 
 # a cleared pair: integer coefficients, lowest power of y first, over one integer denominator
@@ -448,20 +446,6 @@ class YRat:
 
     def __repr__(self):
         return f"YRat({self.to_str()})"
-
-
-def coeff_to_str(c) -> str:
-    """Serialize any coefficient (int, Fraction, YPoly, YRat) to the report grammar."""
-    if isinstance(c, (YPoly, YRat)):
-        return c.to_str()
-    return _frac_str(Fraction(c))
-
-
-def coeff_evaluate(c, y0: Fraction):
-    """Evaluate a coefficient at a numeric y, passing plain rationals through."""
-    if isinstance(c, (YPoly, YRat)):
-        return c.evaluate(y0)
-    return Fraction(c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,23 @@
-"""Truncated Laurent series in q over an exact coefficient ring.
+"""Truncated Laurent series in q over Q[y].
 
 A QSeries stores a dense coefficient vector starting at ``offset`` and an
 exclusive ``order``: coefficients are exact for every exponent below
 ``order`` and unknown past it.  Truncation is tracked, never inferred;
 asking for a coefficient at or beyond ``order`` raises TruncationError.
-Coefficient values may be int, Fraction or YPoly, mixed freely: the
-engine's series are polynomial in y, so Q[y] is the one coefficient ring.
-Products and inverses sum in integers: each coefficient is read as a
-cleared pair, every output coefficient is one cleared sum of pair
-products, normalized once, and it takes the type that term-by-term
-arithmetic would give (a YPoly if a YPoly took part, else a Fraction if
-one took part, else an int).  A series inverts only when its lowest
-coefficient is a unit of Q[y], a nonzero constant.  Series in y are
-built symbolic, and at_y evaluates every coefficient at one rational y0,
-which is the only way a numeric y enters.
+Every coefficient is a YPoly: the engine's series are polynomial in y,
+so Q[y] is the one coefficient ring.  The constructor turns int and
+Fraction coefficients into YPoly and refuses any other type with
+TypeError.  Products and inverses sum in integers: each coefficient is
+read as its cleared pair, and every output coefficient is one cleared sum
+of pair products, normalized once.  A series inverts only when its
+lowest coefficient is a unit of Q[y], a nonzero constant.  Series in y
+are built symbolic, and at_y evaluates every coefficient at one rational
+y0, which is the only way a numeric y enters.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coefficients import (
-    YPoly,
-    cleared_product,
-    cleared_sum,
-    cleared_value,
-    coeff_evaluate,
-    coeff_to_str,
-)
+from .coefficients import YPoly, cleared_product, cleared_sum, cleared_value
 
 
 class TruncationError(ValueError):
@@ -38,40 +28,15 @@ class InvertNonUnitError(ZeroDivisionError):
     """The series has no invertible lowest term within its known range."""
 
 
-def _reciprocal(c) -> Fraction:
-    """1/c for a unit c of Q[y]: a nonzero int, Fraction or constant YPoly."""
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    if isinstance(c, YPoly):
-        if c.degree != 0:
-            raise InvertNonUnitError(f"lowest coefficient {c.to_str()} is not a unit of Q[y]")
-        return Fraction(c.den, c.num[0])
-    raise TypeError(f"no reciprocal for {type(c).__name__}")
+_ZERO = YPoly()
 
 
-# A coefficient's kind orders the three types a product or sum can take:
-# int (0) < Fraction (1) < YPoly (2), and a sum or product of coefficients
-# has the type of the largest kind among its operands.
-
-
-def _pair(c):
-    """c as (its cleared pair, its kind); None if c is zero."""
-    t = type(c)
-    if t is YPoly:
-        return ((c.num, c.den), 2) if c else None
-    if t is int or t is Fraction:
-        return (((c.numerator,), c.denominator), 1 if t is Fraction else 0) if c else None
-    raise TypeError(f"no cleared pair for {t.__name__}")
-
-
-def _typed(pair, kind: int):
-    """The coefficient a cleared pair stands for, normalized once, of the type ``kind``."""
-    if kind == 2:
-        return cleared_value(pair)
-    num, den = pair  # a scalar: one coefficient
-    return Fraction(num[0], den) if kind else num[0]
+def _coefficient(c) -> YPoly:
+    """c as a YPoly; an int or a Fraction is coerced, any other type raises TypeError."""
+    p = YPoly._coerce(c)
+    if p is None:
+        raise TypeError(f"a QSeries coefficient is a YPoly, int or Fraction, not {type(c).__name__}")
+    return p
 
 
 class QSeries:
@@ -80,12 +45,12 @@ class QSeries:
     __slots__ = ("offset", "coeffs", "order")
 
     def __init__(self, offset: int, coeffs, order: int):
-        coeffs = list(coeffs)
+        coeffs = [_coefficient(c) for c in coeffs]
         if order < offset:
             raise ValueError("order must be at least offset")
         if len(coeffs) > order - offset:
             raise ValueError("coefficient vector exceeds the truncation window")
-        coeffs.extend([0] * (order - offset - len(coeffs)))
+        coeffs.extend([_ZERO] * (order - offset - len(coeffs)))
         # canonical form: the vector starts at the lowest potentially
         # nonzero exponent, leading zeros fold into the offset
         start = 0
@@ -116,7 +81,7 @@ class QSeries:
         if not live:
             return cls.zero(order)
         offset = min(live)
-        coeffs = [live.get(e, 0) for e in range(offset, order)]
+        coeffs = [live.get(e, _ZERO) for e in range(offset, order)]
         return cls(offset, coeffs, order)
 
     # -- inspection --------------------------------------------------------
@@ -127,7 +92,7 @@ class QSeries:
                 f"coefficient q^{exp} requested but series is only valid below q^{self.order}"
             )
         if exp < self.offset:
-            return 0
+            return _ZERO
         return self.coeffs[exp - self.offset]
 
     def items(self):
@@ -184,7 +149,7 @@ class QSeries:
     def _window(self, exp: int):
         if self.offset <= exp < self.offset + len(self.coeffs):
             return self.coeffs[exp - self.offset]
-        return 0
+        return _ZERO
 
     def __neg__(self):
         return QSeries(self.offset, [-c for c in self.coeffs], self.order)
@@ -202,19 +167,15 @@ class QSeries:
         if offset >= order or self.is_zero() or other.is_zero():
             return QSeries.zero(order)
         width = order - offset
-        a, b = [_pair(c) for c in self.coeffs], [_pair(c) for c in other.coeffs]
+        a = [(c.num, c.den) for c in self.coeffs[:width]]
+        b = [(c.num, c.den) for c in other.coeffs[:width]]
         terms = [[] for _ in range(width)]
-        kinds = [0] * width
-        for i, entry in enumerate(a[:width]):
-            if entry is None:
-                continue
-            x, kx = entry
-            for j, y in enumerate(b[: width - i], i):
-                if y is not None:
-                    terms[j].append(cleared_product(x, y[0]))
-                    kinds[j] = max(kinds[j], kx, y[1])
-        out = [_typed(cleared_sum(t), kind) if t else 0 for t, kind in zip(terms, kinds)]
-        return QSeries(offset, out, order)
+        for i, x in enumerate(a):
+            if x[0]:
+                for j, y in enumerate(b[: width - i], i):
+                    if y[0]:
+                        terms[j].append(cleared_product(x, y))
+        return QSeries(offset, [cleared_value(cleared_sum(t)) for t in terms], order)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -232,26 +193,22 @@ class QSeries:
         if self.is_zero():
             raise InvertNonUnitError("cannot invert a series that is zero to its order")
         m = self.offset  # canonical form puts the first nonzero coefficient here
-        n_terms = self.order - m
-        inv0 = _reciprocal(self.coeffs[0])
-        out = [inv0] + [0] * (n_terms - 1)
-        a = [_pair(c) for c in self.coeffs]
-        minus_inv0 = ((-inv0.numerator,), inv0.denominator)
-        known = [_pair(inv0)]  # the _pair of each out[n] so far
-        for n in range(1, n_terms):
-            terms, kind = [], 0
-            for j in range(1, min(n, len(a) - 1) + 1):
-                x, y = a[j], known[n - j]
-                if x is None:
-                    continue
-                kind = max(kind, x[1])  # a zero out[n - j] still sets the type, as x * 0 does
-                if y is not None:
-                    terms.append(cleared_product(x[0], y[0]))
-                    kind = max(kind, y[1])
-            acc = cleared_sum(terms)
-            if any(acc[0]):
-                out[n] = _typed(cleared_product(acc, minus_inv0), max(kind, 1))
-            known.append(_pair(out[n]))
+        lead = self.coeffs[0]
+        if lead.degree:
+            raise InvertNonUnitError(f"lowest coefficient {lead.to_str()} is not a unit of Q[y]")
+        a = [(c.num, c.den) for c in self.coeffs]
+        inv0 = cleared_value(((lead.den,), lead.num[0]))
+        minus_inv0 = ((-inv0.num[0],), inv0.den)
+        out, known = [inv0], [(inv0.num, inv0.den)]  # known: the pair of each out[n]
+        for n in range(1, self.order - m):
+            acc = cleared_sum(
+                cleared_product(a[j], known[n - j])
+                for j in range(1, min(n, len(a) - 1) + 1)
+                if a[j][0] and known[n - j][0]
+            )
+            c = cleared_value(cleared_product(acc, minus_inv0))
+            out.append(c)
+            known.append((c.num, c.den))
         return QSeries(-m, out, self.order - 2 * m)
 
     def __pow__(self, n: int):
@@ -276,7 +233,7 @@ class QSeries:
 
     def at_y(self, y0) -> "QSeries":
         """The series with every coefficient evaluated at y = y0, zeros folded."""
-        return QSeries.from_terms({e: coeff_evaluate(c, y0) for e, c in self.items()}, self.order)
+        return QSeries.from_terms({e: c.evaluate(y0) for e, c in self.items()}, self.order)
 
     # -- serialization -----------------------------------------------------
 
@@ -284,11 +241,11 @@ class QSeries:
         return {
             "offset": self.offset,
             "order": self.order,
-            "coeffs": [coeff_to_str(c) for c in self.coeffs],
+            "coeffs": [c.to_str() for c in self.coeffs],
         }
 
     def __repr__(self):
-        terms = ", ".join(f"q^{e}: {coeff_to_str(c)}" for e, c in self.items()[:6])
+        terms = ", ".join(f"q^{e}: {c.to_str()}" for e, c in self.items()[:6])
         more = " ..." if len(self.items()) > 6 else ""
         return f"QSeries(O(q^{self.order}); {terms}{more})"
 
@@ -313,7 +270,7 @@ def euler_product(q_step: int, y_step: int, power: int, order: int) -> QSeries:
 
     power must be <= 0.  The x**m coefficient of the product is
     c(m) = colored_partition_counts(-power, ...)[m], placed at
-    q**(q_step*m) times y**(y_step*m), a YPoly when y_step > 0.
+    q**(q_step*m) times y**(y_step*m).
     """
     if q_step < 1:
         raise ValueError("q_step must be positive so the product is a power series")
@@ -323,8 +280,5 @@ def euler_product(q_step: int, y_step: int, power: int, order: int) -> QSeries:
     counts = colored_partition_counts(-power, top)
     terms = {0: 1}
     for m in range(1, top + 1):
-        if y_step == 0:
-            terms[q_step * m] = counts[m]
-        else:
-            terms[q_step * m] = YPoly.monomial(y_step * m, counts[m])
+        terms[q_step * m] = YPoly.monomial(y_step * m, counts[m])
     return QSeries.from_terms(terms, order)

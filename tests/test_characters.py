@@ -29,8 +29,6 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
-    coeff_evaluate,
-    coeff_to_str,
     sample_specialization,
 )
 from blowup_genera.partitions import (
@@ -57,7 +55,12 @@ def char_sum(*chars):
 
 def at(value, y0):
     """A coefficient at y = y0, or the coefficient itself for y0 = None."""
-    return value if y0 is None else coeff_evaluate(value, y0)
+    return value if y0 is None else value.evaluate(y0)
+
+
+def printed(value):
+    """The report string of a YPoly, or of a Fraction value at a numeric y0."""
+    return value.to_str() if isinstance(value, YPoly) else str(value)
 
 
 def theta_value(c, spec, limit=False, y0=None):
@@ -544,7 +547,7 @@ def assert_same(got, expected):
     assert got == expected
     if not isinstance(expected, tuple):
         assert type(got) is type(expected)
-        assert coeff_to_str(got) == coeff_to_str(expected)
+        assert printed(got) == printed(expected)
 
 
 Y_MODES = (None, F(0), F(1), F(2, 3))

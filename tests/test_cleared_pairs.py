@@ -3,8 +3,8 @@
 RefPoly below is the Fraction-tuple y-polynomial with the arithmetic the
 cleared-pair YPoly replaced, and ref_mul / ref_invert / ref_at_y are the
 term-by-term q-series loops that QSeries.__mul__, invert and at_y
-replaced.  Every comparison includes the coefficient types: a q-series
-coefficient that no YPoly reached stays an int or a Fraction.
+replaced.  A QSeries holds only YPoly coefficients, so the references
+compute in RefPoly and Fraction and store their results as YPoly.
 """
 
 from fractions import Fraction as F
@@ -13,8 +13,18 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from blowup_genera.coefficients import YPoly, YRat, cleared_value
-from blowup_genera.qseries import InvertNonUnitError, QSeries
+from blowup_genera.blowup_factor import yk_euler, yk_gottsche, yk_hol, yk_main
+from blowup_genera.coefficients import YPoly, YRat, cleared_value, sample_specialization
+from blowup_genera.genera import (
+    EQUIVARIANT,
+    LIMIT,
+    SeriesRequest,
+    z_series,
+    z_series_limit_closed,
+    zhat_series,
+)
+from blowup_genera.qseries import InvertNonUnitError, QSeries, euler_product
+from blowup_genera.rank1 import nekrasov_okounkov_rhs, w_series
 
 
 class RefPoly:
@@ -210,17 +220,18 @@ def test_evaluate_is_the_fraction_horner_value(a, y0):
 
 # -- QSeries against the term-by-term reference --------------------------------
 
-def to_ref(c):
-    return RefPoly(c.coeffs) if isinstance(c, YPoly) else c
+def to_ref(c: YPoly) -> RefPoly:
+    return RefPoly(c.coeffs)
+
+
+def from_ref(c):
+    """A reference value as a QSeries coefficient: a RefPoly as a YPoly, a scalar as is."""
+    return YPoly(c.coeffs) if isinstance(c, RefPoly) else c
 
 
 def described(s):
-    """offset, order and every coefficient with its type; YPoly and RefPoly read alike."""
-    def one(c):
-        if isinstance(c, (YPoly, RefPoly)):
-            return ("poly", tuple(exact(c.coeffs)))
-        return (type(c).__name__, c)
-    return s.offset, s.order, [one(c) for c in s.coeffs]
+    """offset, order and every coefficient with its type and lowest-terms pair."""
+    return s.offset, s.order, [(type(c), c.num, c.den) for c in s.coeffs]
 
 
 def ref_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -233,13 +244,12 @@ def ref_mul(a: QSeries, b: QSeries) -> QSeries:
         for j, y in enumerate(b.coeffs):
             if x and y and i + j < order - offset:
                 out[i + j] = out[i + j] + to_ref(x) * to_ref(y)
-    return QSeries(offset, out, order)
+    return QSeries(offset, [from_ref(c) for c in out], order)
 
 
 def ref_invert(a: QSeries) -> QSeries:
     m, cs = a.offset, [to_ref(c) for c in a.coeffs]
-    lead = cs[0]
-    inv0 = 1 / (lead.coeffs[0] if isinstance(lead, RefPoly) else F(lead))
+    inv0 = 1 / cs[0].coeffs[0]
     out = [inv0] + [0] * (a.order - m - 1)
     for n in range(1, len(out)):
         acc = 0
@@ -247,15 +257,16 @@ def ref_invert(a: QSeries) -> QSeries:
             if cs[j]:
                 acc = acc + cs[j] * out[n - j]
         out[n] = -inv0 * acc if acc else 0
-    return QSeries(-m, out, a.order - 2 * m)
+    return QSeries(-m, [from_ref(c) for c in out], a.order - 2 * m)
 
 
 def ref_at_y(a: QSeries, y0) -> QSeries:
-    terms = {e: to_ref(c).evaluate(y0) if isinstance(c, YPoly) else F(c) for e, c in a.items()}
+    terms = {e: to_ref(c).evaluate(y0) for e, c in a.items()}
     return QSeries.from_terms(terms, a.order)
 
 
-# entries mix int, Fraction and YPoly, zeros of each type included
+# entries mix int, Fraction and YPoly, zeros of each type included; the
+# constructor stores each as a YPoly
 entries = st.one_of(
     st.just(0), st.just(F(0)), st.just(YPoly()), scalars, coeff_lists.map(YPoly)
 )
@@ -291,8 +302,8 @@ def test_series_at_y_is_the_fraction_evaluation(a, y0):
 
 def test_rational_functions_of_y_are_typed_errors():
     # Q[y] is the one coefficient ring: a non-constant lowest coefficient
-    # is no unit, a polynomial divides only by a scalar, and a YRat
-    # coefficient has no cleared pair
+    # is no unit, a polynomial divides only by a scalar, and a YRat is no
+    # QSeries coefficient, so no series holds one to add, scale or print
     s = QSeries(0, [YPoly((1, -1)), 2, YPoly.y()], 3)
     with pytest.raises(InvertNonUnitError, match="1 - y"):
         s.invert()
@@ -301,8 +312,32 @@ def test_rational_functions_of_y_are_typed_errors():
     assert YPoly((1, 1)) / 3 == YPoly((F(1, 3), F(1, 3)))
     assert YPoly((1, 1)) / F(2, 3) == YPoly((F(3, 2), F(3, 2)))
     assert YPoly.one() / YRat(YPoly((1, -1))) == YRat(YPoly.one(), YPoly((1, -1)))
-    rat = QSeries(0, [1, YRat(YPoly.one(), YPoly((1, -1)))], 2)
-    for op in (lambda: rat * rat, lambda: rat * QSeries.one(2), lambda: QSeries.one(2) * rat,
-               rat.invert, QSeries(0, [YRat(YPoly((2,)))], 1).invert):
-        with pytest.raises(TypeError):
+    rat = YRat(YPoly.one(), YPoly((1, -1)))
+    one = QSeries.one(2)
+    for op in (lambda: QSeries(0, [1, rat], 2), lambda: QSeries(0, [YRat(YPoly((2,)))], 1),
+               lambda: QSeries.from_terms({1: rat}, 2), lambda: one.scale(rat),
+               lambda: one * rat, lambda: rat * one, lambda: one + rat,
+               lambda: one + QSeries.monomial(rat, 1, 2)):
+        with pytest.raises(TypeError, match="YRat"):
             op()
+
+
+def test_every_series_coefficient_is_a_ypoly():
+    # YPoly is the one coefficient type: every builder and every series
+    # operation returns YPoly coefficients, whatever scalars went in
+    spec = sample_specialization(2, 101)
+    z = z_series(SeriesRequest(rank=2, max_n=2, spec=spec))
+    built = [z, z_series_limit_closed(SeriesRequest(rank=2, max_n=2, spec=spec, mode=LIMIT)),
+             w_series(sample_specialization(1, 44), 5), nekrasov_okounkov_rhs(5),
+             yk_main(2, 1, 12), yk_gottsche(2, 1, 12), yk_euler(2, 1, 12),
+             yk_hol(2, 1, 12).main_at_y0, euler_product(1, 0, -2, 8), euler_product(2, 1, -1, 8)]
+    for mode in (EQUIVARIANT, LIMIT):
+        built.append(z_series(SeriesRequest(rank=2, max_n=2, spec=spec, mode=mode)))
+        built.append(zhat_series(SeriesRequest(rank=2, max_n=2, spec=spec, k=1, mode=mode)))
+    scalars_only = QSeries(-1, [2, F(1, 3), 0, -5], 4)
+    for s in (z, scalars_only):
+        built += [s.at_y(F(2, 3)), s * s, s.invert(), s.truncate(2), s ** 2, s ** -1,
+                  s + s, -s, s.scale(3), F(1, 2) * s, QSeries.from_terms({0: 1, 2: F(1, 2)}, 3)]
+    for s in built:
+        assert s.coeffs and all(type(c) is YPoly for c in s.coeffs), s
+        assert type(s.coefficient(s.offset - 1)) is YPoly

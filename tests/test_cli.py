@@ -149,6 +149,23 @@ def test_numeric_y_mode_defaults_to_y_one(capsys):
     assert json.loads(other)["params"]["y_mode"] == "numeric:2/3"
 
 
+def test_a_negative_y0_takes_an_equals_sign(capsys, monkeypatch):
+    # argparse reads a separate "-3/7" as a flag, so "--y0 -3/7" is a usage
+    # error; "--y0=-3/7" is one argument, and the help text says so
+    argv = ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "2", "--y-mode", "numeric"]
+    code, out = run_cli(capsys, *argv, "--y0=-3/7")
+    assert code == 0
+    assert json.loads(out)["params"]["y_mode"] == "numeric:-3/7"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--y0", "-3/7"])
+    assert exc.value.code == 2
+    assert "argument --y0: expected one argument" in capsys.readouterr().err
+    monkeypatch.setenv("COLUMNS", "300")  # one help line per flag
+    with pytest.raises(SystemExit):
+        main(["compute-zhat", "--help"])
+    assert "as in --y0=-3/7" in capsys.readouterr().out
+
+
 # A valid invocation of every subcommand; the usage-error cases below add
 # one flag the subcommand does not honour, or a conflicting combination.
 VALID = {

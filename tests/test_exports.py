@@ -21,8 +21,7 @@ EXPORTS = [
                     "TrivialWeightError", "Weight", "cleared_value", "hook_character",
                     "make_weight", "tangent_blowup", "tangent_p2", "theta_eval",
                     "theta_limit_factor", "weight_value"]),
-    ("coefficients", ["Specialization", "SplitMix64", "YPoly", "YRat", "coeff_evaluate",
-                      "coeff_to_str", "sample_specialization"]),
+    ("coefficients", ["Specialization", "SplitMix64", "YPoly", "YRat", "sample_specialization"]),
     ("genera", ["EQUIVARIANT", "LIMIT", "SeriesRequest", "series_report", "z_series",
                 "z_series_limit_closed", "zhat_series"]),
     ("partitions", ["BlowupFixedPoint", "Box", "LatticeTooLargeError", "LatticeVector",

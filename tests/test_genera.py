@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_characters import at, reference_theta
+from test_characters import at, printed, reference_theta
 
 from blowup_genera.characters import (
     Character,
@@ -29,7 +29,6 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
-    coeff_to_str,
     sample_specialization,
 )
 from blowup_genera.genera import (
@@ -154,8 +153,7 @@ def test_plane_series_inverts_without_y_denominators():
     # Z starts at the constant 1, so its inverse stays a series over Q[y]
     z = z_series(SeriesRequest(rank=2, max_n=2, spec=sample_specialization(2, 5)))
     inv = z.invert()
-    assert all(type(c) in (YPoly, F) for c in inv.coeffs if c)
-    assert any(type(c) is YPoly for c in inv.coeffs)
+    assert z.coefficient(0) == 1 and any(c.degree > 0 for c in inv.coeffs)
     assert z * inv == QSeries.one(inv.order)
 
 
@@ -238,7 +236,6 @@ def test_zhat_series_matches_per_fixed_point_reference(mode, y0):
                 got = zhat_series(req)
                 got, want = got if y0 is None else got.at_y(y0), reference_zhat_series(req, y0)
                 assert got.to_json() == want.to_json()
-                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 @pytest.mark.parametrize("seed", [53, 192])
@@ -469,7 +466,7 @@ def assert_same_coefficient(got, want):
     if isinstance(want, str):  # both named the same degenerate weight
         assert got == want
     else:
-        assert coeff_to_str(got) == coeff_to_str(want)
+        assert printed(got) == printed(want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -44,7 +44,7 @@ def test_w_series_at_y_one_counts_partitions():
 def test_w_series_at_y_zero_is_finite():
     w = w_series(sample_specialization(1, 45), 6).at_y(F(0))
     for n in range(7):
-        assert isinstance(w.coefficient(n), (int, F))  # exact finite rationals
+        assert w.coefficient(n).degree <= 0  # exact finite rationals
 
 
 def test_rhs_counts_partitions_in_yq():

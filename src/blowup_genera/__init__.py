@@ -30,7 +30,6 @@ _EXPORTS = {
         "RankCheckError",
         "TrivialWeightError",
         "Weight",
-        "cleared_value",
         "hook_character",
         "make_weight",
         "tangent_blowup",
@@ -44,6 +43,7 @@ _EXPORTS = {
         "SplitMix64",
         "YPoly",
         "YRat",
+        "cleared_value",
         "sample_specialization",
     ),
     "genera": (

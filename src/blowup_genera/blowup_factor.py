@@ -1,14 +1,11 @@
 """Closed forms of the universal blow-up factor Y_k in three presentations.
 
 Each form is the Euler prefactor prod_{n>0} (1 - (q^2 y)^(rn))^-r times a
-finite lattice sum.  The prefactor depends only on x = q^(2r) y^r, and its
-x^m coefficient is c_r(m), the number of r-colored partitions of m
-(qseries.colored_partition_counts).  A lattice sum is kept as counts of
-exponent pairs (Q, e), and the product is a shift-add: each term q^Q y^e
-adds c_r(m) to the coefficient of q^(Q + 2rm) y^(e + rm), for every m
-with Q + 2rm within the order.  The sums stay in plain ints, and one
-YPoly (at y = 1, one constant) is built per q-coefficient; no q-series
-is multiplied.
+finite lattice sum.  A lattice sum is kept as counts of exponent pairs
+(Q, e), and the product is qseries.euler_times, the engine's one
+Euler-product shift-add, with q-step 2r, y-step r and r colors: each
+term q^Q y^e adds c_r(m), the number of r-colored partitions of m, to the
+coefficient of q^(Q + 2rm) y^(e + rm).  No q-series is multiplied.
 
 yk_main: the lattice sum over integer vectors with sum k, each
 contributing q^Q * y^((Q + L)/2) where Q = sum_{i<j} (k_i - k_j)^2 and
@@ -22,8 +19,8 @@ x^(v^T A v) * y^(v^T A I).  Its lattice is enumerated independently of
 yk_main's, so the two presentations cross-check each other.
 
 yk_euler: the y = 1 specialization, prod (1 - q^(2rn))^-r times
-sum q^Q: yk_main's lattice and shift-add, with the y-exponents dropped
-and every coefficient an integer constant.
+sum q^Q: yk_main's lattice with its y-exponents collapsed to 0, and the
+shift-add with y-step 0, so every coefficient is a constant YPoly.
 
 yk_hol: the y = 0 branch.  The stated table value is 1 for k = 0 and 0
 otherwise; direct evaluation of yk_main at y = 0 instead leaves the single
@@ -37,9 +34,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .coefficients import YPoly
 from .partitions import check_k, enumerate_lattice_vectors
-from .qseries import QSeries, colored_partition_counts
+from .qseries import QSeries, euler_times
 from .records import Record
 
 
@@ -84,38 +80,10 @@ def lattice_theta_series(
     return terms
 
 
-def _times_prefactor(
-    r: int, lattice: dict[tuple[int, int], int], order: int, symbolic: bool = True
-) -> QSeries:
-    """prod_{n>0} (1 - (q^2 y)^(rn))^-r times a lattice sum, valid through q^order.
-
-    ``lattice`` counts the sum's terms q^Q y^e by (Q, e).  Each term shifts
-    along x = q^(2r) y^r with weight c_r(m); the coefficients are summed in
-    ints per (q, y) exponent.  symbolic=False sets y = 1 (one int sum per
-    q-coefficient, a constant YPoly in the series), otherwise each
-    q-coefficient is one YPoly.
-    """
-    step = 2 * r
-    counts = colored_partition_counts(r, order // step)
-    rows: dict[int, dict[int, int]] = {}
-    for (q_exp, y_exp), n in lattice.items():
-        for m in range((order - q_exp) // step + 1):
-            row = rows.setdefault(q_exp + step * m, {})
-            e = y_exp + r * m
-            row[e] = row.get(e, 0) + n * counts[m]
-    if symbolic:
-        coeffs = {
-            q: YPoly([row.get(e, 0) for e in range(max(row) + 1)]) for q, row in rows.items()
-        }
-    else:
-        coeffs = {q: sum(row.values()) for q, row in rows.items()}
-    return QSeries.from_terms(coeffs, order + 1)
-
-
 def yk_main(r: int, k: int, order: int, y_sign: int = +1) -> QSeries:
     """Blow-up factor in its Euler-product-times-lattice-sum form, over YPoly."""
     check_k(r, k)
-    return _times_prefactor(r, lattice_theta_series(r, k, order, y_sign), order)
+    return euler_times(lattice_theta_series(r, k, order, y_sign), 2 * r, r, r, order + 1)
 
 
 def _gottsche_lattice(r: int, k: int, order: int) -> dict[tuple[int, int], int]:
@@ -163,13 +131,16 @@ def _gottsche_lattice(r: int, k: int, order: int) -> dict[tuple[int, int], int]:
 def yk_gottsche(r: int, k: int, order: int) -> QSeries:
     """Blow-up factor in the eta-quotient and shifted-lattice presentation."""
     check_k(r, k)
-    return _times_prefactor(r, _gottsche_lattice(r, k, order), order)
+    return euler_times(_gottsche_lattice(r, k, order), 2 * r, r, r, order + 1)
 
 
 def yk_euler(r: int, k: int, order: int) -> QSeries:
     """Euler-characteristic branch: the blow-up factor at y = 1, integer constants."""
     check_k(r, k)
-    return _times_prefactor(r, lattice_theta_series(r, k, order), order, symbolic=False)
+    lattice: dict[tuple[int, int], int] = {}
+    for (q_exp, _y_exp), n in lattice_theta_series(r, k, order).items():
+        lattice[q_exp, 0] = lattice.get((q_exp, 0), 0) + n
+    return euler_times(lattice, 2 * r, 0, r, order + 1)
 
 
 class YkHolReport(Record):

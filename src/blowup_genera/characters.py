@@ -22,6 +22,10 @@ holds the twisted, remapped t-exponents of one pairing block; they depend
 on no specialization, so one process-wide cache serves every builder, and
 its rank and isolation checks run once per entry.  plane_block_weights
 adds the e-parts to them and is the one generator of plane-block weights.
+The checks of pair_exponents are the one check site of every plane
+block: each multiplicity is +1, so nothing cancels, and the chart maps
+are linear bijections that fix (0, 0), so a Character built from pairing
+blocks has rank 2*r*|pt| and no trivial weight by construction.
 The plane tangent character (tangent_p2) is that sum in the identity chart
 with every k_a = 0, and the rank-one hook character (hook_character) is
 its one-slot case, whose e-parts cancel; both are cached process-wide.
@@ -31,9 +35,9 @@ blocks of Y in the chart (t1, t2/t1), twisted by t1^(k_b - k_a)) and the
 Z block (those of Z in (t1/t2, t2), twisted by t2^(k_b - k_a));
 BLOWUP_SIDES names the chart of each side.  simplex_block and
 plane_block build one block, and tangent_blowup counts all three into
-the full character.  Every Character builder passes one check,
-_checked: the rank the geometry fixes, and no trivial weight (fixed
-points are isolated).
+the full character.  The simplex has no other check site, so
+simplex_block and tangent_blowup pass one check, _checked: the rank the
+geometry fixes, and no trivial weight (fixed points are isolated).
 
 The multiplicative genus is evaluated weight by weight through
 theta(x) = (1 - y/x) / (1 - 1/x) = (x - y) / (x - 1), with x the exact
@@ -45,12 +49,10 @@ one integer denominator.  y stays symbolic here, as everywhere in the
 engine: a numeric y0 is one evaluation of the finished series
 (QSeries.at_y).  theta_eval and theta_limit_factor return that pair, and
 a negative multiplicity, which would leave a y-denominator, raises
-ValueError.  The pair helpers (Cleared, cleared_sum, cleared_product,
-cleared_convolution and cleared_value) live in coefficients, where a
-YPoly is itself a pair in lowest terms, and are imported here under the
-same names;
-theta_sum is the sum over the characters of one q-degree that every
-series makes.
+ValueError.  The pair helpers live in coefficients, where a YPoly is
+itself a pair in lowest terms, and cleared_value there gives a pair's
+YPoly; theta_sum is the sum over the characters of one q-degree that
+every series makes.
 theta_limit_factor applies the ordered e_r -> 0, ..., e_1 -> 0 limit as
 an exact case table: a weight with denominator slot below the numerator
 slot contributes 1, the opposite order contributes y = theta(0), and
@@ -75,16 +77,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-# the pair helpers live in coefficients and are importable from here too, so
-# the package exports cleared_value from this module
-from .coefficients import (
-    Cleared,
-    Specialization,
-    cleared_convolution,
-    cleared_product,
-    cleared_sum,
-    cleared_value,
-)
+from .coefficients import Cleared, Specialization, cleared_product, cleared_sum
 from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple, arm_leg
 
 
@@ -278,20 +271,14 @@ def _checked(char: Character, expected: int, where: str, *args) -> Character:
     return char
 
 
-def _plane_checked(pt: PartitionTuple, ks, substitution: str, where: str, *args) -> Character:
-    """The pairing blocks of a tuple counted into one Character of rank 2*r*|pt|."""
-    char = Character(plane_block_weights(pt, ks, substitution))
-    return _checked(char, 2 * pt.rank * pt.total_size, where, *args)
-
-
 @lru_cache(maxsize=None)
 def tangent_p2(fp: PartitionTuple) -> Character:
     """Tangent character at a fixed point of the plane moduli.
 
-    Its pairing blocks in the identity chart; the rank must be 2*r*n at
-    total size n, and the trivial weight must be absent.
+    Its pairing blocks in the identity chart, of rank 2*r*n at total size
+    n and without the trivial weight, as pair_exponents checks.
     """
-    return _plane_checked(fp, (0,) * fp.rank, "identity", "{!r}", fp)
+    return Character(plane_block_weights(fp, (0,) * fp.rank, "identity"))
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +286,11 @@ def hook_character(p: Partition, substitution: str = "identity") -> Character:
     """Both hook monomials of every box of one diagram, as a character.
 
     This is the single-slot pairing block of p with itself, whose e-parts
-    cancel, under the given variable substitution; its rank must be 2*|p|.
-    An unknown substitution raises ValueError, which is not cached.
+    cancel, under the given variable substitution, of rank 2*|p| as
+    pair_exponents checks.  An unknown substitution raises ValueError,
+    which is not cached.
     """
-    where = "hook character of {!r} under {}"
-    return _plane_checked(PartitionTuple((p,)), (0,), substitution, where, p, substitution)
+    return Character(plane_block_weights(PartitionTuple((p,)), (0,), substitution))
 
 
 def simplex_block(kvec: LatticeVector) -> Character:
@@ -312,10 +299,8 @@ def simplex_block(kvec: LatticeVector) -> Character:
 
 
 def plane_block(pt: PartitionTuple, kvec: LatticeVector, side: str) -> Character:
-    """Y or Z block of a blow-up fixed point; its rank must equal 2*r*|pt|."""
-    return _plane_checked(
-        pt, kvec.entries, BLOWUP_SIDES[side], "{} block of {!r} under {!r}", side, pt, kvec
-    )
+    """Y or Z block of a blow-up fixed point, of rank 2*r*|pt| as pair_exponents checks."""
+    return Character(plane_block_weights(pt, kvec.entries, BLOWUP_SIDES[side]))
 
 
 @lru_cache(maxsize=None)

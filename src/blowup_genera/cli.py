@@ -204,13 +204,6 @@ def _seeds_from(parser, args) -> tuple[int, ...]:
     return args.seed_list
 
 
-def _check_k(parser, r: int, k: int) -> None:
-    try:
-        check_k(r, k)
-    except ValueError as exc:
-        parser.error(f"--k: {exc}")
-
-
 def _max_n_from(args, r: int, k: int = 0) -> int:
     if args.max_n is not None:
         return args.max_n
@@ -229,6 +222,11 @@ def _y0(parser, args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "k" in args:
+        try:
+            check_k(args.rank, args.k)
+        except ValueError as exc:
+            parser.error(f"--k: {exc}")
     if "verbose" in args:
         # only the verify-* commands log: their drivers report reseeds and progress
         import logging
@@ -251,10 +249,7 @@ def _run(parser, args) -> int:
     if args.command in ("compute-z", "compute-zhat"):
         from . import genera
 
-        k = 0
-        if args.command == "compute-zhat":
-            k = args.k
-            _check_k(parser, args.rank, k)
+        k = args.k if args.command == "compute-zhat" else 0
         y0 = _y0(parser, args)
         req = genera.SeriesRequest(
             rank=args.rank, max_n=_max_n_from(args, args.rank, k),
@@ -267,7 +262,6 @@ def _run(parser, args) -> int:
     if args.command == "compute-yk":
         from . import blowup_factor
 
-        _check_k(parser, args.rank, args.k)
         form = getattr(blowup_factor, f"yk_{args.form}")
         key = "holomorphic" if args.form == "hol" else "series"
         payload = {
@@ -300,35 +294,27 @@ def _run(parser, args) -> int:
         )
         return 0
 
-    # every other command is a verify-* command
+    # every other command is a verify-* command, and every report ends alike
     from . import verify
 
+    seeds = _seeds_from(parser, args)
     if "driver" in args:
-        _check_k(parser, args.rank, args.k)
         options = {"mode": args.mode} if "mode" in args else {}
-        driver = getattr(verify, args.driver)
-        report = driver(args.rank, args.k, args.order, _seeds_from(parser, args), **options)
-        _emit(report.to_json(include_timing=args.timing), args)
-        return 0 if report.outcome else 1
-
-    if args.command == "verify-rank1":
-        report = verify.verify_rank1_identity(args.order, _seeds_from(parser, args))
-        _emit(report.to_json(include_timing=args.timing), args)
-        return 0 if report.outcome else 1
-
-    if args.command == "verify-all":
-        reports = verify.verify_all(_seeds_from(parser, args))
+        report = getattr(verify, args.driver)(args.rank, args.k, args.order, seeds, **options)
+        payload = report.to_json(include_timing=args.timing)
+    elif args.command == "verify-rank1":
+        report = verify.verify_rank1_identity(args.order, seeds)
+        payload = report.to_json(include_timing=args.timing)
+    else:
+        reports = verify.verify_all(seeds)
         payload = {
             "schema": "verification-report/1",
             "check": "verify-all",
             "outcome": "pass" if all(rep.outcome for rep in reports) else "fail",
             "reports": [rep.to_json(include_timing=args.timing) for rep in reports],
         }
-        _emit(payload, args)
-        return 0 if all(rep.outcome for rep in reports) else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    _emit(payload, args)
+    return 0 if payload["outcome"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,12 @@ read as its cleared pair, and every output coefficient is one cleared sum
 of pair products, normalized once.  A series inverts only when its
 lowest coefficient is a unit of Q[y], a nonzero constant.  Series in y
 are built symbolic, and at_y evaluates every coefficient at one rational
-y0, which is the only way a numeric y enters.
+y0, which is the only way a numeric y enters.  An Euler product
+prod (1 - q^(a n) y^(b n))^-c times a finite sum of terms q^Q y^e is one
+shift-add in integers, euler_times; euler_product and every closed form
+of the blow-up factor Y_k expand through it.  The canonical form makes
+(offset, order, coeffs) unique, so equality and hashing read those three
+fields.
 """
 
 from __future__ import annotations
@@ -102,17 +107,13 @@ class QSeries:
         ]
 
     def is_zero(self) -> bool:
-        return not self.coeffs or all(not c for c in self.coeffs)
+        return not self.coeffs
 
     def __eq__(self, other):
+        # the canonical form makes (offset, order, coeffs) unique, as __hash__ uses
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        lo = min(self.offset, other.offset)
-        return all(
-            self.coefficient(e) == other.coefficient(e) for e in range(lo, self.order)
-        )
+        return (self.offset, self.order, self.coeffs) == (other.offset, other.order, other.coeffs)
 
     def __hash__(self):
         return hash((self.offset, self.order, self.coeffs))
@@ -142,14 +143,9 @@ class QSeries:
         order = min(self.order, other.order)
         offset = min(self.offset, other.offset, order)
         coeffs = [
-            self._window(e) + other._window(e) for e in range(offset, order)
+            self.coefficient(e) + other.coefficient(e) for e in range(offset, order)
         ]
         return QSeries(offset, coeffs, order)
-
-    def _window(self, exp: int):
-        if self.offset <= exp < self.offset + len(self.coeffs):
-            return self.coeffs[exp - self.offset]
-        return _ZERO
 
     def __neg__(self):
         return QSeries(self.offset, [-c for c in self.coeffs], self.order)
@@ -265,20 +261,41 @@ def colored_partition_counts(colors: int, top: int) -> list[int]:
     return counts
 
 
+def euler_times(terms: dict[tuple[int, int], int], q_step: int, y_step: int, colors: int,
+                order: int) -> QSeries:
+    """prod_{n>0} (1 - q**(q_step*n) * y**(y_step*n)) ** -colors times a sum, valid below ``order``.
+
+    ``terms`` counts the sum's terms q**Q * y**e by (Q, e).  The product's
+    x**m coefficient is c(m) = colored_partition_counts(colors, ...)[m], so
+    each term adds n * c(m) to q**(Q + q_step*m) * y**(e + y_step*m): a
+    shift-add summed in ints per (q, y) exponent, with one YPoly built per
+    q-coefficient and no q-series multiplied.  q_step must be positive,
+    y_step and colors nonnegative, and every e nonnegative.
+    """
+    tops = [(order - 1 - q_exp) // q_step for q_exp, _e in terms]
+    counts = colored_partition_counts(colors, max(tops, default=0))
+    rows: dict[int, dict[int, int]] = {}
+    for ((q_exp, y_exp), n), top in zip(terms.items(), tops):
+        for m in range(top + 1):
+            row = rows.setdefault(q_exp + q_step * m, {})
+            e = y_exp + y_step * m
+            row[e] = row.get(e, 0) + n * counts[m]
+    coeffs = {q: YPoly([row.get(e, 0) for e in range(max(row) + 1)]) for q, row in rows.items()}
+    return QSeries.from_terms(coeffs, order)
+
+
 def euler_product(q_step: int, y_step: int, power: int, order: int) -> QSeries:
     """prod_{n>0} (1 - q**(q_step*n) * y**(y_step*n)) ** power, valid below ``order``.
 
-    power must be <= 0.  The x**m coefficient of the product is
-    c(m) = colored_partition_counts(-power, ...)[m], placed at
-    q**(q_step*m) times y**(y_step*m).
+    power must be <= 0, q_step positive and y_step nonnegative, or
+    ValueError says which is not; the product is euler_times of the single
+    term 1 with -power colors.
     """
     if q_step < 1:
         raise ValueError("q_step must be positive so the product is a power series")
+    if y_step < 0:
+        raise ValueError(f"y_step must be nonnegative so the product is a polynomial in y, "
+                         f"got {y_step}")
     if power > 0:
         raise ValueError(f"power must be at most 0, got {power}")
-    top = (order - 1) // q_step
-    counts = colored_partition_counts(-power, top)
-    terms = {0: 1}
-    for m in range(1, top + 1):
-        terms[q_step * m] = YPoly.monomial(y_step * m, counts[m])
-    return QSeries.from_terms(terms, order)
+    return euler_times({(0, 0): 1}, q_step, y_step, -power, order)

@@ -11,7 +11,6 @@ from blowup_genera.characters import (
     DegenerateSpecializationError,
     RankCheckError,
     TrivialWeightError,
-    cleared_value,
     hook_exponents,
     make_weight,
     plane_block,
@@ -29,6 +28,7 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
+    cleared_value,
     sample_specialization,
 )
 from blowup_genera.partitions import (

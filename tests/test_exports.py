@@ -18,10 +18,11 @@ EXPORTS = [
     ("blowup_factor", ["IntegralityViolationError", "YkHolReport", "yk_euler", "yk_gottsche",
                        "yk_hol", "yk_main"]),
     ("characters", ["Character", "DegenerateSpecializationError", "RankCheckError",
-                    "TrivialWeightError", "Weight", "cleared_value", "hook_character",
-                    "make_weight", "tangent_blowup", "tangent_p2", "theta_eval",
-                    "theta_limit_factor", "weight_value"]),
-    ("coefficients", ["Specialization", "SplitMix64", "YPoly", "YRat", "sample_specialization"]),
+                    "TrivialWeightError", "Weight", "hook_character", "make_weight",
+                    "tangent_blowup", "tangent_p2", "theta_eval", "theta_limit_factor",
+                    "weight_value"]),
+    ("coefficients", ["Specialization", "SplitMix64", "YPoly", "YRat", "cleared_value",
+                      "sample_specialization"]),
     ("genera", ["EQUIVARIANT", "LIMIT", "SeriesRequest", "series_report", "z_series",
                 "z_series_limit_closed", "zhat_series"]),
     ("partitions", ["BlowupFixedPoint", "Box", "LatticeTooLargeError", "LatticeVector",

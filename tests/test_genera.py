@@ -11,9 +11,6 @@ from blowup_genera.characters import (
     DegenerateSpecializationError,
     RankCheckError,
     TrivialWeightError,
-    cleared_convolution,
-    cleared_product,
-    cleared_value,
     hook_character,
     make_weight,
     pair_exponents,
@@ -29,6 +26,9 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
+    cleared_convolution,
+    cleared_product,
+    cleared_value,
     sample_specialization,
 )
 from blowup_genera.genera import (

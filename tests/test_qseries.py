@@ -85,9 +85,19 @@ def test_mul_order_bookkeeping():
     assert s.order == 4
 
 
-def test_structural_equality_ignores_padding():
+@given(small_series, small_series)
+def test_structural_equality_ignores_padding(a, b):
     assert series(0, [0, 1], 4) == series(1, [1], 4)
     assert series(0, [1], 2) != series(0, [1], 3)  # different valid orders
+    # the canonical form is one (offset, order, coeffs) however the series is built
+    built = (
+        series(0, [0, 0, 2, 0, -1], 6),
+        QSeries.from_terms({2: 2, 4: -1}, 6),
+        series(1, [0, 2, 0, -1, 0, 0, 5], 8).truncate(6),
+    )
+    assert all(s == built[0] and hash(s) == hash(built[0]) for s in built)
+    # equal exactly when no coefficient below the common order differs
+    assert (a == b) == (a.first_difference(b, a.order - 1) is None)
 
 
 def test_pow_and_scale():
@@ -188,6 +198,12 @@ def test_euler_product_rejects_positive_power_and_step():
         euler_product(1, 0, 1, 5)
     with pytest.raises(ValueError, match="q_step"):
         euler_product(0, 1, -1, 5)
+
+
+def test_euler_product_rejects_negative_y_step():
+    # a negative y step would place y**-n, which no YPoly holds
+    with pytest.raises(ValueError, match="y_step"):
+        euler_product(1, -1, -1, 5)
 
 
 def test_euler_product_numeric_y():

@@ -61,13 +61,14 @@ pure t-monomials keep their theta.
 Theta is multiplicative, so theta of a Y or Z block is the product of its
 pair factors F(Y_a, Y_b, a, b, d, side), theta of one pairing block, the
 chi_y form of Nekrasov's factor N_{Y_a,Y_b}.  plane_block_theta
-multiplies them without building the block, from the memo of F that the
-specialization keeps for the mode (Specialization.pair_memo), which
-every blow-up series at that specialization and mode shares.  F is a
-cleared pair from the same case table and the same checks as
-theta_eval, and an unreduced product of integers does not depend on the
-order of its factors, so the product is the block's theta_eval pair,
-integer for integer.
+multiplies them without building the block.  It takes F from the memo
+that the specialization it is given keeps for the mode
+(Specialization.pair_memo, keyed by EQUIVARIANT or LIMIT), so every
+blow-up series at that specialization and mode shares the factors, and
+no caller can hand it the factors of another.  F is a cleared pair from
+the same case table and the same checks as theta_eval, and an unreduced
+product of integers does not depend on the order of its factors, so the
+product is the block's theta_eval pair, integer for integer.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ from typing import NamedTuple
 
 from .coefficients import Cleared, Specialization, cleared_product, cleared_sum
 from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple, arm_leg
+
+# the two modes of theta: full evaluation, and the ordered e -> 0 limit
+EQUIVARIANT = "equivariant"
+LIMIT = "limit"
 
 
 class TrivialWeightError(ValueError):
@@ -431,24 +436,23 @@ def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
 
 
 def plane_block_theta(
-    pt: PartitionTuple, kvec: LatticeVector, side: str, spec: Specialization, limit: bool,
-    factors: dict,
+    pt: PartitionTuple, kvec: LatticeVector, side: str, spec: Specialization, limit: bool
 ) -> Cleared:
     """Theta of plane_block(pt, kvec, side), or its limit, as a product of pair factors.
 
     Theta is multiplicative and the block is the sum over slot pairs (a, b)
     of the pairing blocks of Y_a with Y_b at d = k_b - k_a, so its theta
     is the product of the pair factors F = theta of one pairing block,
-    taken from pair_exponents.  factors memoizes F by (Y_a, Y_b, a, b, d,
-    side); it belongs to one specialization and one mode, since F depends
-    on t1, t2 and e and on the mode's case table, and zhat_series
-    passes the specialization's pair_memo entry for its mode.  Only a
-    factor that returns is stored, so a degenerate one raises again each
-    time it is met.  The product is never reduced, so it is the cleared
-    pair of theta_eval or theta_limit_factor of the block, integer for
-    integer.  A degenerate weight raises DegenerateSpecializationError,
-    but not always the one theta_eval would name first.
+    taken from pair_exponents.  F depends on t1, t2 and e and on the
+    mode's case table, so it is memoized by (Y_a, Y_b, a, b, d, side) in
+    spec.pair_memo under the mode, LIMIT or EQUIVARIANT.  Only a factor
+    that returns is stored, so a degenerate one raises again each time it
+    is met.  The product is never reduced, so it is the cleared pair of
+    theta_eval or theta_limit_factor of the block, integer for integer.
+    A degenerate weight raises DegenerateSpecializationError, but not
+    always the one theta_eval would name first.
     """
+    factors = spec.pair_memo.setdefault(LIMIT if limit else EQUIVARIANT, {})
     substitution = BLOWUP_SIDES[side]
     slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
     block = None

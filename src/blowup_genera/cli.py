@@ -7,9 +7,10 @@ invocations produce identical outputs; wall-clock timing is only included
 when --timing is passed.  Each subcommand accepts only the flags it
 honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
 error, including an unknown, conflicting or unused flag, an out-of-range
-number and a request whose lattice, or its lowest layer alone, holds more
-than partitions.MAX_LATTICE_LAYER vectors.  compute-z and compute-zhat do
-not reseed: a degenerate seed ends them with exit 1 and a
+number, an --output path in a missing directory (refused before any
+computation) and a request whose lattice, or its lowest layer alone,
+holds more than partitions.MAX_LATTICE_LAYER vectors.  compute-z and
+compute-zhat do not reseed: a degenerate seed ends them with exit 1 and a
 DegenerateSpecializationError traceback; a verify-* driver that meets
 verify.MAX_RESEEDS degenerate seeds in a row ends with exit 1 and a
 ReseedLimitError traceback.  Each subcommand imports only the layers it
@@ -183,6 +184,11 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _series_report(kind: str, params: dict, value: dict, key: str = "series") -> dict:
+    """The series-report/1 envelope of compute-yk and compute-w."""
+    return {"schema": "series-report/1", "kind": kind, "params": params, key: value}
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
@@ -227,6 +233,8 @@ def main(argv=None) -> int:
             check_k(args.rank, args.k)
         except ValueError as exc:
             parser.error(f"--k: {exc}")
+    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+        parser.error(f"--output: no directory to write {args.output!r} in")
     if "verbose" in args:
         # only the verify-* commands log: their drivers report reseeds and progress
         import logging
@@ -263,14 +271,10 @@ def _run(parser, args) -> int:
         from . import blowup_factor
 
         form = getattr(blowup_factor, f"yk_{args.form}")
+        params = {"rank": args.rank, "k": args.k, "order": args.order}
+        value = form(args.rank, args.k, args.order).to_json()
         key = "holomorphic" if args.form == "hol" else "series"
-        payload = {
-            "schema": "series-report/1",
-            "kind": f"yk-{args.form}",
-            "params": {"rank": args.rank, "k": args.k, "order": args.order},
-            key: form(args.rank, args.k, args.order).to_json(),
-        }
-        _emit(payload, args)
+        _emit(_series_report(f"yk-{args.form}", params, value, key), args)
         return 0
 
     if args.command == "compute-w":
@@ -278,20 +282,11 @@ def _run(parser, args) -> int:
 
         spec = sample_specialization(1, args.seed)
         series = rank1.w_series(spec, args.order, args.substitution)
-        _emit(
-            {
-                "schema": "series-report/1",
-                "kind": "w",
-                "params": {
-                    "order": args.order,
-                    "seed": args.seed,
-                    "substitution": args.substitution,
-                    "prng": PRNG_NAME,
-                },
-                "series": series.to_json(),
-            },
-            args,
-        )
+        params = {
+            "order": args.order, "seed": args.seed, "substitution": args.substitution,
+            "prng": PRNG_NAME,
+        }
+        _emit(_series_report("w", params, series.to_json()), args)
         return 0
 
     # every other command is a verify-* command, and every report ends alike

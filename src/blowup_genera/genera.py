@@ -33,6 +33,8 @@ import time
 from itertools import count
 
 from .characters import (
+    EQUIVARIANT,
+    LIMIT,
     DegenerateSpecializationError,
     plane_block,
     plane_block_theta,
@@ -59,10 +61,6 @@ from .partitions import (
 from .qseries import QSeries, colored_partition_counts
 from .rank1 import w_series
 from .records import Record
-
-EQUIVARIANT = "equivariant"
-LIMIT = "limit"
-
 
 class SeriesRequest(Record):
     """Parameters of one generating-series computation."""
@@ -95,7 +93,7 @@ def z_series(req: SeriesRequest) -> QSeries:
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
-def _side_sum(req: SeriesRequest, tuples, kvec: LatticeVector, side: str, factors: dict):
+def _side_sum(req: SeriesRequest, tuples, kvec: LatticeVector, side: str):
     """Theta summed over the side's blocks of the tuples at kvec, from pair factors.
 
     A product of pair factors meets the weights of a block out of sorted
@@ -104,27 +102,27 @@ def _side_sum(req: SeriesRequest, tuples, kvec: LatticeVector, side: str, factor
     """
     spec, limit = req.spec, req.mode == LIMIT
     try:
-        return cleared_sum(plane_block_theta(t, kvec, side, spec, limit, factors) for t in tuples)
+        return cleared_sum(plane_block_theta(t, kvec, side, spec, limit) for t in tuples)
     except DegenerateSpecializationError:
         theta_sum([plane_block(t, kvec, side) for t in tuples], spec, limit)
         raise
 
 
-def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector, factors: dict):
+def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     """Yield the share of kvec in the blow-up coefficient of weight w = 0, 1, 2, ...
 
     A fixed point (Y, Z, kvec) has the tangent character simplex + Y block
     + Z block, and theta is multiplicative, so the share at weight w is
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
-    Each block's theta is a product of pair factors, memoized in factors.
+    Each block's theta is a product of pair factors, memoized in req.spec.pair_memo.
     """
     simplex = theta_sum([simplex_block(kvec)], req.spec, req.mode == LIMIT)
     a, b = [], []
     for w in count():
         tuples = enumerate_tuples(req.rank, w)
-        a.append(_side_sum(req, tuples, kvec, "y", factors))
-        b.append(_side_sum(req, tuples, kvec, "z", factors))
+        a.append(_side_sum(req, tuples, kvec, "y"))
+        b.append(_side_sum(req, tuples, kvec, "z"))
         yield cleared_product(simplex, cleared_convolution(a, b))
 
 
@@ -155,8 +153,7 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     check_k(r, k)
     top = blowup_virtual_dim(r, k, req.max_n)
     kvecs = enumerate_lattice_vectors(r, k, top)
-    factors = req.spec.pair_memo.setdefault(req.mode, {})  # see plane_block_theta
-    shares = [_lattice_vector_shares(req, kvec, factors) for kvec in kvecs]
+    shares = [_lattice_vector_shares(req, kvec) for kvec in kvecs]
     terms = {}
     for n in range(req.max_n + 1):
         exp = blowup_virtual_dim(r, k, n)

@@ -4,10 +4,9 @@ A record class names its fields in _fields and sets them in its own
 __init__ through _set.  Record gives it the rest: a record is immutable
 (assigning or deleting a field raises AttributeError), compares equal
 only to a record of the same class whose field tuple is equal, hashes as
-its field tuple, and prints as Name(field=value, ...).  A class with a
-mutable record restores object's __setattr__ and __delattr__ and sets
-__hash__ to None.  A slot outside _fields, such as a memo, takes no part
-in equality, hashing or repr.
+its field tuple, and prints as Name(field=value, ...).  Hashing raises
+TypeError when a field is unhashable, such as a dict.  A slot outside
+_fields, such as a memo, takes no part in equality, hashing or repr.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ so the corollary's series come from the main theorem's builds, the limit
 check's shorter equivariant series from the main theorem's longer ones,
 and the blow-up series at one seed share the pair factors of its
 specialization; the memo is dropped when the next rank starts.  A driver
-called on its own makes a memo of its own and builds what it meets, so
-its report is the same either way.
+called on its own gets a memo of its own from _start and builds what it
+meets, so its report is the same either way.
 """
 
 from __future__ import annotations
@@ -75,24 +75,20 @@ def default_order(r: int, k: int = 0) -> int:
 class VerificationReport(Record):
     """One driver run: its check, parameters, outcome, details and conventions.
 
-    A mutable record, so not hashable.  details defaults to a new
+    An immutable record, built whole by _finish; some of its fields are
+    dicts, so hashing it raises TypeError.  details defaults to a new
     empty list and conventions to a new copy of CONVENTIONS, so no two
     reports share either.
     """
 
     __slots__ = _fields = ("name", "params", "outcome", "details", "conventions", "timing_seconds")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, name: str, params: dict, outcome: bool, details: list[str] | None = None,
                  conventions: dict | None = None, timing_seconds: float = 0.0):
-        self.name = name
-        self.params = params
-        self.outcome = outcome
-        self.details = [] if details is None else details
-        self.conventions = dict(CONVENTIONS) if conventions is None else conventions
-        self.timing_seconds = timing_seconds
+        self._set(
+            name, params, outcome, [] if details is None else details,
+            dict(CONVENTIONS) if conventions is None else conventions, timing_seconds,
+        )
 
     def to_json(self, include_timing: bool = False) -> dict:
         payload = {
@@ -170,13 +166,12 @@ class SeriesMemo:
         return series
 
 
-def _build_with_reseed(build, r: int, seed: int, retries: list[str], memo=None):
+def _build_with_reseed(build, r: int, seed: int, retries: list[str], memo: SeriesMemo):
     """Run ``build(spec)``, resampling at seed+1 on degenerate collisions.
 
-    The specializations come from memo (a fresh SeriesMemo for None).
+    The specializations come from memo, the driver's memo from _start.
     After MAX_RESEEDS degenerate draws in a row it raises ReseedLimitError.
     """
-    memo = SeriesMemo() if memo is None else memo
     current = seed
     for _ in range(MAX_RESEEDS):
         spec = memo.specialization(r, current)
@@ -210,28 +205,39 @@ def _series_pair(r, k, order, seed, y0, mode, retries, memo):
     return z, zhat, used_seed
 
 
-def _start(r: int, k: int, order: int | None, seeds, seed_count: int = DEFAULT_SEED_COUNT):
-    """Check k; return the order and seeds of one driver run (defaults for None) and its start."""
+def _start(r: int, k: int, order: int | None, seeds, memo: SeriesMemo | None):
+    """Check k; the order, seeds and memo of one driver run, and its start time.
+
+    None takes default_order(r, k), default_seeds() or a fresh SeriesMemo.
+    An empty seed list, which would check nothing, raises ValueError.
+    """
     check_k(r, k)
-    return (
-        default_order(r, k) if order is None else order,
-        tuple(seeds) if seeds is not None else default_seeds(seed_count),
-        time.perf_counter(),
-    )
+    seeds = default_seeds() if seeds is None else tuple(seeds)
+    if not seeds:
+        raise ValueError("a verification run needs at least one seed")
+    order = default_order(r, k) if order is None else order
+    return order, seeds, SeriesMemo() if memo is None else memo, time.perf_counter()
 
 
 def _finish(
-    name: str, params: dict, ok: bool, details: list[str], seeds, retries: list[str], t0: float
+    name: str, params: dict, ok: bool, details: list[str], seeds, retries: list[str], t0: float,
+    **conventions,
 ) -> VerificationReport:
-    """The report of one driver run, with its seeds, reseeds and wall time, logged."""
+    """The whole report of one driver run, logged.
+
+    params gains the seeds and reseeds, CONVENTIONS the keyword
+    arguments, and timing_seconds is the wall time since t0.
+    """
+    elapsed = time.perf_counter() - t0
     report = VerificationReport(
         name=name,
         params={**params, "seeds": list(seeds), "reseeds": retries},
         outcome=ok,
         details=details,
+        conventions={**CONVENTIONS, **conventions},
+        timing_seconds=elapsed,
     )
-    report.timing_seconds = time.perf_counter() - t0
-    logger.info("%s: %s (%.2fs)", name, "pass" if ok else "FAIL", report.timing_seconds)
+    logger.info("%s: %s (%.2fs)", name, "pass" if ok else "FAIL", elapsed)
     for line in details:
         logger.info("  %s", line)
     return report
@@ -254,8 +260,7 @@ def verify_main_theorem(
     convention the quotient matches (both, by the reversal symmetry).
     The series come through memo, a fresh SeriesMemo for None.
     """
-    order, seeds, t0 = _start(r, k, order, seeds)
-    memo = SeriesMemo() if memo is None else memo
+    order, seeds, memo, t0 = _start(r, k, order, seeds, memo)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -280,13 +285,11 @@ def verify_main_theorem(
         if quotient.first_difference(yk_minus, order) is not None:
             sign_matches["minus"] = False
             details.append(f"seed {used_seed}: quotient disagrees with the - sign variant")
-    report = _finish(
+    return _finish(
         "main-theorem-blowup-factor",
         {"r": r, "k": k, "order": order, "mode": mode, "y_mode": "symbolic"},
-        ok, details, seeds, retries, t0,
+        ok, details, seeds, retries, t0, lattice_y_sign_match=sign_matches,
     )
-    report.conventions["lattice_y_sign_match"] = sign_matches
-    return report
 
 
 def verify_corollary(
@@ -302,8 +305,7 @@ def verify_corollary(
     discrepancy rather than a failure.  The series come through memo, a
     fresh SeriesMemo for None.
     """
-    order, seeds, t0 = _start(r, k, order, seeds)
-    memo = SeriesMemo() if memo is None else memo
+    order, seeds, memo, t0 = _start(r, k, order, seeds, memo)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -355,8 +357,7 @@ def verify_limit_consistency(
     table and is never evaluated.  So once the equivariant pair returns at
     a seed, the limit pair at that seed returns too.
     """
-    order, seeds, t0 = _start(r, k, order, seeds)
-    memo = SeriesMemo() if memo is None else memo
+    order, seeds, memo, t0 = _start(r, k, order, seeds, memo)
     details: list[str] = []
     retries: list[str] = []
     ok = True
@@ -382,17 +383,14 @@ def verify_limit_consistency(
 
 
 def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
-    """Run the rank-one product identity at each seed and collect a report."""
-    order, seeds, t0 = _start(1, 0, order, seeds, seed_count=3)
+    """Run the rank-one product identity at each seed (default_seeds() for None)."""
+    order, seeds, memo, t0 = _start(1, 0, order, seeds, None)
     details: list[str] = []
     retries: list[str] = []
     ok = True
     for seed in seeds:
         sub_report, used = _build_with_reseed(
-            lambda spec: rank1.verify_nekrasov_okounkov(spec, order),
-            1,
-            seed,
-            retries,
+            lambda spec: rank1.verify_nekrasov_okounkov(spec, order), 1, seed, retries, memo
         )
         if not sub_report["pass"]:
             ok = False
@@ -410,7 +408,8 @@ def verify_all(seeds) -> list[VerificationReport]:
     The rank-one identity at the first three seeds, then for r = 1, 2, 3
     and each k the main theorem, the corollary and the limit consistency
     at its grid order.  The drivers of one rank share one SeriesMemo,
-    which is dropped when the next rank starts.
+    which is dropped when the next rank starts.  An empty seed list
+    raises ValueError, as it does in every driver.
     """
     seeds = tuple(seeds)
     reports = [verify_rank1_identity(8, seeds[:3])]

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowup_genera.characters import (
+    EQUIVARIANT,
+    LIMIT,
     Character,
     DegenerateSpecializationError,
     RankCheckError,
@@ -633,17 +635,28 @@ def test_pair_factor_theta_is_the_block_theta(block, side, seed, y0, limit):
     pt, kvec = block
     spec = sample_specialization(pt.rank, seed)
     theta = theta_limit_factor if limit else theta_eval
-    factors = {}
     try:
         want = theta(plane_block(pt, kvec, side), spec)
     except DegenerateSpecializationError:
         # the pair factors may meet another degenerate weight first
         with pytest.raises(DegenerateSpecializationError):
-            plane_block_theta(pt, kvec, side, spec, limit, factors)
+            plane_block_theta(pt, kvec, side, spec, limit)
         return
-    for _ in range(2):  # filling the memo, then reading it
-        got = plane_block_theta(pt, kvec, side, spec, limit, factors)
+    for _ in range(2):  # filling the specialization's memo, then reading it
+        got = plane_block_theta(pt, kvec, side, spec, limit)
         assert got == want
-        assert len(factors) == pt.rank**2
+        assert len(spec.pair_memo[LIMIT if limit else EQUIVARIANT]) == pt.rank**2
     block = plane_block(pt, kvec, side)
     assert_same(at(cleared_value(got), y0), reference_theta(block, spec, limit, y0))
+
+
+def test_block_theta_takes_the_factors_of_its_own_specialization():
+    # two specializations meet the same block: each multiplies the pair
+    # factors of its own memo, so neither can read the other's theta
+    pt = PartitionTuple((Partition((2,)), Partition((1,))))
+    kvec = LatticeVector((0, 1))
+    specs = [sample_specialization(2, 7), sample_specialization(2, 101)]
+    for spec in specs * 2:
+        got = plane_block_theta(pt, kvec, "y", spec, False)
+        assert got == theta_eval(plane_block(pt, kvec, "y"), spec)
+    assert specs[0].pair_memo[EQUIVARIANT] != specs[1].pair_memo[EQUIVARIANT]

@@ -120,6 +120,34 @@ def test_failed_output_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["yk.json"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "2"],
+        ["compute-yk", "--rank", "2", "--k", "1", "--order", "4"],
+        ["verify-all", "--seed-list", "101"],
+    ],
+)
+def test_output_in_a_missing_directory_is_refused_before_computing(
+    argv, tmp_path, capsys, monkeypatch
+):
+    from blowup_genera import cli
+
+    def refuse(*_args):
+        raise AssertionError("computed before the --output path was checked")
+
+    monkeypatch.setattr(cli, "_run", refuse)
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "--output:" in line] == [
+        f"blowup-genera: error: --output: no directory to write {str(target)!r} in"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compute_w_numeric(capsys):
     code, out = run_cli(capsys, "compute-w", "--order", "3", "--seed", "4")
     assert code == 0

@@ -285,13 +285,13 @@ def test_degenerate_side_names_the_weight_of_the_sorted_block():
     req = SeriesRequest(rank=2, max_n=0, spec=spec, k=1)
     pt, kvec = PartitionTuple((Partition(), Partition((2,)))), LatticeVector((0, 1))
     with pytest.raises(DegenerateSpecializationError) as pairs:
-        plane_block_theta(pt, kvec, "z", spec, False, {})
+        plane_block_theta(pt, kvec, "z", spec, False)
     with pytest.raises(DegenerateSpecializationError) as block:
         theta_eval(plane_block(pt, kvec, "z"), spec)
     assert pairs.value.weight == make_weight(0, 1, 2, 1)
     assert block.value.weight == make_weight(0, 2)
     with pytest.raises(DegenerateSpecializationError) as side:
-        _side_sum(req, [pt], kvec, "z", {})
+        _side_sum(req, [pt], kvec, "z")
     assert str(side.value) == str(block.value)
 
 

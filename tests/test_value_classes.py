@@ -131,7 +131,7 @@ def test_frozen_record_keeps_its_keywords_and_validation():
             build()
 
 
-def test_verification_report_is_a_mutable_value():
+def test_verification_report_is_an_immutable_value():
     a = VerificationReport("demo", {"r": 1}, True)
     b = VerificationReport(name="demo", params={"r": 1}, outcome=True)
     assert repr(a) == (
@@ -143,9 +143,14 @@ def test_verification_report_is_a_mutable_value():
         hash(a)
     assert a.details is not b.details and a.conventions is not b.conventions
     assert a.conventions is not CONVENTIONS
+    for name in VerificationReport._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1.5)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
     a.details.append("x")
     a.conventions["extra"] = 1
-    a.timing_seconds = 1.5
     assert b.details == [] and b.conventions == CONVENTIONS and "extra" not in CONVENTIONS
     assert a != b
     full = VerificationReport("x", {}, False, ["d"], {"c": 2}, 1.5)

@@ -16,6 +16,7 @@ from blowup_genera.verify import (
     _build_with_reseed,
     default_order,
     default_seeds,
+    verify_all,
     verify_corollary,
     verify_limit_consistency,
     verify_main_theorem,
@@ -152,7 +153,7 @@ def test_reseed_on_degenerate_collision():
         return "ok"
 
     retries = []
-    result, used = _build_with_reseed(build, 1, 100, retries)
+    result, used = _build_with_reseed(build, 1, 100, retries, SeriesMemo())
     assert result == "ok"
     assert used == 102
     assert calls == [100, 101, 102]
@@ -169,10 +170,30 @@ def test_reseed_limit_raises_a_typed_error():
     retries = []
     message = "^no nondegenerate specialization found near seed 100$"
     with pytest.raises(ReseedLimitError, match=message):
-        _build_with_reseed(build, 1, 100, retries)
+        _build_with_reseed(build, 1, 100, retries, SeriesMemo())
     assert MAX_RESEEDS == 64 and issubclass(ReseedLimitError, RuntimeError)
     assert calls == list(range(100, 100 + MAX_RESEEDS))
     assert len(retries) == MAX_RESEEDS
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_main_theorem(2, 1, seeds=()),
+        lambda: verify_corollary(2, 1, seeds=()),
+        lambda: verify_limit_consistency(2, 1, seeds=()),
+        lambda: verify_rank1_identity(4, ()),
+        lambda: verify_all(()),
+    ],
+)
+def test_empty_seed_list_is_refused(run):
+    # a run at no seed checks nothing, so it may not report a pass
+    with pytest.raises(ValueError, match="at least one seed"):
+        run()
+
+
+def test_rank1_driver_defaults_to_the_default_seeds():
+    assert verify_rank1_identity(2).params["seeds"] == list(default_seeds())
 
 
 def test_series_memo_keys_by_value():

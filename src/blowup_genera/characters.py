@@ -68,7 +68,8 @@ blow-up series at that specialization and mode shares the factors, and
 no caller can hand it the factors of another.  F is a cleared pair from
 the same case table and the same checks as theta_eval, and an unreduced
 product of integers does not depend on the order of its factors, so the
-product is the block's theta_eval pair, integer for integer.
+product is the block's theta_eval pair, integer for integer, and a
+degenerate block raises the error theta_eval of the block raises.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ def weight_to_str(w: Weight, mult: int) -> str:
     return " * ".join(parts)
 
 
-def _sort_key(w: Weight):
+def _sort_key(item: tuple[Weight, int]):
+    """Order of (weight, multiplicity) items: by e-part, then by t-exponents."""
+    w = item[0]
     return (w.den or 0, w.num or 0, w.i1, w.i2)
 
 
@@ -150,7 +153,7 @@ class Character:
         self._mult = {w: m for w, m in acc.items() if m}
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self._mult.items(), key=lambda wm: _sort_key(wm[0]))
+        return sorted(self._mult.items(), key=_sort_key)
 
     @property
     def rank(self) -> int:
@@ -449,8 +452,9 @@ def plane_block_theta(
     that returns is stored, so a degenerate one raises again each time it
     is met.  The product is never reduced, so it is the cleared pair of
     theta_eval or theta_limit_factor of the block, integer for integer.
-    A degenerate weight raises DegenerateSpecializationError, but not
-    always the one theta_eval would name first.
+    A pair factor meets the block's weights out of sorted order, so when
+    one degenerates the block's weights are checked again in sorted order,
+    and the error names the weight theta_eval of the block names.
     """
     factors = spec.pair_memo.setdefault(LIMIT if limit else EQUIVARIANT, {})
     substitution = BLOWUP_SIDES[side]
@@ -464,6 +468,11 @@ def plane_block_theta(
             if f is None:
                 exps = pair_exponents(p_a, p_b, d, substitution)
                 items = [(make_weight(i1, i2, b, a), 1) for i1, i2 in exps]
-                f = factors[key] = _cleared(_theta_factors(items, spec, limit))
+                try:
+                    f = factors[key] = _cleared(_theta_factors(items, spec, limit))
+                except DegenerateSpecializationError:
+                    weights = plane_block_weights(pt, kvec.entries, substitution)
+                    _theta_factors(sorted(weights, key=_sort_key), spec, limit)
+                    raise
             block = f if block is None else cleared_product(block, f)
     return block

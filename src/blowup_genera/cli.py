@@ -7,14 +7,14 @@ invocations produce identical outputs; wall-clock timing is only included
 when --timing is passed.  Each subcommand accepts only the flags it
 honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
 error, including an unknown, conflicting or unused flag, an out-of-range
-number, an --output path in a missing directory (refused before any
-computation) and a request whose lattice, or its lowest layer alone,
-holds more than partitions.MAX_LATTICE_LAYER vectors.  compute-z and
-compute-zhat do not reseed: a degenerate seed ends them with exit 1 and a
-DegenerateSpecializationError traceback; a verify-* driver that meets
-verify.MAX_RESEEDS degenerate seeds in a row ends with exit 1 and a
-ReseedLimitError traceback.  Each subcommand imports only the layers it
-runs.
+number, an --output path that is a directory or lies in a missing one
+(refused before any computation) and a request whose lattice, or its
+lowest layer alone, holds more than partitions.MAX_LATTICE_LAYER vectors.
+compute-z and compute-zhat do not reseed: a degenerate seed ends them
+with exit 1 and a DegenerateSpecializationError traceback; a verify-*
+driver that meets verify.MAX_RESEEDS degenerate seeds in a row ends with
+exit 1 and a ReseedLimitError traceback.  Each subcommand imports only
+the layers it runs.
 """
 
 from __future__ import annotations
@@ -233,6 +233,8 @@ def main(argv=None) -> int:
             check_k(args.rank, args.k)
         except ValueError as exc:
             parser.error(f"--k: {exc}")
+    if args.output and os.path.isdir(args.output):
+        parser.error(f"--output: {args.output!r} is a directory")
     if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
         parser.error(f"--output: no directory to write {args.output!r} in")
     if "verbose" in args:

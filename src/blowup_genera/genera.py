@@ -9,7 +9,8 @@ block built: theta of each is the product of its Nekrasov pair factors
 (characters.plane_block_theta), which the specialization memoizes per
 mode (Specialization.pair_memo), so the blocks that share a pair of
 diagrams, slots and shift share its factor, within one zhat_series call
-and across every call at that specialization, whatever its k or max_n.
+and across every call at that specialization, whatever its k or max_n,
+and a degenerate block names the weight theta of the whole block names.
 
 Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
@@ -35,8 +36,6 @@ from itertools import count
 from .characters import (
     EQUIVARIANT,
     LIMIT,
-    DegenerateSpecializationError,
-    plane_block,
     plane_block_theta,
     simplex_block,
     tangent_p2,
@@ -93,21 +92,6 @@ def z_series(req: SeriesRequest) -> QSeries:
     return QSeries.from_terms(terms, 2 * r * req.max_n + 1)
 
 
-def _side_sum(req: SeriesRequest, tuples, kvec: LatticeVector, side: str):
-    """Theta summed over the side's blocks of the tuples at kvec, from pair factors.
-
-    A product of pair factors meets the weights of a block out of sorted
-    order, so on a degenerate weight the side is summed again from its
-    sorted blocks, whose first degenerate weight the error then names.
-    """
-    spec, limit = req.spec, req.mode == LIMIT
-    try:
-        return cleared_sum(plane_block_theta(t, kvec, side, spec, limit) for t in tuples)
-    except DegenerateSpecializationError:
-        theta_sum([plane_block(t, kvec, side) for t in tuples], spec, limit)
-        raise
-
-
 def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     """Yield the share of kvec in the blow-up coefficient of weight w = 0, 1, 2, ...
 
@@ -115,14 +99,16 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     + Z block, and theta is multiplicative, so the share at weight w is
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
-    Each block's theta is a product of pair factors, memoized in req.spec.pair_memo.
+    Each block's theta is plane_block_theta, a product of pair factors
+    memoized in req.spec.pair_memo.
     """
-    simplex = theta_sum([simplex_block(kvec)], req.spec, req.mode == LIMIT)
+    spec, limit = req.spec, req.mode == LIMIT
+    simplex = theta_sum([simplex_block(kvec)], spec, limit)
     a, b = [], []
     for w in count():
         tuples = enumerate_tuples(req.rank, w)
-        a.append(_side_sum(req, tuples, kvec, "y"))
-        b.append(_side_sum(req, tuples, kvec, "z"))
+        a.append(cleared_sum(plane_block_theta(t, kvec, "y", spec, limit) for t in tuples))
+        b.append(cleared_sum(plane_block_theta(t, kvec, "z", spec, limit) for t in tuples))
         yield cleared_product(simplex, cleared_convolution(a, b))
 
 
@@ -142,12 +128,8 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     before the Z blocks.  The per-fixed-point sum over
     enumerate_blowup_fixed_points first meets every block in that same
     order, at (Y, empty, kvec) and then (empty, Z, kvec), and within a
-    block both take theta weight by weight in sorted order, so a
-    degenerate specialization names the same weight.  A product of pair
-    factors meets a block's weights slot pair by slot pair instead; so
-    when a factor degenerates, that degree's side is summed again from its
-    sorted blocks (plane_block and theta_sum), which raise the error the
-    per-fixed-point sum raises.
+    block both name the first degenerate weight in sorted order
+    (plane_block_theta), so a degenerate specialization names the same weight.
     """
     r, k = req.rank, req.k
     check_k(r, k)

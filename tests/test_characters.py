@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import chain, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowup_genera.characters import (
     EQUIVARIANT,
@@ -615,32 +615,51 @@ def test_theta_kernel_matches_reference_on_tangent_characters():
 # must agree integer for integer, not only in value.  Its value at y0 must be
 # the Fraction reference's theta of the block.
 
+# small values make some weight of a block evaluate to 1 far more often than
+# sample_specialization's draws from [2, 97]
+SMALL_VALUES = (F(2), F(-2), F(1, 2), F(-1, 2), F(-1), F(3), F(-3), F(4), F(1, 4))
+
+
 @st.composite
 def plane_blocks(draw):
+    """A tuple, its degrees, and a sampled specialization or one of small values."""
     r = draw(st.integers(1, 3))
     pt = draw(st.sampled_from(enumerate_tuples(r, draw(st.integers(0, 3)))))
     kvec = LatticeVector(tuple(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))))
-    return pt, kvec
+    if draw(st.booleans()):
+        return pt, kvec, sample_specialization(r, draw(st.integers(0, 2**16)))
+    vals = draw(st.lists(st.sampled_from(SMALL_VALUES), min_size=r + 2, max_size=r + 2, unique=True))
+    return pt, kvec, Specialization(vals[0], vals[1], tuple(vals[2:]), seed=0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     plane_blocks(),
     st.sampled_from(["y", "z"]),
-    st.integers(0, 2**16),
     st.sampled_from(Y_MODES),
     st.booleans(),
 )
-def test_pair_factor_theta_is_the_block_theta(block, side, seed, y0, limit):
-    pt, kvec = block
-    spec = sample_specialization(pt.rank, seed)
+@example(  # e2/e1 * t1^-5 = 1 in pair (1, 2), met before t1^2 = 1 in pair (2, 2)
+    (
+        PartitionTuple((Partition(), Partition((1, 1)))),
+        LatticeVector((2, -2)),
+        Specialization(F(-1), F(-3), (F(2), F(-2)), seed=0),
+    ),
+    "y",
+    None,
+    False,
+)
+def test_pair_factor_theta_is_the_block_theta(block, side, y0, limit):
+    pt, kvec, spec = block
     theta = theta_limit_factor if limit else theta_eval
     try:
         want = theta(plane_block(pt, kvec, side), spec)
-    except DegenerateSpecializationError:
-        # the pair factors may meet another degenerate weight first
-        with pytest.raises(DegenerateSpecializationError):
+    except DegenerateSpecializationError as exc:
+        # the pair factors name the weight theta of the sorted block names
+        with pytest.raises(DegenerateSpecializationError) as err:
             plane_block_theta(pt, kvec, side, spec, limit)
+        assert err.value.weight == exc.weight
+        assert str(err.value) == str(exc)
         return
     for _ in range(2):  # filling the specialization's memo, then reading it
         got = plane_block_theta(pt, kvec, side, spec, limit)

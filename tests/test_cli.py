@@ -126,10 +126,18 @@ def test_failed_output_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
         ["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "2"],
         ["compute-yk", "--rank", "2", "--k", "1", "--order", "4"],
         ["verify-all", "--seed-list", "101"],
+        ["verify-blowup", "--rank", "1", "--order", "2", "--seeds", "1"],
     ],
 )
-def test_output_in_a_missing_directory_is_refused_before_computing(
-    argv, tmp_path, capsys, monkeypatch
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (("missing", "x.json"), "no directory to write {!r} in"),
+        (("out",), "{!r} is a directory"),
+    ],
+)
+def test_unusable_output_path_is_refused_before_computing(
+    argv, target, message, tmp_path, capsys, monkeypatch
 ):
     from blowup_genera import cli
 
@@ -137,15 +145,16 @@ def test_output_in_a_missing_directory_is_refused_before_computing(
         raise AssertionError("computed before the --output path was checked")
 
     monkeypatch.setattr(cli, "_run", refuse)
-    target = tmp_path / "missing" / "x.json"
+    (tmp_path / "out").mkdir()
+    target = tmp_path.joinpath(*target)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--output", str(target)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "--output:" in line] == [
-        f"blowup-genera: error: --output: no directory to write {str(target)!r} in"
+        "blowup-genera: error: --output: " + message.format(str(target))
     ]
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.rglob("*")) == [tmp_path / "out"]
 
 
 def test_compute_w_numeric(capsys):

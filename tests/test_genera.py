@@ -35,7 +35,6 @@ from blowup_genera.genera import (
     EQUIVARIANT,
     LIMIT,
     SeriesRequest,
-    _side_sum,
     series_report,
     z_series,
     z_series_limit_closed,
@@ -238,15 +237,35 @@ def test_zhat_series_matches_per_fixed_point_reference(mode, y0):
                 assert got.to_json() == want.to_json()
 
 
-@pytest.mark.parametrize("seed", [53, 192])
-@pytest.mark.parametrize("max_n", [4, 5])
-def test_zhat_series_degeneracy_names_the_reference_weight(seed, max_n):
+def _degenerate_spec(rank, values):
+    """The sampled specialization of a seed, or one built from small values (t1, t2, e...)."""
+    if isinstance(values, int):
+        return sample_specialization(rank, values)
+    t1, t2, *e = (F(v) for v in values)
+    return Specialization(t1, t2, tuple(e), seed=0)
+
+
+@pytest.mark.parametrize(
+    "rank, k, max_n, mode, values",
+    [(2, 1, max_n, EQUIVARIANT, seed) for seed in (53, 192) for max_n in (4, 5)]
+    + [
+        (3, 0, 1, EQUIVARIANT, (-1, 2, -2, 4, 3)),  # e1/e2 * t1 * t2
+        (3, 2, 2, EQUIVARIANT, (F(1, 2), -1, F(-1, 2), -2, 4)),  # e3/e2 * t1 * t2
+        (3, 0, 2, LIMIT, (-1, -2, 3, -3, 2)),  # t1^2
+        (3, 1, 2, LIMIT, (F(-1, 2), F(1, 4), -1, 4, -2)),  # t1^2 * t2^-1
+        (2, 0, 2, LIMIT, (F(1, 4), F(1, 2), 3, 2)),  # t1 * t2^-2
+        (2, 1, 2, LIMIT, (2, -2, 3, 4)),  # t1^-2 * t2^2
+    ],
+)
+def test_zhat_series_degeneracy_names_the_reference_weight(rank, k, max_n, mode, values):
     # both sums evaluate each weight first at the same fixed point
-    req = SeriesRequest(rank=2, max_n=max_n, spec=sample_specialization(2, seed), k=1)
+    spec = _degenerate_spec(rank, values)
+    req = SeriesRequest(rank=rank, max_n=max_n, spec=spec, k=k, mode=mode)
     with pytest.raises(DegenerateSpecializationError) as got:
         zhat_series(req)
     with pytest.raises(DegenerateSpecializationError) as want:
         reference_zhat_series(req)
+    assert got.value.weight == want.value.weight
     assert str(got.value) == str(want.value)
 
 
@@ -282,29 +301,24 @@ def test_degenerate_side_names_the_weight_of_the_sorted_block():
     # the pair (1, 2) holds e2/e1 * t2 = 1, met first in pair order, and the
     # diagonal pair (2, 2) holds t2^2 = 1, met first in sorted order
     spec = Specialization(F(2), F(-1), (F(5), F(-5)), seed=5)
-    req = SeriesRequest(rank=2, max_n=0, spec=spec, k=1)
     pt, kvec = PartitionTuple((Partition(), Partition((2,)))), LatticeVector((0, 1))
     with pytest.raises(DegenerateSpecializationError) as pairs:
         plane_block_theta(pt, kvec, "z", spec, False)
     with pytest.raises(DegenerateSpecializationError) as block:
         theta_eval(plane_block(pt, kvec, "z"), spec)
-    assert pairs.value.weight == make_weight(0, 1, 2, 1)
+    assert pairs.value.weight == make_weight(0, 2)
     assert block.value.weight == make_weight(0, 2)
-    with pytest.raises(DegenerateSpecializationError) as side:
-        _side_sum(req, [pt], kvec, "z")
-    assert str(side.value) == str(block.value)
+    assert str(pairs.value) == str(block.value)
 
 
 def test_zhat_series_builds_no_plane_block(monkeypatch):
-    # a nondegenerate series takes every Y and Z block from pair factors;
-    # plane_block only names the weight of a degenerate one
+    # a series takes every Y and Z block from pair factors, and a degenerate
+    # one is named from the sorted weights, so no plane_block is built
     import blowup_genera.characters as characters
-    import blowup_genera.genera as genera
 
     def refuse(*_args):
         raise AssertionError("plane_block built on the pair-factor path")
 
-    monkeypatch.setattr(genera, "plane_block", refuse)
     monkeypatch.setattr(characters, "plane_block", refuse)
     spec = sample_specialization(2, 6)
     for mode in (EQUIVARIANT, LIMIT):

@@ -394,8 +394,8 @@ def test_degenerate_pair_factor_is_never_stored(monkeypatch):
             raise
 
     monkeypatch.setattr(characters, "_theta_factors", recording)
-    # at seed 192 a rank-2 pair factor degenerates; the side is then summed
-    # again from its sorted blocks, which names the weight
+    # at seed 192 a rank-2 pair factor degenerates; its block's weights are
+    # then checked again in sorted order, which names the weight
     spec = sample_specialization(2, 192)
     req = SeriesRequest(rank=2, max_n=1, spec=spec, k=1)
     errors, sizes = [], []

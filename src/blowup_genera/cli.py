@@ -43,7 +43,17 @@ def _output_flags(p: argparse.ArgumentParser, timing: bool = True) -> None:
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(","))
+    """Comma-separated seeds; two that draw one specialization are a usage error."""
+    seeds = tuple(int(s) for s in text.split(","))
+    first = {}
+    for i, seed in enumerate(seeds):
+        # splitmix64 keeps only the low 64 bits of a seed
+        j = first.setdefault(seed % 2**64, i)
+        if j != i:
+            twin = seeds[j]
+            same = "is given twice" if twin == seed else f"draws the specialization of seed {twin}"
+            raise argparse.ArgumentTypeError(f"seed {seed} {same}")
+    return seeds
 
 
 _seed_list.__name__ = "seed list"  # argparse names the type in "invalid seed list value"

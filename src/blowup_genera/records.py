@@ -7,6 +7,8 @@ only to a record of the same class whose field tuple is equal, hashes as
 its field tuple, and prints as Name(field=value, ...).  Hashing raises
 TypeError when a field is unhashable, such as a dict.  A slot outside
 _fields, such as a memo, takes no part in equality, hashing or repr.
+pickle and copy rebuild a record through its class's constructor from
+its field tuple, so such a slot starts as the constructor sets it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -28,12 +28,25 @@ and the blow-up series at one seed share the pair factors of its
 specialization; the memo is dropped when the next rank starts.  A driver
 called on its own gets a memo of its own from _start and builds what it
 meets, so its report is the same either way.
+
+The grid's four units, the rank-one identity and ranks 1, 2 and 3, share
+no memo, so verify_all runs them on two CPUs where it can: this process
+forks one child for ranks 1 and 3, which pickles its reports back
+through a pipe.  Each unit's log records are kept and logged in grid
+order once both processes are done, so the log reads as it would from
+one process.  The grid stays in this process when it may use only one
+CPU, when os.fork is missing or when another thread runs.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
+import itertools
 import json
 import logging
+import os
+import threading
 import time
 from fractions import Fraction
 
@@ -402,6 +415,105 @@ def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
     )
 
 
+def _rank_reports(r: int, seeds) -> list[VerificationReport]:
+    """The main theorem, corollary and limit check at rank r for each k, on one SeriesMemo."""
+    memo = SeriesMemo()
+    reports = []
+    for k in range(r):
+        lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
+        reports.append(verify_main_theorem(r, k, seeds=seeds, memo=memo))
+        reports.append(verify_corollary(r, k, seeds=seeds, memo=memo))
+        reports.append(verify_limit_consistency(r, k, lim_order, seeds, memo=memo))
+    return reports
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Capture(logging.Handler):
+    """Keeps each record as (level, message), for a replay in grid order."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append((record.levelno, record.getMessage()))
+
+
+def _run_units(units) -> list[tuple]:
+    """(reports, log records, exception or None) of each unit, up to the first that raises.
+
+    While the units run, the package logger sends its records to a
+    capture alone, so nothing reaches a handler until the replay.
+    """
+    outcomes = []
+    capture = _Capture()
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [capture], False
+    try:
+        for unit in units:
+            capture.records = []
+            try:
+                outcomes.append((unit(), capture.records, None))
+            except Exception as exc:
+                outcomes.append(([], capture.records, exc))
+                break
+    finally:
+        logger.handlers, logger.propagate = saved
+    return outcomes
+
+
+def _run_forked(here, there) -> tuple[list[tuple], list[tuple]]:
+    """_run_units of here in this process and of there in one forked child.
+
+    The child pickles its outcomes into a pipe and always ends with
+    os._exit, so it never returns into its caller's frames.  Any
+    exception here kills and reaps the child first.  gc.freeze keeps the
+    collector off the objects both processes start with.
+    """
+    import pickle
+
+    gc.freeze()
+    try:
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    reader.close()
+                    # pickled whole first, so a failure sends nothing
+                    writer.write(pickle.dumps(_run_units(there), pickle.HIGHEST_PROTOCOL))
+                    writer.close()
+                    code = 0
+                finally:
+                    os._exit(code)
+            writer.close()
+            try:
+                outcomes = _run_units(here)
+                data = reader.read()
+            except BaseException:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                _, status = os.waitpid(pid, 0)
+    finally:
+        gc.unfreeze()
+    if not data:
+        raise RuntimeError(
+            f"verify_all's child process ended with exit status "
+            f"{os.waitstatus_to_exitcode(status)} before sending its reports"
+        )
+    return outcomes, pickle.loads(data)
+
+
 def verify_all(seeds) -> list[VerificationReport]:
     """The documented default grid, one report per driver run, in a fixed order.
 
@@ -410,14 +522,28 @@ def verify_all(seeds) -> list[VerificationReport]:
     at its grid order.  The drivers of one rank share one SeriesMemo,
     which is dropped when the next rank starts.  An empty seed list
     raises ValueError, as it does in every driver.
+
+    The four units (the rank-one identity and ranks 1, 2 and 3) share
+    nothing, so where this process may use two CPUs, os.fork exists and
+    no other thread runs, ranks 1 and 3 run in a forked child.  Each
+    unit's log records are then kept and logged here in grid order when
+    the grid ends, and the first unit in grid order that raised re-raises
+    here after its own records and those of the units before it.
     """
     seeds = tuple(seeds)
-    reports = [verify_rank1_identity(8, seeds[:3])]
-    for r in (1, 2, 3):
-        memo = SeriesMemo()
-        for k in range(r):
-            lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
-            reports.append(verify_main_theorem(r, k, seeds=seeds, memo=memo))
-            reports.append(verify_corollary(r, k, seeds=seeds, memo=memo))
-            reports.append(verify_limit_consistency(r, k, lim_order, seeds, memo=memo))
+    units = [lambda: [verify_rank1_identity(8, seeds[:3])]]
+    units += [functools.partial(_rank_reports, r, seeds) for r in (1, 2, 3)]
+    if _usable_cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [rep for unit in units for rep in unit()]
+    here, there = _run_forked(units[0::2], units[1::2])
+    reports = []
+    for outcome in itertools.chain.from_iterable(itertools.zip_longest(here, there)):
+        # a process stops at a unit that raises, so the units it left out (None)
+        # come after that unit in grid order and are never reached
+        unit_reports, records, error = outcome
+        for level, message in records:
+            logger.log(level, message)
+        if error is not None:
+            raise error
+        reports += unit_reports
     return reports

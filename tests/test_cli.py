@@ -302,6 +302,27 @@ def test_bad_seed_list_names_its_type(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "seed_list, message",
+    [
+        ("5,5", "seed 5 is given twice"),
+        ("7,5,8,5", "seed 5 is given twice"),
+        # splitmix64 keeps only the low 64 bits of a seed
+        ("-3,18446744073709551613",
+         "seed 18446744073709551613 draws the specialization of seed -3"),
+    ],
+)
+def test_seed_list_naming_one_specialization_twice_is_refused(seed_list, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", f"--seed-list={seed_list}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"blowup-genera verify-all: error: argument --seed-list: {message}"
+    )
+
+
 def test_zero_cutoffs_are_valid(capsys):
     code, out = run_cli(capsys, "compute-z", "--rank", "1", "--max-n", "0")
     assert code == 0 and json.loads(out)["series"]["coeffs"] == ["1"]

@@ -1,5 +1,7 @@
-"""Value semantics of the record classes: repr, equality, hashing, immutability."""
+"""Value semantics of the record classes: repr, equality, hashing, immutability, copies."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -158,3 +160,28 @@ def test_verification_report_is_an_immutable_value():
         "VerificationReport(name='x', params={}, outcome=False, details=['d'], "
         "conventions={'c': 2}, timing_seconds=1.5)"
     )
+
+
+COPIES = {"pickle": lambda a: pickle.loads(pickle.dumps(a)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+RECORDS = {name: make for name, (make, *_rest) in FROZEN.items()}
+RECORDS["VerificationReport"] = lambda: VerificationReport(
+    "x", {"seeds": [5]}, False, ["d"], {"c": 2}, 1.5
+)
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES.keys())
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_record_survives_pickle_and_copy(make, duplicate):
+    a = make()
+    b = duplicate(a)
+    assert b.__class__ is a.__class__ and b == a and repr(b) == repr(a)
+
+
+def test_copied_specialization_starts_with_empty_memos():
+    spec = sample_specialization(2, 5)
+    spec.weight_memo["w"] = (2, 3)
+    spec.pair_memo["equivariant"] = {}
+    for duplicate in COPIES.values():
+        twin = duplicate(spec)
+        assert twin == spec and twin.weight_memo == {} and twin.pair_memo == {}

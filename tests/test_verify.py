@@ -1,6 +1,10 @@
 """Verification drivers: pass/fail behaviour, determinism, negative controls."""
 
 import json
+import logging
+import os
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -226,6 +230,8 @@ def test_verify_all_fills_one_weight_memo_per_seed(monkeypatch):
 
     monkeypatch.setattr(verify, "SeriesMemo", Recording)
     monkeypatch.setattr(verify, "sample_specialization", counted)
+    # in one process, so the counts of every rank reach this one
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     verify.verify_all((101,))
     specs = [spec for memo in memos for spec in memo.specs.values()]
     # every specialization is still drawn through the module attribute
@@ -257,6 +263,8 @@ def test_verify_all_shares_series_within_a_rank(monkeypatch):
     # seeds 53 and 192 degenerate at ranks 2 and 3, so the drivers reseed
     seeds = (53, 192)
     built, failed = count_series_builds(monkeypatch)
+    # in one process, so the counts of every rank reach this one
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     alone = [verify_rank1_identity(8, seeds[:3])]
     for r in (1, 2, 3):
         for k in range(r):
@@ -281,6 +289,120 @@ def test_verify_all_shares_series_within_a_rank(monkeypatch):
     failed.clear()
     verify.verify_all((101,))
     assert len(built) == 22 and not failed
+
+
+def run_grid(monkeypatch, caplog, cpus, seeds):
+    """verify_all at seeds with the CPU probe set to cpus.
+
+    Returns its reports as JSON (or the exception it raised), the
+    records it logged with their timings cut, and the forks it made.
+    """
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    caplog.clear()
+    try:
+        outcome = [rep.to_json() for rep in verify.verify_all(seeds)]
+    except Exception as exc:
+        outcome = exc
+    records = [(rec.levelno, re.sub(r" \(\d+\.\d+s\)$", "", rec.getMessage()))
+               for rec in caplog.records]
+    return outcome, records, len(forks)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_grid_equals_the_grid_in_one_process(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="blowup_genera")
+    seeds = (53, 192, 101)
+    forked, forked_records, forks = run_grid(monkeypatch, caplog, 2, seeds)
+    assert forks == 1
+    assert_no_child_left()
+    alone, alone_records, forks = run_grid(monkeypatch, caplog, 1, seeds)
+    assert forks == 0
+    assert forked == alone and any(rep["params"]["reseeds"] for rep in alone)
+    assert forked_records == alone_records and len(alone_records) > len(alone)
+    assert logging.WARNING in {level for level, _ in alone_records}
+
+
+def test_forked_grid_raises_as_the_grid_in_one_process(monkeypatch, caplog):
+    # seeds 53 and 192 degenerate at ranks 2 and 3, and one draw is all a driver gets
+    monkeypatch.setattr(verify, "MAX_RESEEDS", 1)
+    caplog.set_level(logging.INFO, logger="blowup_genera")
+    forked, forked_records, forks = run_grid(monkeypatch, caplog, 2, (53, 192, 101))
+    assert forks == 1
+    assert_no_child_left()
+    alone, alone_records, forks = run_grid(monkeypatch, caplog, 1, (53, 192, 101))
+    assert forks == 0
+    assert isinstance(forked, ReseedLimitError) and isinstance(alone, ReseedLimitError)
+    assert str(forked) == str(alone) == "no nondegenerate specialization found near seed 53"
+    assert forked_records == alone_records
+    assert alone_records[-1][0] == logging.WARNING
+
+
+def test_the_first_unit_in_grid_order_that_raises_is_raised(monkeypatch, caplog):
+    def failing(r, seeds):
+        verify.logger.warning("rank %d starts", r)
+        raise ValueError(f"rank {r} fails")
+
+    # rank 2 raises in this process, and rank 1, before it in grid order, in the child
+    monkeypatch.setattr(verify, "_rank_reports", failing)
+    caplog.set_level(logging.INFO, logger="blowup_genera")
+    forked, forked_records, forks = run_grid(monkeypatch, caplog, 2, (101,))
+    assert forks == 1
+    assert_no_child_left()
+    alone, alone_records, _ = run_grid(monkeypatch, caplog, 1, (101,))
+    assert isinstance(forked, ValueError) and str(forked) == str(alone) == "rank 1 fails"
+    assert forked_records == alone_records
+    assert alone_records[-1] == (logging.WARNING, "rank 1 starts")
+
+
+def exit_3():
+    os._exit(3)
+
+
+def raise_unpicklable():
+    raise ValueError(lambda: None)  # pickle cannot send a lambda
+
+
+@pytest.mark.parametrize("die, status", [(exit_3, 3), (raise_unpicklable, 1)])
+def test_a_child_that_sends_no_reports_is_an_error(die, status, monkeypatch):
+    rank_reports = verify._rank_reports
+
+    def dying(r, seeds):
+        if r == 1:
+            die()
+        return rank_reports(r, seeds)
+
+    monkeypatch.setattr(verify, "_rank_reports", dying)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=f"exit status {status} before sending its reports"):
+        verify.verify_all((101,))
+    assert_no_child_left()
+
+
+def test_an_interrupt_here_kills_and_reaps_the_child(monkeypatch):
+    def interrupted(r, seeds):
+        if r == 2:
+            raise KeyboardInterrupt
+        time.sleep(30)  # the child, until it is killed
+
+    monkeypatch.setattr(verify, "_rank_reports", interrupted)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify.verify_all((101,))
+    assert time.perf_counter() - start < 20
+    assert_no_child_left()
 
 
 def grid_requests():

@@ -15,11 +15,17 @@ with exit 1 and a DegenerateSpecializationError traceback; a verify-*
 driver that meets verify.MAX_RESEEDS degenerate seeds in a row ends with
 exit 1 and a ReseedLimitError traceback.  Each subcommand imports only
 the layers it runs.
+
+A process enters through run, which calls main and then freezes the
+heap, so the interpreter's shutdown collections have nothing to walk;
+main itself never freezes, so tests and library callers keep their
+collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -324,5 +330,21 @@ def _run(parser, args) -> int:
     return 0 if payload["outcome"] == "pass" else 1
 
 
+def run(argv=None) -> int:
+    """The process entry point: main(argv), then gc.freeze(), also when main raises.
+
+    Freezing moves every tracked object into the permanent generation,
+    which the collections at interpreter shutdown skip; the atexit
+    handlers and the flush of stdout and stderr run as before.  A frozen
+    reference cycle is never finalized, so every file main opens must be
+    closed before it returns: _write_atomic writes in a with block, and
+    verify's _run_forked closes both ends of its pipe.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -35,7 +35,8 @@ forks one child for ranks 1 and 3, which pickles its reports back
 through a pipe.  Each unit's log records are kept and logged in grid
 order once both processes are done, so the log reads as it would from
 one process.  The grid stays in this process when it may use only one
-CPU, when os.fork is missing or when another thread runs.
+CPU, when os.fork is missing, when another thread runs or when the pipe
+or the fork cannot be made.
 """
 
 from __future__ import annotations
@@ -468,21 +469,29 @@ def _run_units(units) -> list[tuple]:
     return outcomes
 
 
-def _run_forked(here, there) -> tuple[list[tuple], list[tuple]]:
+def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
     """_run_units of here in this process and of there in one forked child.
 
     The child pickles its outcomes into a pipe and always ends with
     os._exit, so it never returns into its caller's frames.  Any
     exception here kills and reaps the child first.  gc.freeze keeps the
-    collector off the objects both processes start with.
+    collector off the objects both processes start with.  Returns None,
+    with no unit run and nothing left open, when the pipe or the fork
+    cannot be made (a file or process limit, say).
     """
     import pickle
 
     gc.freeze()
     try:
-        read_fd, write_fd = os.pipe()
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:
+            return None
         with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                return None
             if pid == 0:
                 code = 1
                 try:
@@ -528,14 +537,18 @@ def verify_all(seeds) -> list[VerificationReport]:
     no other thread runs, ranks 1 and 3 run in a forked child.  Each
     unit's log records are then kept and logged here in grid order when
     the grid ends, and the first unit in grid order that raised re-raises
-    here after its own records and those of the units before it.
+    here after its own records and those of the units before it.  When
+    the pipe or the fork cannot be made, all four units run here.
     """
     seeds = tuple(seeds)
     units = [lambda: [verify_rank1_identity(8, seeds[:3])]]
     units += [functools.partial(_rank_reports, r, seeds) for r in (1, 2, 3)]
-    if _usable_cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    forked = None
+    if _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        forked = _run_forked(units[0::2], units[1::2])
+    if forked is None:
         return [rep for unit in units for rep in unit()]
-    here, there = _run_forked(units[0::2], units[1::2])
+    here, there = forked
     reports = []
     for outcome in itertools.chain.from_iterable(itertools.zip_longest(here, there)):
         # a process stops at a unit that raises, so the units it left out (None)

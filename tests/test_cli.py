@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import gc
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from blowup_genera import verify
 from blowup_genera.cli import MAX_RANK, build_parser, main
 
 
@@ -469,3 +471,73 @@ def test_subcommand_imports_only_the_layers_it_runs(argv, absent):
     assert ("logging" in loaded) == bool(argv and argv[0].startswith("verify-"))
     # dataclasses would pull in inspect, ast and dis, which nothing else needs
     assert not loaded & {"dataclasses", "inspect"}
+
+
+# A fresh process calls cli.run on the arguments and prints what run ended
+# with ("return" and its value, or "raise" and the exception's type and
+# code) and whether the heap was frozen before and after.
+RUN = """
+import contextlib, gc, io, json, sys
+from blowup_genera import cli
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        ended = ["return", cli.run(sys.argv[1:])]
+    except BaseException as exc:
+        ended = ["raise", type(exc).__name__, getattr(exc, "code", None)]
+print(json.dumps([ended, before > 0, gc.get_freeze_count() > 0]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, ended",
+    [
+        (["compute-yk", "--rank", "2", "--k", "1", "--order", "5"], ["return", 0]),
+        (["compute-yk", "--rank", "2"], ["raise", "SystemExit", 2]),
+        (["compute-zhat", "--rank", "2", "--k", "1", "--max-n", "4", "--seed", "53"],
+         ["raise", "DegenerateSpecializationError", None]),
+    ],
+    ids=["pass", "usage-error", "degenerate-seed"],
+)
+def test_run_returns_or_raises_as_main_and_freezes_the_heap(argv, ended):
+    proc = run_process("-c", RUN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [ended, False, True]
+
+
+def test_main_leaves_the_heap_as_it_found_it(monkeypatch, capsys):
+    frozen = gc.get_freeze_count()
+    code, _ = run_cli(capsys, "compute-yk", "--rank", "2", "--k", "1", "--order", "5")
+    assert code == 0 and gc.get_freeze_count() == frozen
+
+    # verify-all on the fork path, which freezes and unfreezes around the fork
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    code, _ = run_cli(capsys, "verify-all", "--seed-list", "101")
+    assert code == 0 and forks and gc.get_freeze_count() == frozen
+
+
+def test_output_file_holds_the_bytes_of_stdout(tmp_path):
+    # a file left open in a frozen cycle would never be flushed, so the
+    # process entry point must write the whole report before it exits
+    argv = ["compute-yk", "--rank", "3", "--k", "1", "--order", "12"]
+    target = tmp_path / "yk.json"
+    shown = run_process("-m", "blowup_genera.cli", *argv)
+    written = run_process("-m", "blowup_genera.cli", *argv, "--output", str(target))
+    assert shown.returncode == written.returncode == 0
+    assert written.stdout == "" and shown.stdout
+    assert target.read_bytes() == shown.stdout.encode("ascii")
+
+
+def test_console_script_enters_through_run():
+    # read as text: Python 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'blowup-genera = "blowup_genera.cli:run"'

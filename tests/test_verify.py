@@ -1,5 +1,7 @@
 """Verification drivers: pass/fail behaviour, determinism, negative controls."""
 
+import errno
+import gc
 import json
 import logging
 import os
@@ -403,6 +405,40 @@ def test_an_interrupt_here_kills_and_reaps_the_child(monkeypatch):
         verify.verify_all((101,))
     assert time.perf_counter() - start < 20
     assert_no_child_left()
+
+
+def cannot_fork():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def cannot_pipe():
+    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+
+@pytest.mark.parametrize("fails", ["fork", "pipe"])
+def test_a_fork_or_pipe_that_cannot_be_made_runs_the_grid_here(fails, monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="blowup_genera")
+    alone, alone_records, _ = run_grid(monkeypatch, caplog, 1, (101,))
+    pipes = []
+    real_pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    monkeypatch.setattr(os, "pipe", cannot_pipe if fails == "pipe" else recorded_pipe)
+    here, here_records, forks = run_grid(monkeypatch, caplog, 2, (101,))
+    assert forks == (fails == "fork")
+    assert here == alone and here_records == alone_records
+    assert gc.get_freeze_count() == 0
+    assert_no_child_left()
+    # both ends of a pipe made before the fork failed are closed
+    assert len(pipes) == (fails == "fork")
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
 
 
 def grid_requests():

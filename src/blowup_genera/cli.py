@@ -13,8 +13,9 @@ lowest layer alone, holds more than partitions.MAX_LATTICE_LAYER vectors.
 compute-z and compute-zhat do not reseed: a degenerate seed ends them
 with exit 1 and a DegenerateSpecializationError traceback; a verify-*
 driver that meets verify.MAX_RESEEDS degenerate seeds in a row ends with
-exit 1 and a ReseedLimitError traceback.  Each subcommand imports only
-the layers it runs.
+exit 1 and a ReseedLimitError traceback.  A call whose stdout has no
+reader left ends with exit 141 and no traceback (see run).  Each
+subcommand imports only the layers it runs.
 
 A process enters through run, which calls main and then freezes the
 heap, so the interpreter's shutdown collections have nothing to walk;
@@ -339,9 +340,22 @@ def run(argv=None) -> int:
     reference cycle is never finalized, so every file main opens must be
     closed before it returns: _write_atomic writes in a with block, and
     verify's _run_forked closes both ends of its pipe.
+
+    A stdout whose reader is gone (a closed pipe) ends the call quietly
+    with 141, 128 + SIGPIPE, what a shell reports for a writer that
+    SIGPIPE killed.  stdout is flushed here, so the closed pipe raises
+    whether or not stdout is buffered, and fd 1 then points at
+    os.devnull, so the interpreter's final flush cannot raise again.
     """
     try:
-        return main(argv)
+        code = main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         gc.freeze()
 

@@ -9,6 +9,15 @@ identity checked here is
 
 verified coefficient-by-coefficient at exact rational specializations,
 with y symbolic on both sides.
+
+Read in q^2, the rank-one plane series z_series is W(t1, t2) and the
+k = 0 blow-up series zhat_series is W(t1, t2/t1) * W(t1/t2, t2), so the
+identity is the blow-up formula at r = 1, k = 0.  The verification
+drivers check it that way (verify.verify_rank1_identity), on the series
+the r = 1 main theorem builds, and no longer call
+verify_nekrasov_okounkov, which stays as the library's reference: it
+builds the three W series from hook characters.  compute-w and the
+limit-mode closed form of genera use w_series.
 """
 
 from __future__ import annotations

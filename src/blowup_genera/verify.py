@@ -25,14 +25,17 @@ grid, makes one memo per rank and hands it to every driver of that rank,
 so the corollary's series come from the main theorem's builds, the limit
 check's shorter equivariant series from the main theorem's longer ones,
 and the blow-up series at one seed share the pair factors of its
-specialization; the memo is dropped when the next rank starts.  A driver
-called on its own gets a memo of its own from _start and builds what it
-meets, so its report is the same either way.
+specialization; the memo is dropped when the next rank starts.  The
+rank-one identity is the blow-up formula at r = 1, k = 0 read in q^2, so
+it takes its series from the same memo: in the grid it runs first at
+rank 1, and the r = 1 main theorem finds every series it asks for
+already built.  A driver called on its own gets a memo of its own from
+_start and builds what it meets, so its report is the same either way.
 
-The grid's four units, the rank-one identity and ranks 1, 2 and 3, share
-no memo, so verify_all runs them on two CPUs where it can: this process
-forks one child for ranks 1 and 3, which pickles its reports back
-through a pipe.  Each unit's log records are kept and logged in grid
+The grid's three units, ranks 1, 2 and 3, share no memo, so verify_all
+runs them on two CPUs where it can: this process forks one child for
+ranks 1 and 3, which pickles its reports back through a pipe, and runs
+rank 2 itself.  Each unit's log records are kept and logged in grid
 order once both processes are done, so the log reads as it would from
 one process.  The grid stays in this process when it may use only one
 CPU, when os.fork is missing, when another thread runs or when the pipe
@@ -62,6 +65,7 @@ from .coefficients import (
 )
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
 from .partitions import blowup_max_n, blowup_virtual_dim, check_k
+from .qseries import QSeries
 from .records import Record
 
 logger = logging.getLogger("blowup_genera")
@@ -396,30 +400,50 @@ def verify_limit_consistency(
     )
 
 
-def verify_rank1_identity(order: int, seeds=None) -> VerificationReport:
-    """Run the rank-one product identity at each seed (default_seeds() for None)."""
-    order, seeds, memo, t0 = _start(1, 0, order, seeds, None)
+def _halve_grading(series: QSeries) -> QSeries:
+    """A series supported on even exponents, read in q^2: q^(2m) becomes q^m."""
+    terms = {e // 2: c for e, c in series.items()}
+    return QSeries.from_terms(terms, (series.order + 1) // 2)
+
+
+def verify_rank1_identity(
+    order: int, seeds=None, *, memo: SeriesMemo | None = None
+) -> VerificationReport:
+    """Check W(t1, t2/t1) * W(t1/t2, t2) == prod (1 - (yq)^n)^-1 * W(t1, t2) through q^order.
+
+    Read in q^2, the r = 1, k = 0 blow-up series is W(t1, t2/t1) *
+    W(t1/t2, t2) and the plane series is W(t1, t2) (see rank1).  So at
+    each seed (default_seeds() for None) this takes the main theorem's
+    pair at order 2 * order through memo (a fresh SeriesMemo for None),
+    reseeding as the main theorem does, halves its grading and compares
+    multiplicatively.
+    """
+    order, seeds, memo, t0 = _start(1, 0, order, seeds, memo)
     details: list[str] = []
     retries: list[str] = []
     ok = True
+    rhs = rank1.nekrasov_okounkov_rhs(order)
     for seed in seeds:
-        sub_report, used = _build_with_reseed(
-            lambda spec: rank1.verify_nekrasov_okounkov(spec, order), 1, seed, retries, memo
-        )
-        if not sub_report["pass"]:
+        z, zhat, used = _series_pair(1, 0, 2 * order, seed, None, EQUIVARIANT, retries, memo)
+        bad = _halve_grading(zhat).first_difference(rhs * _halve_grading(z), order)
+        if bad is not None:
             ok = False
-            details.append(
-                f"seed {used}: first failure at q^{sub_report['first_failure']}"
-            )
+            details.append(f"seed {used}: first failure at q^{bad}")
     return _finish(
         "rank1-product-identity", {"order": order}, ok, details, seeds, retries, t0
     )
 
 
 def _rank_reports(r: int, seeds) -> list[VerificationReport]:
-    """The main theorem, corollary and limit check at rank r for each k, on one SeriesMemo."""
+    """The drivers of rank r, on one SeriesMemo.
+
+    At rank 1 the rank-one identity at the first three seeds comes first;
+    at order 8 it asks for exactly the series the main theorem then
+    finds in the memo.  Then for each k the main theorem, the corollary
+    and the limit check.
+    """
     memo = SeriesMemo()
-    reports = []
+    reports = [verify_rank1_identity(8, seeds[:3], memo=memo)] if r == 1 else []
     for k in range(r):
         lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
         reports.append(verify_main_theorem(r, k, seeds=seeds, memo=memo))
@@ -526,33 +550,36 @@ def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
 def verify_all(seeds) -> list[VerificationReport]:
     """The documented default grid, one report per driver run, in a fixed order.
 
-    The rank-one identity at the first three seeds, then for r = 1, 2, 3
-    and each k the main theorem, the corollary and the limit consistency
-    at its grid order.  The drivers of one rank share one SeriesMemo,
-    which is dropped when the next rank starts.  An empty seed list
-    raises ValueError, as it does in every driver.
+    For r = 1, 2, 3 the drivers of _rank_reports: at rank 1 the rank-one
+    identity at the first three seeds, then for each k the main theorem,
+    the corollary and the limit consistency at its grid order.  The
+    drivers of one rank share one SeriesMemo, which is dropped when the
+    next rank starts, so the rank-one identity builds no series of its
+    own.  An empty seed list raises ValueError, as it does in every
+    driver.
 
-    The four units (the rank-one identity and ranks 1, 2 and 3) share
-    nothing, so where this process may use two CPUs, os.fork exists and
-    no other thread runs, ranks 1 and 3 run in a forked child.  Each
-    unit's log records are then kept and logged here in grid order when
-    the grid ends, and the first unit in grid order that raised re-raises
-    here after its own records and those of the units before it.  When
-    the pipe or the fork cannot be made, all four units run here.
+    The three units, one per rank, share nothing, so where this process
+    may use two CPUs, os.fork exists and no other thread runs, ranks 1
+    and 3 run in a forked child and rank 2 here.  Each unit's log records
+    are then kept and logged here in grid order when the grid ends, and
+    the first unit in grid order that raised re-raises here after its own
+    records and those of the units before it.  When the pipe or the fork
+    cannot be made, all three units run here.
     """
     seeds = tuple(seeds)
-    units = [lambda: [verify_rank1_identity(8, seeds[:3])]]
-    units += [functools.partial(_rank_reports, r, seeds) for r in (1, 2, 3)]
+    units = [functools.partial(_rank_reports, r, seeds) for r in (1, 2, 3)]
     forked = None
     if _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        forked = _run_forked(units[0::2], units[1::2])
+        forked = _run_forked(units[1::2], units[0::2])
     if forked is None:
         return [rep for unit in units for rep in unit()]
     here, there = forked
     reports = []
-    for outcome in itertools.chain.from_iterable(itertools.zip_longest(here, there)):
-        # a process stops at a unit that raises, so the units it left out (None)
-        # come after that unit in grid order and are never reached
+    for outcome in itertools.chain.from_iterable(itertools.zip_longest(there, here)):
+        if outcome is None:
+            # a unit its process never had (the child has one more), or one
+            # it never reached after a unit that raised, which re-raised above
+            continue
         unit_reports, records, error = outcome
         for level, message in records:
             logger.log(level, message)

@@ -541,3 +541,50 @@ def test_console_script_enters_through_run():
     text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
     scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.strip() == 'blowup-genera = "blowup_genera.cli:run"'
+
+
+# A fresh process runs cli.run on the arguments after argv[1] with the CPU probe
+# set to two, so verify-all takes the fork path; it writes the number of forks
+# to the file argv[1] and exits with what run returned.
+FORKED_RUN = """
+import os, sys
+from blowup_genera import cli, verify
+forks = []
+real_fork = os.fork
+def counted_fork():
+    forks.append(os.getpid())
+    return real_fork()
+os.fork = counted_fork
+verify._usable_cpus = lambda: 2
+code = cli.run(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(len(forks)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["compute-yk", "--rank", "1", "--order", "2"], ["verify-all", "--seed-list", "101"]],
+    ids=["compute-yk", "verify-all"],
+)
+def test_a_closed_stdout_ends_quietly_with_141(argv, buffered, tmp_path):
+    # the read end is closed before the process starts, so its first write to
+    # stdout meets a pipe with no reader; a reader such as `| head` would race
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    forks = tmp_path / "forks"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", FORKED_RUN, str(forks), *argv],
+            stdout=write_fd, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 141 and proc.stderr == ""
+    assert forks.read_text() == ("1" if argv[0] == "verify-all" else "0")

@@ -61,6 +61,10 @@ GOLDEN = {
     ("compute-zhat", "--rank", "2", "--k", "1", "--max-n", "5", "--seed", "101",
      "--y-mode", "numeric", "--y0", "2/3"):
         "0df24d51f382d1d922977c30d765bd37e62cec8a75ceef942553e23a12c852c3",
+    ("verify-all",):
+        "f4889ee713a1731b1c86408f020333c074266955f8f83ada5fabd7df8c864baa",
+    ("verify-rank1", "--order", "8"):
+        "e817776bd6cf29eee055ba169772a675471e24c5b96928d57a11543fdb834513",
 }
 
 

@@ -49,7 +49,7 @@ def test_traced_limit_call_records_theta_limit_factor(tmp_path, kind):
 
 def test_traced_rank1_call_records_theta_under_w_series(tmp_path):
     # w_series, too, reaches theta through the wrapped name
-    spans = traced(tmp_path, "verify-rank1", "--order", "2", "--seeds", "1")
+    spans = traced(tmp_path, "compute-w", "--order", "2")
     assert [rec for rec in spans
             if rec[0] == "characters.theta_eval" and spans[rec[3]][0] == "rank1.w_series"]
 
@@ -58,7 +58,7 @@ def test_traced_rank1_call_records_theta_under_w_series(tmp_path):
     "argv, builder, series",
     [
         (["compute-z", "--rank", "2", "--max-n", "2"], "characters.tangent_p2", "genera.z_series"),
-        (["verify-rank1", "--order", "2", "--seeds", "1"], "rank1.hook_character", "rank1.w_series"),
+        (["compute-w", "--order", "2"], "rank1.hook_character", "rank1.w_series"),
     ],
 )
 def test_traced_builders_run_under_their_series(tmp_path, argv, builder, series):

@@ -2,6 +2,7 @@
 
 import errno
 import gc
+import itertools
 import json
 import logging
 import os
@@ -11,9 +12,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from blowup_genera import genera, verify
+from blowup_genera import genera, rank1, verify
 from blowup_genera.characters import Character, make_weight, tangent_p2
-from blowup_genera.coefficients import sample_specialization
+from blowup_genera.coefficients import Specialization, sample_specialization
+from blowup_genera.qseries import QSeries
 from blowup_genera.verify import (
     MAX_RESEEDS,
     ReseedLimitError,
@@ -202,6 +204,88 @@ def test_rank1_driver_defaults_to_the_default_seeds():
     assert verify_rank1_identity(2).params["seeds"] == list(default_seeds())
 
 
+def rank1_reference(order, seeds, memo):
+    """The rank-one identity's report as assembled from rank1.verify_nekrasov_okounkov.
+
+    It builds the three W series of the identity at each seed, reseeding
+    as the drivers do, from the specializations of memo.
+    """
+    retries, details = [], []
+    for seed in seeds:
+        sub, used = _build_with_reseed(
+            lambda spec: rank1.verify_nekrasov_okounkov(spec, order), 1, seed, retries, memo
+        )
+        if not sub["pass"]:
+            details.append(f"seed {used}: first failure at q^{sub['first_failure']}")
+    params = {"order": order, "seeds": list(seeds), "reseeds": retries}
+    return VerificationReport("rank1-product-identity", params, not details, details).to_json()
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_rank1_identity_equals_the_w_series_route(order):
+    # the identity reads the r = 1 main theorem's pair in q^2: the same report
+    # as the product of the three W series
+    seeds = (53, 192, 101) + default_seeds()
+    report = verify_rank1_identity(order, seeds).to_json()
+    assert report == rank1_reference(order, seeds, SeriesMemo())
+
+
+def memo_at_powers(b, u, v):
+    """A SeriesMemo whose rank-one specialization at seed 1000 is t1 = b^u, t2 = b^v."""
+    memo = SeriesMemo()
+    memo.specs[1, 1000] = Specialization(F(b) ** u, F(b) ** v, (F(5, 7),), 1000)
+    return memo
+
+
+def test_rank1_identity_names_the_weight_the_w_series_name():
+    # at t1 = b^u and t2 = b^v a hook weight t1^i * t2^j with i*u + j*v = 0
+    # is 1; both routes name the same weight and reseed alike
+    degenerate = 0
+    for b in (2, 3):
+        for u, v in itertools.product(range(-4, 5), repeat=2):
+            if 0 in (u, v) or u == v:
+                continue
+            report = verify_rank1_identity(8, (1000,), memo=memo_at_powers(b, u, v)).to_json()
+            assert report == rank1_reference(8, (1000,), memo_at_powers(b, u, v))
+            degenerate += bool(report["params"]["reseeds"])
+    assert degenerate == 48
+
+
+def test_rank1_identity_negative_control(monkeypatch):
+    # one more at q^3 on the product side must fail there
+    exact = rank1.nekrasov_okounkov_rhs
+
+    def off_by_one(order):
+        return exact(order) + QSeries.monomial(1, 3, order + 1)
+
+    monkeypatch.setattr(rank1, "nekrasov_okounkov_rhs", off_by_one)
+    report = verify_rank1_identity(8, (101,))
+    assert not report.outcome
+    assert report.details == ["seed 101: first failure at q^3"]
+
+
+def test_rank1_identity_builds_nothing_under_verify_all(monkeypatch):
+    seeds = (53, 192, 101)
+    built, failed = count_series_builds(monkeypatch)
+    # in one process, so the counts of every rank reach this one
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    verify.verify_all(seeds)
+    in_grid = [b for b in built + failed if b[1].rank == 1]
+    built.clear()
+    failed.clear()
+    # rank 1's own drivers, without the identity, on one memo
+    memo = SeriesMemo()
+    verify_main_theorem(1, 0, seeds=seeds, memo=memo)
+    verify_corollary(1, 0, seeds=seeds, memo=memo)
+    verify_limit_consistency(1, 0, blowup_virtual_dim(1, 0, 2), seeds, memo=memo)
+    assert in_grid == built + failed
+    # on its own, the identity builds its pair at every seed
+    built.clear()
+    failed.clear()
+    verify_rank1_identity(8, seeds)
+    assert len(built) == 2 * len(seeds) and not failed
+
+
 def test_series_memo_keys_by_value():
     # one specialization per (r, seed), with weight memos of its own
     memo = SeriesMemo()
@@ -237,9 +321,9 @@ def test_verify_all_fills_one_weight_memo_per_seed(monkeypatch):
     verify.verify_all((101,))
     specs = [spec for memo in memos for spec in memo.specs.values()]
     # every specialization is still drawn through the module attribute
-    assert len(draws) == len(specs) == 4
+    assert len(draws) == len(specs) == 3
     weight_memos = {id(spec.weight_memo): spec.weight_memo for spec in specs}
-    assert sum(len(m) for m in weight_memos.values()) == 606
+    assert sum(len(m) for m in weight_memos.values()) == 462
 
 
 def count_series_builds(monkeypatch):

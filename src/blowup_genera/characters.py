@@ -11,7 +11,9 @@ framed at slots a, b the pairing block is
     e_b/e_a * ( sum over s in Y_a of t1^(-leg_{Y_b}(s)) * t2^(arm_{Y_a}(s)+1)
               + sum over s in Y_b of t1^(leg_{Y_a}(s)+1) * t2^(-arm_{Y_b}(s)) ),
 
-whose t-exponents hook_exponents yields, and for a lattice vector the
+whose t-exponents hook_exponents lists, box by box, in one table per
+diagram pair: it reads arm and leg from the two diagrams' row and column
+lengths once and is cached process-wide.  For a lattice vector the
 exceptional block of slots a, b is e_b/e_a times a simplex of t-monomials
 fixed by the difference k_a - k_b (empty when that difference is 0 or 1
 in the relevant direction), whose t-exponents simplex_exponents yields.
@@ -45,14 +47,16 @@ rational value of the weight.  Each Specialization memoizes that value
 as the lowest-terms pair (p, q), keyed by weight.  Written over the
 integers, theta(p/q) = (p - q*y) / (p - q): the factors of one character
 multiply out as a cleared pair, an integer coefficient list in y over
-one integer denominator.  y stays symbolic here, as everywhere in the
-engine: a numeric y0 is one evaluation of the finished series
-(QSeries.at_y).  theta_eval and theta_limit_factor return that pair, and
-a negative multiplicity, which would leave a y-denominator, raises
-ValueError.  The pair helpers live in coefficients, where a YPoly is
-itself a pair in lowest terms, and cleared_value there gives a pair's
-YPoly; theta_sum is the sum over the characters of one q-degree that
-every series makes.
+one integer denominator.  _cleared is the one loop that multiplies theta
+factors out, for theta_eval and pair factors alike: it takes (p, q, m)
+triples and multiplies the list by each linear factor p - q*y in place.
+y stays symbolic here, as everywhere in the engine: a numeric y0 is one
+evaluation of the finished series (QSeries.at_y).  theta_eval and
+theta_limit_factor return that pair, and a negative multiplicity, which
+would leave a y-denominator, raises ValueError.  The pair helpers live
+in coefficients, where a YPoly is itself a pair in lowest terms, and
+cleared_value there gives a pair's YPoly; theta_sum is the sum over the
+characters of one q-degree that every series makes.
 theta_limit_factor applies the ordered e_r -> 0, ..., e_1 -> 0 limit as
 an exact case table: a weight with denominator slot below the numerator
 slot contributes 1, the opposite order contributes y = theta(0), and
@@ -65,7 +69,12 @@ multiplies them without building the block.  It takes F from the memo
 that the specialization it is given keeps for the mode
 (Specialization.pair_memo, keyed by EQUIVARIANT or LIMIT), so every
 blow-up series at that specialization and mode shares the factors, and
-no caller can hand it the factors of another.  F is a cleared pair from
+no caller can hand it the factors of another.  A missing F costs one
+memo lookup and one linear product per weight: its triples come from
+_pair_triples, which looks each value up by the plain tuple
+(i1, i2, num, den) of the weight and builds a Weight only on a miss or
+for a degenerate value, and in limit mode gives an off-diagonal pair the
+one triple of theta_limit_factor's case table.  F is a cleared pair from
 the same case table and the same checks as theta_eval, and an unreduced
 product of integers does not depend on the order of its factors, so the
 product is the block's theta_eval pair, integer for integer, and a
@@ -80,7 +89,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .coefficients import Cleared, Specialization, cleared_product, cleared_sum
-from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple, arm_leg
+from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple
 
 # the two modes of theta: full evaluation, and the ordered e -> 0 limit
 EQUIVARIANT = "equivariant"
@@ -193,12 +202,24 @@ SUBSTITUTIONS = {
 BLOWUP_SIDES = {"y": "t2/t1", "z": "t1/t2"}
 
 
-def hook_exponents(y_a: Partition, y_b: Partition):
-    """t-exponents (i1, i2) of the pairing block of Y_a with Y_b, box by box."""
-    for s in y_a.boxes():
-        yield -arm_leg(y_b, s)[1], arm_leg(y_a, s)[0] + 1
-    for s in y_b.boxes():
-        yield arm_leg(y_a, s)[1] + 1, -arm_leg(y_b, s)[0]
+@lru_cache(maxsize=None)
+def hook_exponents(y_a: Partition, y_b: Partition) -> tuple[tuple[int, int], ...]:
+    """t-exponents (i1, i2) of the pairing block of Y_a with Y_b, box by box, as one table.
+
+    A box s of Y_a gives (-leg_{Y_b}(s), arm_{Y_a}(s) + 1) and a box of Y_b
+    gives (leg_{Y_a}(s) + 1, -arm_{Y_b}(s)), boxes in row order.  Arm and
+    leg are read from each diagram's row and column lengths, zero beyond
+    the diagram as in partitions.arm_leg.  The table depends on no twist,
+    chart or specialization, so one process-wide cache serves them all.
+    """
+    width = max(y_a.part(1), y_b.part(1))
+    cols_a = [y_a.transpose_part(j) for j in range(1, width + 1)]
+    cols_b = [y_b.transpose_part(j) for j in range(1, width + 1)]
+    return tuple(
+        [(i - cols_b[j], row - j) for i, row in enumerate(y_a.parts, 1) for j in range(row)]
+        + [(cols_a[j] - i + 1, j + 1 - row)
+           for i, row in enumerate(y_b.parts, 1) for j in range(row)]
+    )
 
 
 def simplex_exponents(ka: int, kb: int):
@@ -337,42 +358,42 @@ def weight_value(w: Weight, spec: Specialization) -> Fraction:
     return val
 
 
-def _times_linear(coeffs: list[int], p: int, q: int, m: int) -> list[int]:
-    """coeffs * (p - q*y)**m for an integer coefficient list, lowest power first."""
-    for _ in range(m):
-        out = [p * c for c in coeffs] + [0]
-        for i, c in enumerate(coeffs):
-            out[i + 1] -= q * c
-        coeffs = out
-    return coeffs
-
-
 def _cleared(factors) -> Cleared:
     """The product of theta(p/q)**m over (p, q, m) triples as a cleared pair.
 
     Each factor theta(p/q) = (p - q*y) / (p - q) is multiplied out over
-    the integers.  Every m must be positive: a negative one would leave a
+    the integers, the numerator list in place, one linear factor at a
+    time.  Every m must be positive: a negative one would leave a
     y-denominator, which a cleared pair cannot hold.
     """
     num, den = [1], 1
     for p, q, m in factors:
-        num = _times_linear(num, p, q, m)
+        for _ in range(m):
+            prev = 0
+            for i, c in enumerate(num):
+                num[i] = p * c - q * prev
+                prev = c
+            num.append(-q * prev)
         den *= (p - q) ** m
     return num, den
 
 
-def _theta_factor(w: Weight, spec: Specialization) -> tuple[int, int]:
-    """The weight's value p/q in lowest terms, after the degeneracy check p != q.
+def _theta_factor(key, spec: Specialization) -> tuple[int, int]:
+    """The value p/q in lowest terms of one weight, after the degeneracy check p != q.
 
-    The value comes from the specialization's weight memo; the check runs
-    on every lookup, so a degenerate weight raises each time it is met.
+    key is the Weight or the plain (i1, i2, num, den) tuple of its fields,
+    which hashes and compares equal to it.  The value comes from the
+    specialization's weight memo, and a Weight is built only on a miss, as
+    the key the value is stored under, or for the error.  The check runs on
+    every lookup, so a degenerate weight raises each time it is met.
     """
-    pq = spec.weight_memo.get(w)
+    pq = spec.weight_memo.get(key)
     if pq is None:
+        w = Weight(*key)
         x = weight_value(w, spec)
         pq = spec.weight_memo[w] = (x.numerator, x.denominator)
     if pq[0] == pq[1]:
-        raise DegenerateSpecializationError(w, spec.seed)
+        raise DegenerateSpecializationError(Weight(*key), spec.seed)
     return pq
 
 
@@ -438,6 +459,30 @@ def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
     return cleared_sum(theta(c, spec) for c in chars)
 
 
+def _pair_triples(exps, a: int, b: int, spec: Specialization, limit: bool):
+    """(p, q, m) triples of theta over the weights e_b/e_a * t1^i1 * t2^i2, (i1, i2) in exps.
+
+    The triples _theta_factors gives for those weights, each of
+    multiplicity 1, without building a Weight for a weight whose value is
+    memoized: the plain tuple (i1, i2, b, a), or (i1, i2, None, None) on
+    the diagonal a = b, is the memo key.  pair_exponents has checked the
+    exponents, so no weight is trivial.  In limit mode the weights of an
+    off-diagonal pair all tend to 0 (a > b) or all to infinity (a < b), so
+    they give the single triple (0, 1, len(exps)) or none.
+    """
+    if a == b:
+        num = den = None
+    elif limit:
+        if a > b and exps:
+            yield 0, 1, len(exps)
+        return
+    else:
+        num, den = b, a
+    for i1, i2 in exps:
+        p, q = _theta_factor((i1, i2, num, den), spec)
+        yield p, q, 1
+
+
 def plane_block_theta(
     pt: PartitionTuple, kvec: LatticeVector, side: str, spec: Specialization, limit: bool
 ) -> Cleared:
@@ -467,9 +512,8 @@ def plane_block_theta(
             f = factors.get(key)
             if f is None:
                 exps = pair_exponents(p_a, p_b, d, substitution)
-                items = [(make_weight(i1, i2, b, a), 1) for i1, i2 in exps]
                 try:
-                    f = factors[key] = _cleared(_theta_factors(items, spec, limit))
+                    f = factors[key] = _cleared(_pair_triples(exps, a, b, spec, limit))
                 except DegenerateSpecializationError:
                     weights = plane_block_weights(pt, kvec.entries, substitution)
                     _theta_factors(sorted(weights, key=_sort_key), spec, limit)

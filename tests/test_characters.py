@@ -39,6 +39,7 @@ from blowup_genera.partitions import (
     PartitionTuple,
     arm_leg,
     enumerate_blowup_fixed_points,
+    enumerate_partitions,
     enumerate_tuples,
 )
 
@@ -188,17 +189,30 @@ def test_tangent_blowup_is_the_sum_of_its_three_blocks():
 # The tangent characters as they were built before the one-pass assembly: one
 # Character per block, substitution and twist, added up as a running sum.
 
-def reference_n_block(y_a, y_b, a, b):
-    items = []
+def reference_hook_exponents(y_a, y_b):
+    exps = []
     for s in y_a.boxes():
         arm = arm_leg(y_a, s)[0]
         leg = arm_leg(y_b, s)[1]
-        items.append((make_weight(-leg, arm + 1, b, a), 1))
+        exps.append((-leg, arm + 1))
     for s in y_b.boxes():
         leg = arm_leg(y_a, s)[1]
         arm = arm_leg(y_b, s)[0]
-        items.append((make_weight(leg + 1, -arm, b, a), 1))
-    return Character(items)
+        exps.append((leg + 1, -arm))
+    return exps
+
+
+def reference_n_block(y_a, y_b, a, b):
+    exps = reference_hook_exponents(y_a, y_b)
+    return Character((make_weight(i1, i2, b, a), 1) for i1, i2 in exps)
+
+
+def test_hook_table_is_the_box_formula_in_order():
+    # the table read from row and column lengths lists the arm/leg formula's
+    # exponents box by box, for every ordered pair up to size 5
+    parts = [p for n in range(6) for p in enumerate_partitions(n)]
+    for y_a, y_b in product(parts, repeat=2):
+        assert list(hook_exponents(y_a, y_b)) == reference_hook_exponents(y_a, y_b)
 
 
 def reference_l_block(kvec, a, b):
@@ -648,6 +662,16 @@ def plane_blocks(draw):
     "y",
     None,
     False,
+)
+@example(  # limit mode: pair (2, 1) tends to y^1, so its factor carries the sign (-1)^1
+    (
+        PartitionTuple((Partition((1,)), Partition())),
+        LatticeVector((0, 0)),
+        sample_specialization(2, 101),
+    ),
+    "y",
+    None,
+    True,
 )
 def test_pair_factor_theta_is_the_block_theta(block, side, y0, limit):
     pt, kvec, spec = block

@@ -625,17 +625,27 @@ def test_pair_memo_belongs_to_one_specialization_and_mode():
 def test_degenerate_pair_factor_is_never_stored(monkeypatch):
     from blowup_genera import characters
 
+    # pair factors take their triples from _pair_triples, and the sorted
+    # re-check of a block from _theta_factors; both record what raised
     raised = []
-    original = characters._theta_factors
+    pair_triples, block_triples = characters._pair_triples, characters._theta_factors
 
-    def recording(items, spec, limit):
+    def recording_pair(exps, a, b, spec, limit):
         try:
-            return original(items, spec, limit)
+            yield from pair_triples(exps, a, b, spec, limit)
         except DegenerateSpecializationError:
-            raised.append(len(items))
+            raised.append(("pair", len(exps)))
             raise
 
-    monkeypatch.setattr(characters, "_theta_factors", recording)
+    def recording_block(items, spec, limit):
+        try:
+            return block_triples(items, spec, limit)
+        except DegenerateSpecializationError:
+            raised.append(("block", len(items)))
+            raise
+
+    monkeypatch.setattr(characters, "_pair_triples", recording_pair)
+    monkeypatch.setattr(characters, "_theta_factors", recording_block)
     # at seed 192 a rank-2 pair factor degenerates; its block's weights are
     # then checked again in sorted order, which names the weight
     spec = sample_specialization(2, 192)
@@ -647,8 +657,8 @@ def test_degenerate_pair_factor_is_never_stored(monkeypatch):
             genera.zhat_series(req)
         errors.append(str(err.value))
         sizes.append(len(spec.pair_memo[EQUIVARIANT]))
-        assert raised[0] == 1  # one pairing block: the factor itself degenerated
-        assert len(raised) == 2
+        assert raised[0] == ("pair", 1)  # one pairing block: the factor itself degenerated
+        assert len(raised) == 2 and raised[1][0] == "block"
     assert errors[0] == errors[1] and sizes[0] == sizes[1]
 
 

@@ -1,21 +1,25 @@
 """Command-line interface.
 
-Machine-readable JSON goes to stdout (or --output); the verification
-commands log progress to stderr with --verbose.  All randomness flows from
-explicit seeds (default base 1729, seeds base..base+count-1), so identical
-invocations produce identical outputs; wall-clock timing is only included
-when --timing is passed.  Each subcommand accepts only the flags it
-honours.  Exit codes: 0 success or pass, 1 verification failure, 2 usage
-error, including an unknown, conflicting or unused flag, an out-of-range
-number, an --output path that is a directory or lies in a missing one
-(refused before any computation) and a request whose lattice, or its
-lowest layer alone, holds more than partitions.MAX_LATTICE_LAYER vectors.
-compute-z and compute-zhat do not reseed: a degenerate seed ends them
-with exit 1 and a DegenerateSpecializationError traceback; a verify-*
-driver that meets verify.MAX_RESEEDS degenerate seeds in a row ends with
-exit 1 and a ReseedLimitError traceback.  A call whose stdout has no
-reader left ends with exit 141 and no traceback (see run).  Each
-subcommand imports only the layers it runs.
+Machine-readable JSON goes to stdout (or --output).  Once its drivers
+return, a verify-* command prints to stderr from their reports: a
+WARNING line for each reseed and, with --verbose, an INFO line with each
+driver's outcome and time and one for each of its details.  All
+randomness flows from explicit seeds (default base 1729, seeds
+base..base+count-1), so identical invocations produce identical outputs;
+wall-clock timing is only included when --timing is passed.  Each
+subcommand accepts only the flags it honours.  Exit codes: 0 success or
+pass, 1 verification failure, 2 usage error, including an unknown,
+conflicting or unused flag, an out-of-range number, an --output path
+that is a directory or lies in a missing one (refused before any
+computation) and a request whose lattice, or its lowest layer alone,
+holds more than partitions.MAX_LATTICE_LAYER vectors.  compute-z and
+compute-zhat do not reseed: a degenerate seed ends them with exit 1 and
+a DegenerateSpecializationError traceback; a verify-* driver that meets
+verify.MAX_RESEEDS degenerate seeds in a row ends with exit 1 and a
+ReseedLimitError traceback, chained from the last
+DegenerateSpecializationError.  A call whose stdout has no reader left
+ends with exit 141 and no traceback (see run).  Each subcommand imports
+only the layers it runs.
 
 A process enters through run, which calls main and then freezes the
 heap, so the interpreter's shutdown collections have nothing to walk;
@@ -109,7 +113,10 @@ def _verify_flags(p: argparse.ArgumentParser) -> None:
         type=_seed_list,
         help="comma-separated explicit seeds, instead of --seeds/--seed-base",
     )
-    p.add_argument("--verbose", action="store_true", help="log progress and reseeds to stderr")
+    p.add_argument(
+        "--verbose", action="store_true",
+        help="also print each driver's outcome and details to stderr (reseeds always print)",
+    )
     _output_flags(p)
 
 
@@ -242,6 +249,18 @@ def _y0(parser, args):
     return Fraction(1) if args.y0 is None else args.y0
 
 
+def _stderr_lines(reports, verbose: bool):
+    """Each report's reseeds and, if verbose, its outcome, time and details, in order."""
+    for rep in reports:
+        for msg in rep.params["reseeds"]:
+            yield f"WARNING {msg}\n"
+        if verbose:
+            outcome = "pass" if rep.outcome else "FAIL"
+            yield f"INFO {rep.name}: {outcome} ({rep.timing_seconds:.2f}s)\n"
+            for line in rep.details:
+                yield f"INFO   {line}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -254,15 +273,6 @@ def main(argv=None) -> int:
         parser.error(f"--output: {args.output!r} is a directory")
     if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
         parser.error(f"--output: no directory to write {args.output!r} in")
-    if "verbose" in args:
-        # only the verify-* commands log: their drivers report reseeds and progress
-        import logging
-
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(message)s",
-        )
     try:
         return _run(parser, args)
     except LatticeTooLargeError as exc:
@@ -314,13 +324,15 @@ def _run(parser, args) -> int:
     seeds = _seeds_from(parser, args)
     if "driver" in args:
         options = {"mode": args.mode} if "mode" in args else {}
-        report = getattr(verify, args.driver)(args.rank, args.k, args.order, seeds, **options)
-        payload = report.to_json(include_timing=args.timing)
+        reports = [getattr(verify, args.driver)(args.rank, args.k, args.order, seeds, **options)]
     elif args.command == "verify-rank1":
-        report = verify.verify_rank1_identity(args.order, seeds)
-        payload = report.to_json(include_timing=args.timing)
+        reports = [verify.verify_rank1_identity(args.order, seeds)]
     else:
         reports = verify.verify_all(seeds)
+    sys.stderr.write("".join(_stderr_lines(reports, args.verbose)))
+    if args.command != "verify-all":
+        payload = reports[0].to_json(include_timing=args.timing)
+    else:
         payload = {
             "schema": "verification-report/1",
             "check": "verify-all",

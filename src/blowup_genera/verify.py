@@ -7,9 +7,11 @@ inverts a series; the quotient route zhat * z^-1 is kept as a secondary
 check since the plane series always starts at 1.
 
 Specializations that collide with a weight (some theta factor would
-degenerate) are resampled at seed + 1, and every reseed is logged and
-recorded in the report; after MAX_RESEEDS degenerate draws in a row a
-driver raises ReseedLimitError.  Reports are deterministic functions of
+degenerate) are resampled at seed + 1, and every reseed is recorded in
+the report's params["reseeds"]; after MAX_RESEEDS degenerate draws in a
+row a driver raises ReseedLimitError from the last degenerate one.  The
+report is the one record of a run: nothing is logged, and the CLI prints
+its stderr from the reports.  Reports are deterministic functions of
 (parameters, seeds); wall-clock time is kept out of the canonical JSON
 so repeated runs are byte-identical.
 
@@ -35,11 +37,10 @@ _start and builds what it meets, so its report is the same either way.
 The grid's three units, ranks 1, 2 and 3, share no memo, so verify_all
 runs them on two CPUs where it can: this process forks one child for
 ranks 1 and 3, which pickles its reports back through a pipe, and runs
-rank 2 itself.  Each unit's log records are kept and logged in grid
-order once both processes are done, so the log reads as it would from
-one process.  The grid stays in this process when it may use only one
-CPU, when os.fork is missing, when another thread runs or when the pipe
-or the fork cannot be made.
+rank 2 itself.  The reports are joined in grid order, as one process
+would return them.  The grid stays in this process when it may use only
+one CPU, when os.fork is missing, when another thread runs or when the
+pipe or the fork cannot be made.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import functools
 import gc
 import itertools
 import json
-import logging
 import os
 import threading
 import time
@@ -67,8 +67,6 @@ from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
 from .partitions import blowup_max_n, blowup_virtual_dim, check_k
 from .qseries import QSeries
 from .records import Record
-
-logger = logging.getLogger("blowup_genera")
 
 MAX_RESEEDS = 64
 
@@ -150,7 +148,7 @@ class SeriesMemo:
     values p/q of the weights it meets, so a request served by rule 2
     would have returned if built.  Only a series that returns is stored:
     a degenerate build raises again each time it is met, so every driver
-    reseeds and logs as it would on its own.
+    reseeds and records it as it would on its own.
     """
 
     def __init__(self):
@@ -188,20 +186,20 @@ def _build_with_reseed(build, r: int, seed: int, retries: list[str], memo: Serie
     """Run ``build(spec)``, resampling at seed+1 on degenerate collisions.
 
     The specializations come from memo, the driver's memo from _start.
-    After MAX_RESEEDS degenerate draws in a row it raises ReseedLimitError.
+    After MAX_RESEEDS degenerate draws in a row it raises ReseedLimitError
+    from the last DegenerateSpecializationError, which names its weight.
     """
     current = seed
+    last = None
     for _ in range(MAX_RESEEDS):
         spec = memo.specialization(r, current)
         try:
             return build(spec), current
         except DegenerateSpecializationError as exc:
             nxt = current + 1
-            msg = f"seed {current} degenerate ({exc}); resampling with seed {nxt}"
-            logger.warning(msg)
-            retries.append(msg)
-            current = nxt
-    raise ReseedLimitError(f"no nondegenerate specialization found near seed {seed}")
+            retries.append(f"seed {current} degenerate ({exc}); resampling with seed {nxt}")
+            current, last = nxt, exc
+    raise ReseedLimitError(f"no nondegenerate specialization found near seed {seed}") from last
 
 
 def _series_pair(r, k, order, seed, y0, mode, retries, memo):
@@ -241,24 +239,19 @@ def _finish(
     name: str, params: dict, ok: bool, details: list[str], seeds, retries: list[str], t0: float,
     **conventions,
 ) -> VerificationReport:
-    """The whole report of one driver run, logged.
+    """The whole report of one driver run.
 
     params gains the seeds and reseeds, CONVENTIONS the keyword
     arguments, and timing_seconds is the wall time since t0.
     """
-    elapsed = time.perf_counter() - t0
-    report = VerificationReport(
+    return VerificationReport(
         name=name,
         params={**params, "seeds": list(seeds), "reseeds": retries},
         outcome=ok,
         details=details,
         conventions={**CONVENTIONS, **conventions},
-        timing_seconds=elapsed,
+        timing_seconds=time.perf_counter() - t0,
     )
-    logger.info("%s: %s (%.2fs)", name, "pass" if ok else "FAIL", elapsed)
-    for line in details:
-        logger.info("  %s", line)
-    return report
 
 
 def verify_main_theorem(
@@ -459,37 +452,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Capture(logging.Handler):
-    """Keeps each record as (level, message), for a replay in grid order."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        self.records.append((record.levelno, record.getMessage()))
-
-
 def _run_units(units) -> list[tuple]:
-    """(reports, log records, exception or None) of each unit, up to the first that raises.
-
-    While the units run, the package logger sends its records to a
-    capture alone, so nothing reaches a handler until the replay.
-    """
+    """(reports, exception or None) of each unit, up to the first that raises."""
     outcomes = []
-    capture = _Capture()
-    saved = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [capture], False
-    try:
-        for unit in units:
-            capture.records = []
-            try:
-                outcomes.append((unit(), capture.records, None))
-            except Exception as exc:
-                outcomes.append(([], capture.records, exc))
-                break
-    finally:
-        logger.handlers, logger.propagate = saved
+    for unit in units:
+        try:
+            outcomes.append((unit(), None))
+        except Exception as exc:
+            outcomes.append(([], exc))
+            break
     return outcomes
 
 
@@ -560,11 +531,10 @@ def verify_all(seeds) -> list[VerificationReport]:
 
     The three units, one per rank, share nothing, so where this process
     may use two CPUs, os.fork exists and no other thread runs, ranks 1
-    and 3 run in a forked child and rank 2 here.  Each unit's log records
-    are then kept and logged here in grid order when the grid ends, and
-    the first unit in grid order that raised re-raises here after its own
-    records and those of the units before it.  When the pipe or the fork
-    cannot be made, all three units run here.
+    and 3 run in a forked child and rank 2 here.  The reports are then
+    joined in grid order, and the first unit in grid order that raised
+    re-raises here.  When the pipe or the fork cannot be made, all three
+    units run here.
     """
     seeds = tuple(seeds)
     units = [functools.partial(_rank_reports, r, seeds) for r in (1, 2, 3)]
@@ -580,9 +550,7 @@ def verify_all(seeds) -> list[VerificationReport]:
             # a unit its process never had (the child has one more), or one
             # it never reached after a unit that raised, which re-raised above
             continue
-        unit_reports, records, error = outcome
-        for level, message in records:
-            logger.log(level, message)
+        unit_reports, error = outcome
         if error is not None:
             raise error
         reports += unit_reports

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import gc
+import hashlib
 import json
 import os
 import re
@@ -382,6 +383,25 @@ def test_degenerate_seed_exits_one_with_typed_error():
     assert last.startswith("blowup_genera.characters.DegenerateSpecializationError:")
 
 
+RESEED_LIMIT = """
+from blowup_genera import cli, verify
+verify.MAX_RESEEDS = 1
+cli.run(["verify-blowup", "--rank", "2", "--k", "1", "--seed-list", "53"])
+"""
+
+
+def test_reseed_limit_exits_one_naming_the_degenerate_weight():
+    # nothing is printed before the traceback, so its chained cause names the weight
+    proc = run_process("-c", RESEED_LIMIT)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("blowup_genera.verify.ReseedLimitError:")
+    cause, chained, _ = proc.stderr.partition("direct cause of the following exception")
+    assert chained and "DegenerateSpecializationError: theta factor degenerated" in cause
+    assert "e2/e1 * t1^2 * t2^2" in cause
+
+
 def test_verbose_verify_logs_progress_to_stderr():
     argv = ["verify-rank1", "--order", "4", "--seed-list", "1", "--verbose"]
     proc = run_process("-m", "blowup_genera.cli", *argv)
@@ -415,6 +435,23 @@ def test_verify_all_logs_every_driver_reseed():
     assert proc.returncode == 0
     order = [53, 192, 53, 53, 192, 192, 192, 53, 192, 53, 53] + [192] * 15
     assert proc.stderr == "".join(RESEED_WARNING[seed] for seed in order)
+
+
+# sha256 of the 51 lines `verify-all --seed-list 53,192,101 --verbose` wrote to
+# stderr when the drivers logged through the logging module, timings masked
+VERBOSE_GRID_STDERR = "47c762188b617ef6bf4ce8b03e02ade02af3fbd90d364614c2396f671527d9c1"
+
+
+def test_verbose_grid_stderr_is_the_same_in_one_process_and_two(monkeypatch, capsys):
+    printed = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        assert main(["verify-all", "--seed-list", "53,192,101", "--verbose"]) == 0
+        err = capsys.readouterr().err
+        printed.append(re.sub(r"\(\d+\.\d\ds\)$", "(T)", err, flags=re.M))
+    assert printed[0] == printed[1]
+    assert len(printed[0].splitlines()) == 51
+    assert hashlib.sha256(printed[0].encode()).hexdigest() == VERBOSE_GRID_STDERR
 
 
 @pytest.mark.parametrize(
@@ -467,8 +504,8 @@ def test_subcommand_imports_only_the_layers_it_runs(argv, absent):
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert not loaded & {f"blowup_genera.{name}" for name in absent}
-    # only the verify-* commands log
-    assert ("logging" in loaded) == bool(argv and argv[0].startswith("verify-"))
+    # the verify-* commands print their stderr from the reports
+    assert "logging" not in loaded
     # dataclasses would pull in inspect, ast and dis, which nothing else needs
     assert not loaded & {"dataclasses", "inspect"}
 

@@ -4,9 +4,7 @@ import errno
 import gc
 import itertools
 import json
-import logging
 import os
-import re
 import time
 from fractions import Fraction as F
 
@@ -168,7 +166,7 @@ def test_reseed_on_degenerate_collision():
     assert len(retries) == 2 and "resampling" in retries[0]
 
 
-def test_reseed_limit_raises_a_typed_error():
+def test_reseed_limit_raises_a_typed_error(monkeypatch):
     calls = []
 
     def build(spec):
@@ -177,11 +175,22 @@ def test_reseed_limit_raises_a_typed_error():
 
     retries = []
     message = "^no nondegenerate specialization found near seed 100$"
-    with pytest.raises(ReseedLimitError, match=message):
+    with pytest.raises(ReseedLimitError, match=message) as raised:
         _build_with_reseed(build, 1, 100, retries, SeriesMemo())
     assert MAX_RESEEDS == 64 and issubclass(ReseedLimitError, RuntimeError)
     assert calls == list(range(100, 100 + MAX_RESEEDS))
     assert len(retries) == MAX_RESEEDS
+    # raised from the last degenerate draw, which names its weight and seed
+    cause = raised.value.__cause__
+    assert isinstance(cause, DegenerateSpecializationError)
+    assert str(cause).endswith(f"specialization seed {100 + MAX_RESEEDS - 1}")
+
+    # a limit of 0 draws nothing and raises with no cause
+    monkeypatch.setattr(verify, "MAX_RESEEDS", 0)
+    calls.clear()
+    with pytest.raises(ReseedLimitError, match=message) as raised:
+        _build_with_reseed(build, 1, 100, [], SeriesMemo())
+    assert calls == [] and raised.value.__cause__ is None
 
 
 @pytest.mark.parametrize(
@@ -377,11 +386,11 @@ def test_verify_all_shares_series_within_a_rank(monkeypatch):
     assert len(built) == 22 and not failed
 
 
-def run_grid(monkeypatch, caplog, cpus, seeds):
+def run_grid(monkeypatch, cpus, seeds):
     """verify_all at seeds with the CPU probe set to cpus.
 
-    Returns its reports as JSON (or the exception it raised), the
-    records it logged with their timings cut, and the forks it made.
+    Returns its reports as JSON (or the exception it raised) and the
+    forks it made.
     """
     forks = []
     real_fork = os.fork
@@ -392,14 +401,11 @@ def run_grid(monkeypatch, caplog, cpus, seeds):
 
     monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
-    caplog.clear()
     try:
         outcome = [rep.to_json() for rep in verify.verify_all(seeds)]
     except Exception as exc:
         outcome = exc
-    records = [(rec.levelno, re.sub(r" \(\d+\.\d+s\)$", "", rec.getMessage()))
-               for rec in caplog.records]
-    return outcome, records, len(forks)
+    return outcome, len(forks)
 
 
 def assert_no_child_left():
@@ -407,49 +413,39 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_forked_grid_equals_the_grid_in_one_process(monkeypatch, caplog):
-    caplog.set_level(logging.INFO, logger="blowup_genera")
+def test_forked_grid_equals_the_grid_in_one_process(monkeypatch):
     seeds = (53, 192, 101)
-    forked, forked_records, forks = run_grid(monkeypatch, caplog, 2, seeds)
+    forked, forks = run_grid(monkeypatch, 2, seeds)
     assert forks == 1
     assert_no_child_left()
-    alone, alone_records, forks = run_grid(monkeypatch, caplog, 1, seeds)
+    alone, forks = run_grid(monkeypatch, 1, seeds)
     assert forks == 0
     assert forked == alone and any(rep["params"]["reseeds"] for rep in alone)
-    assert forked_records == alone_records and len(alone_records) > len(alone)
-    assert logging.WARNING in {level for level, _ in alone_records}
 
 
-def test_forked_grid_raises_as_the_grid_in_one_process(monkeypatch, caplog):
+def test_forked_grid_raises_as_the_grid_in_one_process(monkeypatch):
     # seeds 53 and 192 degenerate at ranks 2 and 3, and one draw is all a driver gets
     monkeypatch.setattr(verify, "MAX_RESEEDS", 1)
-    caplog.set_level(logging.INFO, logger="blowup_genera")
-    forked, forked_records, forks = run_grid(monkeypatch, caplog, 2, (53, 192, 101))
+    forked, forks = run_grid(monkeypatch, 2, (53, 192, 101))
     assert forks == 1
     assert_no_child_left()
-    alone, alone_records, forks = run_grid(monkeypatch, caplog, 1, (53, 192, 101))
+    alone, forks = run_grid(monkeypatch, 1, (53, 192, 101))
     assert forks == 0
     assert isinstance(forked, ReseedLimitError) and isinstance(alone, ReseedLimitError)
     assert str(forked) == str(alone) == "no nondegenerate specialization found near seed 53"
-    assert forked_records == alone_records
-    assert alone_records[-1][0] == logging.WARNING
 
 
-def test_the_first_unit_in_grid_order_that_raises_is_raised(monkeypatch, caplog):
+def test_the_first_unit_in_grid_order_that_raises_is_raised(monkeypatch):
     def failing(r, seeds):
-        verify.logger.warning("rank %d starts", r)
         raise ValueError(f"rank {r} fails")
 
     # rank 2 raises in this process, and rank 1, before it in grid order, in the child
     monkeypatch.setattr(verify, "_rank_reports", failing)
-    caplog.set_level(logging.INFO, logger="blowup_genera")
-    forked, forked_records, forks = run_grid(monkeypatch, caplog, 2, (101,))
+    forked, forks = run_grid(monkeypatch, 2, (101,))
     assert forks == 1
     assert_no_child_left()
-    alone, alone_records, _ = run_grid(monkeypatch, caplog, 1, (101,))
+    alone, _ = run_grid(monkeypatch, 1, (101,))
     assert isinstance(forked, ValueError) and str(forked) == str(alone) == "rank 1 fails"
-    assert forked_records == alone_records
-    assert alone_records[-1] == (logging.WARNING, "rank 1 starts")
 
 
 def exit_3():
@@ -500,9 +496,8 @@ def cannot_pipe():
 
 
 @pytest.mark.parametrize("fails", ["fork", "pipe"])
-def test_a_fork_or_pipe_that_cannot_be_made_runs_the_grid_here(fails, monkeypatch, caplog):
-    caplog.set_level(logging.INFO, logger="blowup_genera")
-    alone, alone_records, _ = run_grid(monkeypatch, caplog, 1, (101,))
+def test_a_fork_or_pipe_that_cannot_be_made_runs_the_grid_here(fails, monkeypatch):
+    alone, _ = run_grid(monkeypatch, 1, (101,))
     pipes = []
     real_pipe = os.pipe
 
@@ -512,9 +507,9 @@ def test_a_fork_or_pipe_that_cannot_be_made_runs_the_grid_here(fails, monkeypatc
 
     monkeypatch.setattr(os, "fork", cannot_fork)
     monkeypatch.setattr(os, "pipe", cannot_pipe if fails == "pipe" else recorded_pipe)
-    here, here_records, forks = run_grid(monkeypatch, caplog, 2, (101,))
+    here, forks = run_grid(monkeypatch, 2, (101,))
     assert forks == (fails == "fork")
-    assert here == alone and here_records == alone_records
+    assert here == alone
     assert gc.get_freeze_count() == 0
     assert_no_child_left()
     # both ends of a pipe made before the fork failed are closed

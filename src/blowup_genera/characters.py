@@ -69,7 +69,9 @@ multiplies them without building the block.  It takes F from the memo
 that the specialization it is given keeps for the mode
 (Specialization.pair_memo, keyed by EQUIVARIANT or LIMIT), so every
 blow-up series at that specialization and mode shares the factors, and
-no caller can hand it the factors of another.  A missing F costs one
+no caller can hand it the factors of another.  In limit mode the same
+memo also keeps the side sums that genera makes from these factors
+(genera._limit_convolution).  A missing F costs one
 memo lookup and one linear product per weight: its triples come from
 _pair_triples, which looks each value up by the plain tuple
 (i1, i2, num, den) of the weight and builds a Weight only on a miss or
@@ -110,6 +112,10 @@ class DegenerateSpecializationError(ValueError):
             f"theta factor degenerated: weight {weight_to_str(weight, 1)} evaluates to 1 "
             f"under specialization seed {seed}"
         )
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold only the message
+        return type(self), (self.weight, self.seed)
 
 
 class RankCheckError(RuntimeError):

@@ -483,7 +483,10 @@ class Specialization(Record):
     "limit") to the Nekrasov pair factors F that the blow-up series of
     this specialization have met in that mode (see
     characters.plane_block_theta), so every zhat_series build at this
-    specialization shares them, whatever its k or max_n.  Neither memo
+    specialization shares them, whatever its k or max_n.  pair_memo["limit"]
+    also holds the limit side sums A(w), B(w) under ("side", side, w) and
+    their convolution under ("conv", w), which depend on no lattice vector
+    (see genera._limit_convolution).  Neither memo
     takes part in equality, hashing or repr, and every specialization has
     both of its own.
     """

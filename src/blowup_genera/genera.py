@@ -11,6 +11,10 @@ mode (Specialization.pair_memo), so the blocks that share a pair of
 diagrams, slots and shift share its factor, within one zhat_series call
 and across every call at that specialization, whatever its k or max_n,
 and a degenerate block names the weight theta of the whole block names.
+In limit mode a block's theta depends on neither the lattice vector nor
+k, so the Y- and Z-block sums of each weight and their convolution are
+made once per specialization and kept beside the pair factors
+(_limit_convolution); each vector multiplies in only its own simplex.
 
 Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
@@ -43,6 +47,7 @@ from .characters import (
 )
 from .coefficients import (
     PRNG_NAME,
+    Cleared,
     Specialization,
     YPoly,
     cleared_convolution,
@@ -100,16 +105,52 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
     Each block's theta is plane_block_theta, a product of pair factors
-    memoized in req.spec.pair_memo.
+    memoized in req.spec.pair_memo.  In equivariant mode the side sums
+    depend on kvec and are made here; in limit mode they do not, and every
+    vector reads them from _limit_convolution.
     """
     spec, limit = req.spec, req.mode == LIMIT
     simplex = theta_sum([simplex_block(kvec)], spec, limit)
+    if limit:
+        for w in count():
+            yield cleared_product(simplex, _limit_convolution(req, kvec, w))
     a, b = [], []
     for w in count():
         tuples = enumerate_tuples(req.rank, w)
         a.append(cleared_sum(plane_block_theta(t, kvec, "y", spec, limit) for t in tuples))
         b.append(cleared_sum(plane_block_theta(t, kvec, "z", spec, limit) for t in tuples))
         yield cleared_product(simplex, cleared_convolution(a, b))
+
+
+def _limit_convolution(req: SeriesRequest, kvec: LatticeVector, w: int) -> Cleared:
+    """sum_{i+j=w} A(i) * B(j) of the limit side sums, made once per specialization.
+
+    In the ordered limit an off-diagonal pair factor is y^(|Y_a|+|Y_b|)
+    for a > b and 1 for a < b, and a diagonal one has d = 0, so a block's
+    limit theta depends on neither kvec nor k.  The side sums A(w), B(w)
+    and the convolution are therefore kept beside the pair factors in
+    req.spec.pair_memo[LIMIT], under ("side", side, w) and ("conv", w),
+    and every lattice vector of every build at that specialization reads
+    them.  The first vector to reach a weight makes its Y sum and then its
+    Z sum from its own blocks, tuples in enumeration order, so the blocks
+    are met in the order of the per-vector sum; only a sum that returns
+    is stored, so a degenerate one raises again, with the same weight,
+    each time it is met.
+    """
+    memo = req.spec.pair_memo.setdefault(LIMIT, {})
+    conv = memo.get(("conv", w))
+    if conv is None:
+        tuples = enumerate_tuples(req.rank, w)
+        for side in ("y", "z"):
+            if ("side", side, w) not in memo:
+                memo["side", side, w] = cleared_sum(
+                    plane_block_theta(t, kvec, side, req.spec, True) for t in tuples
+                )
+        conv = memo["conv", w] = cleared_convolution(
+            [memo["side", "y", i] for i in range(w + 1)],
+            [memo["side", "z", j] for j in range(w + 1)],
+        )
+    return conv
 
 
 def zhat_series(req: SeriesRequest) -> QSeries:
@@ -130,6 +171,10 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     order, at (Y, empty, kvec) and then (empty, Z, kvec), and within a
     block both name the first degenerate weight in sorted order
     (plane_block_theta), so a degenerate specialization names the same weight.
+    In limit mode the side sums of a weight are shared by every vector
+    (_limit_convolution): the first vector to reach the weight makes them,
+    in that order, and a later vector would meet only the same diagonal
+    weights again, so the limit errors are those of the per-vector sum too.
     """
     r, k = req.rank, req.k
     check_k(r, k)

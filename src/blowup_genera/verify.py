@@ -464,11 +464,22 @@ def _run_units(units) -> list[tuple]:
     return outcomes
 
 
+def _causes(exc) -> list[BaseException]:
+    """The chain of causes of exc (or None), outermost first, which pickle does not keep."""
+    chain = []
+    while exc is not None and exc.__cause__ is not None:
+        exc = exc.__cause__
+        chain.append(exc)
+    return chain
+
+
 def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
     """_run_units of here in this process and of there in one forked child.
 
-    The child pickles its outcomes into a pipe and always ends with
-    os._exit, so it never returns into its caller's frames.  Any
+    The child pickles its outcomes into a pipe, with the chain of causes
+    of each exception (see _causes), and always ends with os._exit, so it
+    never returns into its caller's frames; here each chain is linked
+    back, so an error from the child names its cause as it would here.  Any
     exception here kills and reaps the child first.  gc.freeze keeps the
     collector off the objects both processes start with.  Returns None,
     with no unit run and nothing left open, when the pipe or the fork
@@ -491,8 +502,10 @@ def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
                 code = 1
                 try:
                     reader.close()
+                    outcomes = _run_units(there)
+                    causes = [_causes(exc) for _, exc in outcomes]
                     # pickled whole first, so a failure sends nothing
-                    writer.write(pickle.dumps(_run_units(there), pickle.HIGHEST_PROTOCOL))
+                    writer.write(pickle.dumps((outcomes, causes), pickle.HIGHEST_PROTOCOL))
                     writer.close()
                     code = 0
                 finally:
@@ -515,7 +528,12 @@ def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
             f"verify_all's child process ended with exit status "
             f"{os.waitstatus_to_exitcode(status)} before sending its reports"
         )
-    return outcomes, pickle.loads(data)
+    there, causes = pickle.loads(data)
+    for (_, exc), chain in zip(there, causes):
+        for cause in chain:
+            exc.__cause__ = cause
+            exc = cause
+    return outcomes, there
 
 
 def verify_all(seeds) -> list[VerificationReport]:

@@ -46,9 +46,10 @@ from blowup_genera.partitions import (
     PartitionTuple,
     blowup_virtual_dim,
     enumerate_blowup_fixed_points,
+    enumerate_lattice_vectors,
     enumerate_tuples,
 )
-from blowup_genera.qseries import QSeries
+from blowup_genera.qseries import QSeries, colored_partition_counts
 from blowup_genera.rank1 import w_series
 
 
@@ -227,7 +228,9 @@ ZHAT_DIFFERENTIAL_RANGE = ((1, 4), (2, 3), (3, 2))  # (r, largest n)
 @pytest.mark.parametrize("mode", [EQUIVARIANT, LIMIT])
 @pytest.mark.parametrize("y0", [None, F(0), F(1), F(2, 3)])
 def test_zhat_series_matches_per_fixed_point_reference(mode, y0):
-    for r, max_n in ZHAT_DIFFERENTIAL_RANGE:
+    # limit builds at one spec share their side sums across k and n; r = 4 too
+    shapes = ZHAT_DIFFERENTIAL_RANGE + (((4, 1),) if mode == LIMIT else ())
+    for r, max_n in shapes:
         spec = sample_specialization(r, 1729)
         for k in range(r):
             for n in range(max_n + 1):
@@ -294,6 +297,60 @@ def test_zhat_series_degeneracy_inside_an_off_diagonal_z_pair():
     for y0 in Y_MODES:
         got = limit if y0 is None else limit.at_y(y0)
         assert got.to_json() == reference_zhat_series(req, y0).to_json()
+
+
+@pytest.mark.parametrize("rank, k, max_n", [(2, 1, 3), (3, 1, 2)])
+def test_limit_degeneracy_on_the_z_side_past_weight_zero(rank, k, max_n):
+    # t2 = -1: the diagonal weight t2^2 of the Z block of a one-row diagram
+    # of size 2 is 1, while every Y weight and every Z weight of smaller
+    # size differs from 1 at t1 = 2
+    spec = Specialization(F(2), F(-1), tuple(F(v) for v in (3, 5, 7)[:rank]), seed=3)
+    exp = blowup_virtual_dim(rank, k, 2)
+    live = [v for v in enumerate_lattice_vectors(rank, k, exp) if v.pair_form <= exp]
+    assert len(live) >= 2  # weight 2 is first reached among other vectors
+    for w in range(3):
+        for t in enumerate_tuples(rank, w):
+            plane_block_theta(t, live[0], "y", spec, True)
+            if w < 2:
+                plane_block_theta(t, live[0], "z", spec, True)
+    req = SeriesRequest(rank=rank, max_n=max_n, spec=spec, k=k, mode=LIMIT)
+    with pytest.raises(DegenerateSpecializationError) as want:
+        reference_zhat_series(req)
+    for _ in range(2):  # the Z sum of weight 2 is never stored, so it raises again
+        with pytest.raises(DegenerateSpecializationError) as got:
+            zhat_series(req)
+        assert got.value.weight == want.value.weight == make_weight(0, 2)
+        assert str(got.value) == str(want.value)
+        memo = spec.pair_memo[LIMIT]
+        assert ("side", "y", 2) in memo and ("side", "z", 2) not in memo
+        assert ("conv", 2) not in memo
+
+
+def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
+    import blowup_genera.genera as genera
+
+    calls = []
+    real = genera.plane_block_theta
+
+    def counted(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(genera, "plane_block_theta", counted)
+    r, max_n = 3, 3
+    c = colored_partition_counts(r, max_n)
+    # every k at one specialization: each block of weight <= max_n once per side
+    spec = sample_specialization(r, 101)
+    for k in range(r):
+        zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k, mode=LIMIT))
+    assert calls == [True] * 2 * sum(c)
+    # an equivariant build makes both side sums of every live vector at every weight
+    calls.clear()
+    k, max_n = 1, 2
+    top = blowup_virtual_dim(r, k, max_n)
+    zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
+    reached = [(top - v.pair_form) // (2 * r) for v in enumerate_lattice_vectors(r, k, top)]
+    assert calls == [False] * sum(2 * sum(c[: w + 1]) for w in reached if w >= 0)
 
 
 def test_degenerate_side_names_the_weight_of_the_sorted_block():

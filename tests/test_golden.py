@@ -65,6 +65,17 @@ GOLDEN = {
         "f4889ee713a1731b1c86408f020333c074266955f8f83ada5fabd7df8c864baa",
     ("verify-rank1", "--order", "8"):
         "e817776bd6cf29eee055ba169772a675471e24c5b96928d57a11543fdb834513",
+    # limit shapes where many lattice vectors share one specialization's side sums
+    ("compute-zhat", "--rank", "3", "--k", "1", "--max-n", "4", "--mode", "limit",
+     "--seed", "101"):
+        "c377941de822b08076e702bce73d563f30b4195b8bbf79b38f2273b38b200e3b",
+    ("compute-zhat", "--rank", "4", "--k", "2", "--max-n", "3", "--mode", "limit",
+     "--seed", "101"):
+        "e9c3a575c6437c2faa23469d4d84cc9283d76afab5b028e6ba631e401c39ebb6",
+    ("verify-blowup", "--rank", "2", "--k", "1", "--mode", "limit", "--seed-list", "53,192,101"):
+        "bd1652a762404fe11e9555df59beb619ee3ce8d9d79d1644b05eae0c9be802b5",
+    ("verify-limits", "--rank", "3", "--k", "1", "--seed-list", "53,192,101"):  # reseeds once
+        "b83ed2af22710012988f76d0643fa684bf5e7a2e0434f33595409c11d6aa7497",
 }
 
 

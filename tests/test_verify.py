@@ -435,6 +435,47 @@ def test_forked_grid_raises_as_the_grid_in_one_process(monkeypatch):
     assert str(forked) == str(alone) == "no nondegenerate specialization found near seed 53"
 
 
+def test_a_degenerate_weight_error_survives_pickling():
+    import pickle
+
+    exc = DegenerateSpecializationError(make_weight(1, -1, 1, 2), 53)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is DegenerateSpecializationError
+    assert (back.weight, back.seed, back.args) == (exc.weight, exc.seed, exc.args)
+
+
+def test_an_error_from_the_child_keeps_its_cause(monkeypatch):
+    # no seed degenerates at rank 1 or rank 3 alone, so the child's unit
+    # raises as _build_with_reseed does, from the degenerate draw
+    rank_reports = verify._rank_reports
+
+    def degenerate(r, seeds):
+        if r == 2:
+            return rank_reports(r, seeds)
+        try:
+            raise DegenerateSpecializationError(make_weight(2, 2, 2, 1), 53)
+        except DegenerateSpecializationError as exc:
+            raise ReseedLimitError(f"rank {r}: no nondegenerate specialization") from exc
+
+    monkeypatch.setattr(verify, "_rank_reports", degenerate)
+    forked, forks = run_grid(monkeypatch, 2, (101,))
+    assert forks == 1
+    assert_no_child_left()
+    alone, _ = run_grid(monkeypatch, 1, (101,))
+
+    def chain(exc):
+        links = []
+        while exc is not None:
+            links.append((type(exc), exc.args, getattr(exc, "weight", None),
+                          getattr(exc, "seed", None), exc.__suppress_context__))
+            exc = exc.__cause__
+        return links
+
+    assert chain(forked) == chain(alone)
+    assert [link[0] for link in chain(forked)] == [ReseedLimitError, DegenerateSpecializationError]
+    assert forked.__cause__.weight == make_weight(2, 2, 2, 1)
+
+
 def test_the_first_unit_in_grid_order_that_raises_is_raised(monkeypatch):
     def failing(r, seeds):
         raise ValueError(f"rank {r} fails")

@@ -31,6 +31,7 @@ by side without deciding intent.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
@@ -81,7 +82,17 @@ def lattice_theta_series(
 
 
 def yk_main(r: int, k: int, order: int, y_sign: int = +1) -> QSeries:
-    """Blow-up factor in its Euler-product-times-lattice-sum form, over YPoly."""
+    """Blow-up factor in its Euler-product-times-lattice-sum form, over YPoly.
+
+    Memoized per (r, k, order, y_sign) for the process, since the drivers
+    of one rank ask for one factor several times; no caller changes a
+    QSeries in place, so they share it.
+    """
+    return _yk_main(r, k, order, y_sign)
+
+
+@lru_cache(maxsize=None)
+def _yk_main(r: int, k: int, order: int, y_sign: int) -> QSeries:
     check_k(r, k)
     return euler_times(lattice_theta_series(r, k, order, y_sign), 2 * r, r, r, order + 1)
 

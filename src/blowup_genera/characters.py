@@ -81,6 +81,19 @@ the same case table and the same checks as theta_eval, and an unreduced
 product of integers does not depend on the order of its factors, so the
 product is the block's theta_eval pair, integer for integer, and a
 degenerate block raises the error theta_eval of the block raises.
+
+The series multiply no block out.  side_sum_theta sums theta of the
+blocks of every tuple of one size as one sum nested by slot, by the
+distributive law: the factors of slot b with the slots before it
+multiply the sum over the slots after it, and the factor pair
+F_ab * F_ba of two slots is memoized beside the pair factors.  In place
+of the r^2 - 1 products of each block, a tuple takes at most r - 1 of
+its own, at its last slot; the products at the slots before are shared
+by every tuple that extends them, and none is taken with the unit
+factor of two empty diagrams.  The nested sum meets the pair factors
+slot by slot, not block by block, so when one degenerates the sum is
+done again block by block with plane_block_theta, which names the
+weight the per-block sum names.
 """
 
 from __future__ import annotations
@@ -91,7 +104,14 @@ from itertools import chain
 from typing import NamedTuple
 
 from .coefficients import Cleared, Specialization, cleared_product, cleared_sum
-from .partitions import BlowupFixedPoint, LatticeVector, Partition, PartitionTuple
+from .partitions import (
+    BlowupFixedPoint,
+    LatticeVector,
+    Partition,
+    PartitionTuple,
+    enumerate_partitions,
+    enumerate_tuples,
+)
 
 # the two modes of theta: full evaluation, and the ordered e -> 0 limit
 EQUIVARIANT = "equivariant"
@@ -489,6 +509,22 @@ def _pair_triples(exps, a: int, b: int, spec: Specialization, limit: bool):
         yield p, q, 1
 
 
+def _pair_factor(factors: dict, key: tuple, spec: Specialization, limit: bool) -> Cleared:
+    """The pair factor F under key = (Y_a, Y_b, a, b, d, side), from factors or made there.
+
+    A missing F is theta of the pairing block that pair_exponents gives,
+    multiplied out by _cleared from the triples of _pair_triples.  Only a
+    factor that returns is stored, so a degenerate one raises
+    DegenerateSpecializationError again each time it is met.
+    """
+    f = factors.get(key)
+    if f is None:
+        p_a, p_b, a, b, d, side = key
+        exps = pair_exponents(p_a, p_b, d, BLOWUP_SIDES[side])
+        f = factors[key] = _cleared(_pair_triples(exps, a, b, spec, limit))
+    return f
+
+
 def plane_block_theta(
     pt: PartitionTuple, kvec: LatticeVector, side: str, spec: Specialization, limit: bool
 ) -> Cleared:
@@ -496,33 +532,94 @@ def plane_block_theta(
 
     Theta is multiplicative and the block is the sum over slot pairs (a, b)
     of the pairing blocks of Y_a with Y_b at d = k_b - k_a, so its theta
-    is the product of the pair factors F = theta of one pairing block,
-    taken from pair_exponents.  F depends on t1, t2 and e and on the
-    mode's case table, so it is memoized by (Y_a, Y_b, a, b, d, side) in
-    spec.pair_memo under the mode, LIMIT or EQUIVARIANT.  Only a factor
-    that returns is stored, so a degenerate one raises again each time it
-    is met.  The product is never reduced, so it is the cleared pair of
-    theta_eval or theta_limit_factor of the block, integer for integer.
-    A pair factor meets the block's weights out of sorted order, so when
-    one degenerates the block's weights are checked again in sorted order,
-    and the error names the weight theta_eval of the block names.
+    is the product of the pair factors F = theta of one pairing block
+    (_pair_factor).  F depends on t1, t2 and e and on the mode's case
+    table, so it is memoized by (Y_a, Y_b, a, b, d, side) in
+    spec.pair_memo under the mode, LIMIT or EQUIVARIANT.  The product is
+    never reduced, so it is the cleared pair of theta_eval or
+    theta_limit_factor of the block, integer for integer.  A pair factor
+    meets the block's weights out of sorted order, so when one degenerates
+    the block's weights are checked again in sorted order, and the error
+    names the weight theta_eval of the block names.
     """
     factors = spec.pair_memo.setdefault(LIMIT if limit else EQUIVARIANT, {})
-    substitution = BLOWUP_SIDES[side]
     slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
     block = None
     for a, (ka, p_a) in slots:
         for b, (kb, p_b) in slots:
-            d = kb - ka
-            key = (p_a, p_b, a, b, d, side)
-            f = factors.get(key)
-            if f is None:
-                exps = pair_exponents(p_a, p_b, d, substitution)
-                try:
-                    f = factors[key] = _cleared(_pair_triples(exps, a, b, spec, limit))
-                except DegenerateSpecializationError:
-                    weights = plane_block_weights(pt, kvec.entries, substitution)
-                    _theta_factors(sorted(weights, key=_sort_key), spec, limit)
-                    raise
+            try:
+                f = _pair_factor(factors, (p_a, p_b, a, b, kb - ka, side), spec, limit)
+            except DegenerateSpecializationError:
+                weights = plane_block_weights(pt, kvec.entries, BLOWUP_SIDES[side])
+                _theta_factors(sorted(weights, key=_sort_key), spec, limit)
+                raise
             block = f if block is None else cleared_product(block, f)
     return block
+
+
+def side_sum_theta(
+    w: int, kvec: LatticeVector, side: str, spec: Specialization, limit: bool
+) -> Cleared:
+    """Sum of plane_block_theta over every tuple of total size w, as one nested sum.
+
+    The block of (Y_1, ..., Y_r) is the product of its pair factors F_ab,
+    so by the distributive law the sum nests by slot:
+
+        sum_{Y_1} F_11 * sum_{Y_2} (P_12 * F_22) * sum_{Y_3} (P_13 * P_23 * F_33) * ...
+
+    with P_ab = F_ab * F_ba, memoized per diagram pair beside the pair
+    factors in spec.pair_memo under ("pair", Y_a, Y_b, a, b, d, side).
+    The nesting depth is the rank, and the last slot takes the size that
+    is left.  A factor of two empty diagrams is the unit ([1], 1), and no
+    product is taken with it.  The sum meets every pair factor of every
+    block, so it is degenerate exactly when one of the blocks is, but it
+    meets them slot by slot, not block by block; a sum that raises
+    DegenerateSpecializationError is therefore done again block by block,
+    tuples in enumeration order, and the error of the first degenerate
+    block, the one the per-block sum raises, is the one raised.
+    """
+    factors = spec.pair_memo.setdefault(LIMIT if limit else EQUIVARIANT, {})
+    ks = kvec.entries
+    last = len(ks)
+    chosen = []  # (slot, diagram) of the slots summed over so far
+
+    def pair(p_a, p_b, a, b):
+        # P_ab of slots a < b, made from its two pair factors on a miss
+        d = ks[b - 1] - ks[a - 1]
+        key = ("pair", p_a, p_b, a, b, d, side)
+        p = factors.get(key)
+        if p is None:
+            p = factors[key] = cleared_product(
+                _pair_factor(factors, (p_a, p_b, a, b, d, side), spec, limit),
+                _pair_factor(factors, (p_b, p_a, b, a, -d, side), spec, limit),
+            )
+        return p
+
+    def level(b, left):
+        # sum over Y_b of its factors with the slots before it, times the rest
+        terms = []
+        for size in (left,) if b == last else range(left + 1):
+            for p_b in enumerate_partitions(size):
+                term = None
+                if p_b:
+                    term = _pair_factor(factors, (p_b, p_b, b, b, 0, side), spec, limit)
+                for a, p_a in chosen:
+                    if p_a or p_b:
+                        p = pair(p_a, p_b, a, b)
+                        term = p if term is None else cleared_product(term, p)
+                if b < last:
+                    chosen.append((b, p_b))
+                    rest = level(b + 1, left - size)
+                    chosen.pop()
+                    term = rest if term is None else cleared_product(term, rest)
+                terms.append(([1], 1) if term is None else term)
+        # a sum of one pair is that pair, so it is not copied
+        return terms[0] if len(terms) == 1 else cleared_sum(terms)
+
+    try:
+        return level(1, w)
+    except DegenerateSpecializationError as exc:
+        error = exc
+    for pt in enumerate_tuples(last, w):
+        plane_block_theta(pt, kvec, side, spec, limit)
+    raise error

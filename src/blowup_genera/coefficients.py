@@ -481,8 +481,9 @@ class Specialization(Record):
     weight_memo maps each weight met so far to its value p/q as the
     lowest-terms pair (p, q).  pair_memo maps each mode ("equivariant" or
     "limit") to the Nekrasov pair factors F that the blow-up series of
-    this specialization have met in that mode (see
-    characters.plane_block_theta), so every zhat_series build at this
+    this specialization have met in that mode, and the products F_ab * F_ba
+    of the nested side sums under ("pair", ...) (see
+    characters.side_sum_theta), so every zhat_series build at this
     specialization shares them, whatever its k or max_n.  pair_memo["limit"]
     also holds the limit side sums A(w), B(w) under ("side", side, w) and
     their convolution under ("conv", w), which depend on no lattice vector

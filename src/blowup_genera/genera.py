@@ -5,24 +5,26 @@ zhat_series sums blow-up fixed points into degrees
 q^(2r(|Y|+|Z|) + pair_form), factored over lattice vectors: theta of the
 exceptional simplex times the convolution of the Y-block and Z-block theta
 sums, so no full blow-up tangent character is built.  Nor is a Y or Z
-block built: theta of each is the product of its Nekrasov pair factors
-(characters.plane_block_theta), which the specialization memoizes per
-mode (Specialization.pair_memo), so the blocks that share a pair of
-diagrams, slots and shift share its factor, within one zhat_series call
-and across every call at that specialization, whatever its k or max_n,
-and a degenerate block names the weight theta of the whole block names.
-In limit mode a block's theta depends on neither the lattice vector nor
-k, so the Y- and Z-block sums of each weight and their convolution are
-made once per specialization and kept beside the pair factors
-(_limit_convolution); each vector multiplies in only its own simplex.
+block built: theta of each is the product of its Nekrasov pair factors,
+which the specialization memoizes per mode (Specialization.pair_memo),
+so the blocks that share a pair of diagrams, slots and shift share its
+factor, within one zhat_series call and across every call at that
+specialization, whatever its k or max_n.  Nor is a block multiplied
+out: the side sum of one weight is one sum nested by slot, by the
+distributive law (characters.side_sum_theta), and a degenerate side
+names the weight the first degenerate block names.  In limit mode a
+block's theta depends on neither the lattice vector nor k, so the Y- and
+Z-block sums of each weight and their convolution are made once per
+specialization and kept beside the pair factors (_limit_convolution);
+each vector multiplies in only its own simplex.
 
 Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
 denominator, see characters.theta_eval), the blocks of one degree are
 summed over a running common denominator (characters.theta_sum, or
-cleared_sum over the block products), and the pair helpers of coefficients
-multiply integer lists for the convolution and the simplex factor; each
-q-coefficient becomes one YPoly at the end.  y is always symbolic here:
+cleared_sum inside the nested side sums), and the pair helpers of
+coefficients multiply integer lists for the convolution and the simplex
+factor; each q-coefficient becomes one YPoly at the end.  y is always symbolic here:
 series_report evaluates the finished series once at a numeric y0
 (QSeries.at_y), so there is one coefficient path.
 
@@ -40,7 +42,7 @@ from itertools import count
 from .characters import (
     EQUIVARIANT,
     LIMIT,
-    plane_block_theta,
+    side_sum_theta,
     simplex_block,
     tangent_p2,
     theta_sum,
@@ -104,10 +106,11 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     + Z block, and theta is multiplicative, so the share at weight w is
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
-    Each block's theta is plane_block_theta, a product of pair factors
-    memoized in req.spec.pair_memo.  In equivariant mode the side sums
-    depend on kvec and are made here; in limit mode they do not, and every
-    vector reads them from _limit_convolution.
+    Each side sum is characters.side_sum_theta, one sum nested by slot
+    over pair factors memoized in req.spec.pair_memo, so no block is
+    multiplied out.  In equivariant mode the side sums depend on kvec and
+    are made here, the Y sum of a weight before its Z sum; in limit mode
+    they do not, and every vector reads them from _limit_convolution.
     """
     spec, limit = req.spec, req.mode == LIMIT
     simplex = theta_sum([simplex_block(kvec)], spec, limit)
@@ -116,9 +119,8 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
             yield cleared_product(simplex, _limit_convolution(req, kvec, w))
     a, b = [], []
     for w in count():
-        tuples = enumerate_tuples(req.rank, w)
-        a.append(cleared_sum(plane_block_theta(t, kvec, "y", spec, limit) for t in tuples))
-        b.append(cleared_sum(plane_block_theta(t, kvec, "z", spec, limit) for t in tuples))
+        a.append(side_sum_theta(w, kvec, "y", spec, limit))
+        b.append(side_sum_theta(w, kvec, "z", spec, limit))
         yield cleared_product(simplex, cleared_convolution(a, b))
 
 
@@ -132,20 +134,17 @@ def _limit_convolution(req: SeriesRequest, kvec: LatticeVector, w: int) -> Clear
     req.spec.pair_memo[LIMIT], under ("side", side, w) and ("conv", w),
     and every lattice vector of every build at that specialization reads
     them.  The first vector to reach a weight makes its Y sum and then its
-    Z sum from its own blocks, tuples in enumeration order, so the blocks
-    are met in the order of the per-vector sum; only a sum that returns
-    is stored, so a degenerate one raises again, with the same weight,
-    each time it is met.
+    Z sum with side_sum_theta, which names the weight of the first
+    degenerate block in enumeration order, as the per-vector sum would;
+    only a sum that returns is stored, so a degenerate one raises again,
+    with the same weight, each time it is met.
     """
     memo = req.spec.pair_memo.setdefault(LIMIT, {})
     conv = memo.get(("conv", w))
     if conv is None:
-        tuples = enumerate_tuples(req.rank, w)
         for side in ("y", "z"):
             if ("side", side, w) not in memo:
-                memo["side", side, w] = cleared_sum(
-                    plane_block_theta(t, kvec, side, req.spec, True) for t in tuples
-                )
+                memo["side", side, w] = side_sum_theta(w, kvec, side, req.spec, True)
         conv = memo["conv", w] = cleared_convolution(
             [memo["side", "y", i] for i in range(w + 1)],
             [memo["side", "z", j] for j in range(w + 1)],
@@ -168,8 +167,9 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     enumeration order, and for each vector the Y blocks of its new weight
     before the Z blocks.  The per-fixed-point sum over
     enumerate_blowup_fixed_points first meets every block in that same
-    order, at (Y, empty, kvec) and then (empty, Z, kvec), and within a
-    block both name the first degenerate weight in sorted order
+    order, at (Y, empty, kvec) and then (empty, Z, kvec).  A degenerate
+    nested side sum is done again block by block (side_sum_theta), and
+    within a block both name the first degenerate weight in sorted order
     (plane_block_theta), so a degenerate specialization names the same weight.
     In limit mode the side sums of a weight are shared by every vector
     (_limit_convolution): the first vector to reach the weight makes them,

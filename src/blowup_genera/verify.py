@@ -36,11 +36,12 @@ _start and builds what it meets, so its report is the same either way.
 
 The grid's three units, ranks 1, 2 and 3, share no memo, so verify_all
 runs them on two CPUs where it can: this process forks one child for
-ranks 1 and 3, which pickles its reports back through a pipe, and runs
-rank 2 itself.  The reports are joined in grid order, as one process
-would return them.  The grid stays in this process when it may use only
-one CPU, when os.fork is missing, when another thread runs or when the
-pipe or the fork cannot be made.
+ranks 1 and 3, which sends its reports back through a pipe as marshal
+data (each report's field tuple, and a unit's exception pickled only
+when one raised), and runs rank 2 itself.  The reports are joined in
+grid order, as one process would return them.  The grid stays in this
+process when it may use only one CPU, when os.fork is missing, when
+another thread runs or when the pipe or the fork cannot be made.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import functools
 import gc
 import itertools
 import json
+import marshal
 import os
 import threading
 import time
@@ -476,17 +478,18 @@ def _causes(exc) -> list[BaseException]:
 def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
     """_run_units of here in this process and of there in one forked child.
 
-    The child pickles its outcomes into a pipe, with the chain of causes
-    of each exception (see _causes), and always ends with os._exit, so it
-    never returns into its caller's frames; here each chain is linked
-    back, so an error from the child names its cause as it would here.  Any
-    exception here kills and reaps the child first.  gc.freeze keeps the
-    collector off the objects both processes start with.  Returns None,
-    with no unit run and nothing left open, when the pipe or the fork
-    cannot be made (a file or process limit, say).
+    The child sends its outcomes through a pipe as one marshal message:
+    the field tuple (Record._key) of each report, unit by unit, and, when
+    a unit raised, its exception pickled with its chain of causes (see
+    _causes); pickle is imported only then.  The child always ends with
+    os._exit, so it never returns into its caller's frames.  Here each
+    report is rebuilt through its constructor and each chain is linked
+    back, so an error from the child names its cause as it would here.
+    Any exception here kills and reaps the child first.  gc.freeze keeps
+    the collector off the objects both processes start with.  Returns
+    None, with no unit run and nothing left open, when the pipe or the
+    fork cannot be made (a file or process limit, say).
     """
-    import pickle
-
     gc.freeze()
     try:
         try:
@@ -503,9 +506,14 @@ def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
                 try:
                     reader.close()
                     outcomes = _run_units(there)
-                    causes = [_causes(exc) for _, exc in outcomes]
-                    # pickled whole first, so a failure sends nothing
-                    writer.write(pickle.dumps((outcomes, causes), pickle.HIGHEST_PROTOCOL))
+                    error = outcomes[-1][1] if outcomes else None
+                    if error is not None:
+                        import pickle
+
+                        error = pickle.dumps((error, _causes(error)), pickle.HIGHEST_PROTOCOL)
+                    # encoded whole first, so a failure sends nothing
+                    keys = [[rep._key() for rep in reports] for reports, _ in outcomes]
+                    writer.write(marshal.dumps((keys, error)))
                     writer.close()
                     code = 0
                 finally:
@@ -528,8 +536,13 @@ def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
             f"verify_all's child process ended with exit status "
             f"{os.waitstatus_to_exitcode(status)} before sending its reports"
         )
-    there, causes = pickle.loads(data)
-    for (_, exc), chain in zip(there, causes):
+    keys, error = marshal.loads(data)
+    there = [([VerificationReport(*key) for key in unit], None) for unit in keys]
+    if error is not None:
+        import pickle
+
+        exc, chain = pickle.loads(error)
+        there[-1] = ([], exc)
         for cause in chain:
             exc.__cause__ = cause
             exc = cause

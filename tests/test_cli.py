@@ -508,6 +508,9 @@ def test_subcommand_imports_only_the_layers_it_runs(argv, absent):
     assert "logging" not in loaded
     # dataclasses would pull in inspect, ast and dis, which nothing else needs
     assert not loaded & {"dataclasses", "inspect"}
+    # verify-all's forked child sends its reports as marshal data, and
+    # pickle only an exception, which a passing run never raises
+    assert "pickle" not in loaded
 
 
 # A fresh process calls cli.run on the arguments and prints what run ended

@@ -16,6 +16,7 @@ from blowup_genera.characters import (
     pair_exponents,
     plane_block,
     plane_block_theta,
+    side_sum_theta,
     simplex_block,
     tangent_blowup,
     tangent_p2,
@@ -28,6 +29,7 @@ from blowup_genera.coefficients import (
     YRat,
     cleared_convolution,
     cleared_product,
+    cleared_sum,
     cleared_value,
     sample_specialization,
 )
@@ -44,12 +46,13 @@ from blowup_genera.partitions import (
     LatticeVector,
     Partition,
     PartitionTuple,
+    blowup_max_n,
     blowup_virtual_dim,
     enumerate_blowup_fixed_points,
     enumerate_lattice_vectors,
     enumerate_tuples,
 )
-from blowup_genera.qseries import QSeries, colored_partition_counts
+from blowup_genera.qseries import QSeries
 from blowup_genera.rank1 import w_series
 
 
@@ -327,30 +330,129 @@ def test_limit_degeneracy_on_the_z_side_past_weight_zero(rank, k, max_n):
 
 
 def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
+    import blowup_genera.characters as characters
     import blowup_genera.genera as genera
 
     calls = []
-    real = genera.plane_block_theta
+    real = genera.side_sum_theta
 
-    def counted(*args):
-        calls.append(args[4])
-        return real(*args)
+    def counted(w, kvec, side, spec, limit):
+        calls.append((side, w, limit))
+        return real(w, kvec, side, spec, limit)
 
-    monkeypatch.setattr(genera, "plane_block_theta", counted)
+    def refuse(*_args):
+        raise AssertionError("a block summed on its own on a nondegenerate build")
+
+    monkeypatch.setattr(genera, "side_sum_theta", counted)
+    monkeypatch.setattr(characters, "plane_block_theta", refuse)
     r, max_n = 3, 3
-    c = colored_partition_counts(r, max_n)
-    # every k at one specialization: each block of weight <= max_n once per side
+    # every k at one specialization: each side sum of weight <= max_n once
     spec = sample_specialization(r, 101)
     for k in range(r):
         zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k, mode=LIMIT))
-    assert calls == [True] * 2 * sum(c)
+    assert calls == [(side, w, True) for w in range(max_n + 1) for side in ("y", "z")]
     # an equivariant build makes both side sums of every live vector at every weight
     calls.clear()
     k, max_n = 1, 2
     top = blowup_virtual_dim(r, k, max_n)
     zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
     reached = [(top - v.pair_form) // (2 * r) for v in enumerate_lattice_vectors(r, k, top)]
-    assert calls == [False] * sum(2 * sum(c[: w + 1]) for w in reached if w >= 0)
+    assert sorted(calls) == sorted(
+        (side, w, False) for top_w in reached for w in range(top_w + 1) for side in ("y", "z")
+    )
+
+
+# -- differential tests of the nested side sum ------------------------------------
+# The side sum as it was before the nested sum: theta of every block, each the
+# product of its r^2 pair factors, summed tuple by tuple in enumeration order.
+
+def reference_side_sum(w, kvec, side, spec, limit):
+    tuples = enumerate_tuples(kvec.rank, w)
+    return cleared_sum(plane_block_theta(t, kvec, side, spec, limit) for t in tuples)
+
+
+def side_sum_outcome(build, w, kvec, side, spec, limit):
+    """The value of a side sum, or the weight and message of its degenerate weight."""
+    try:
+        return cleared_value(build(w, kvec, side, spec, limit))
+    except DegenerateSpecializationError as exc:
+        return exc.weight, str(exc)
+
+
+def assert_side_sums_agree(r, k, max_n, mode, spec_of):
+    """Nested and per-block side sums of each live vector of (r, k, max_n), on fresh specs."""
+    limit = mode == LIMIT
+    top = blowup_virtual_dim(r, k, max_n)
+    outcomes = []
+    for kvec in enumerate_lattice_vectors(r, k, top):
+        for w in range((top - kvec.pair_form) // (2 * r) + 1):
+            for side in ("y", "z"):
+                got = side_sum_outcome(side_sum_theta, w, kvec, side, spec_of(), limit)
+                want = side_sum_outcome(reference_side_sum, w, kvec, side, spec_of(), limit)
+                assert got == want, (kvec, w, side)
+                outcomes.append(got)
+    return outcomes
+
+
+def grid_shapes():
+    """(r, k, max_n, mode) of every blow-up series that verify_all builds."""
+    from blowup_genera.verify import default_order
+
+    shapes = set()
+    for r in (1, 2, 3):
+        for k in range(r):
+            lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
+            shapes.add((r, k, blowup_max_n(r, k, default_order(r, k)), EQUIVARIANT))
+            for mode in (EQUIVARIANT, LIMIT):
+                shapes.add((r, k, blowup_max_n(r, k, lim_order), mode))
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("r, k, max_n, mode", grid_shapes())
+def test_nested_side_sums_equal_the_per_block_sums_on_the_grid(r, k, max_n, mode):
+    assert_side_sums_agree(r, k, max_n, mode, lambda: sample_specialization(r, 101))
+
+
+@pytest.mark.parametrize("mode", [EQUIVARIANT, LIMIT])
+@pytest.mark.parametrize("r, k, max_n", [(4, 0, 2), (4, 2, 3), (5, 2, 2), (6, 3, 1), (6, 0, 2)])
+def test_nested_side_sums_equal_the_per_block_sums_at_higher_rank(r, k, max_n, mode):
+    assert_side_sums_agree(r, k, max_n, mode, lambda: sample_specialization(r, 7))
+
+
+@pytest.mark.parametrize(
+    "rank, k, max_n, mode, values",
+    [(2, 1, 4, EQUIVARIANT, seed) for seed in (53, 192)]
+    + [
+        (3, 2, 2, EQUIVARIANT, (F(1, 2), -1, F(-1, 2), -2, 4)),
+        (2, 1, 2, EQUIVARIANT, (2, 3, F(15, 2), 5)),
+        (2, 1, 3, EQUIVARIANT, (2, -1, 5, -5)),
+        (3, 0, 2, LIMIT, (-1, -2, 3, -3, 2)),
+        (3, 1, 2, LIMIT, (F(-1, 2), F(1, 4), -1, 4, -2)),
+        (2, 1, 3, LIMIT, (2, -1, 3, 5)),
+    ],
+)
+def test_nested_side_sums_name_the_per_block_weight_when_degenerate(rank, k, max_n, mode, values):
+    outcomes = assert_side_sums_agree(rank, k, max_n, mode, lambda: _degenerate_spec(rank, values))
+    assert any(isinstance(got, tuple) for got in outcomes)
+
+
+def test_nested_side_sums_take_no_product_with_the_unit_factor(monkeypatch):
+    # two empty diagrams give the pair factor ([1], 1); an equivariant factor
+    # of any other pair has at least one linear factor in y
+    import blowup_genera.characters as characters
+
+    products = []
+    real = characters.cleared_product
+
+    def recorded(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(characters, "cleared_product", recorded)
+    spec = sample_specialization(3, 101)
+    zhat_series(SeriesRequest(rank=3, max_n=2, spec=spec, k=1))
+    assert products
+    assert not any(([1], 1) in pair for pair in products)
 
 
 def test_degenerate_side_names_the_weight_of_the_sorted_block():

@@ -64,23 +64,19 @@ pure t-monomials keep their theta.
 
 Theta is multiplicative, so theta of a Y or Z block is the product of its
 pair factors F(Y_a, Y_b, a, b, d, side), theta of one pairing block, the
-chi_y form of Nekrasov's factor N_{Y_a,Y_b}.  plane_block_theta
-multiplies them without building the block.  It takes F from the memo
-that the specialization it is given keeps for the mode
-(Specialization.pair_memo, keyed by EQUIVARIANT or LIMIT), so every
-blow-up series at that specialization and mode shares the factors, and
-no caller can hand it the factors of another.  In limit mode the same
-memo also keeps the side sums that genera makes from these factors
-(genera._limit_convolution).  A missing F costs one
-memo lookup and one linear product per weight: its triples come from
+chi_y form of Nekrasov's factor N_{Y_a,Y_b}.  The specialization keeps
+them (Specialization.pair_memo), so every blow-up series at that
+specialization shares them.  A diagonal factor (a = b) has no e-part, so
+it is stored once per diagram and side, whatever the slot, and it is the
+same in limit mode, which is built from it alone (genera._limit_side_sum);
+every other factor is equivariant only.  A missing F costs one memo
+lookup and one linear product per weight: its triples come from
 _pair_triples, which looks each value up by the plain tuple
 (i1, i2, num, den) of the weight and builds a Weight only on a miss or
-for a degenerate value, and in limit mode gives an off-diagonal pair the
-one triple of theta_limit_factor's case table.  F is a cleared pair from
-the same case table and the same checks as theta_eval, and an unreduced
-product of integers does not depend on the order of its factors, so the
-product is the block's theta_eval pair, integer for integer, and a
-degenerate block raises the error theta_eval of the block raises.
+for a degenerate value.  F is a cleared pair from the same checks as
+theta_eval, and an unreduced product of integers does not depend on the
+order of its factors, so the product of a block's factors is the
+block's theta_eval pair, integer for integer.
 
 The series multiply no block out.  side_sum_theta sums theta of the
 blocks of every tuple of one size as one sum nested by slot, by the
@@ -91,9 +87,9 @@ of the r^2 - 1 products of each block, a tuple takes at most r - 1 of
 its own, at its last slot; the products at the slots before are shared
 by every tuple that extends them, and none is taken with the unit
 factor of two empty diagrams.  The nested sum meets the pair factors
-slot by slot, not block by block, so when one degenerates the sum is
-done again block by block with plane_block_theta, which names the
-weight the per-block sum names.
+slot by slot, not block by block, so when one degenerates the blocks
+are checked again one by one (check_side_blocks), which names the
+weight the per-block sum names, in either mode.
 """
 
 from __future__ import annotations
@@ -485,100 +481,77 @@ def theta_sum(chars, spec: Specialization, limit: bool = False) -> Cleared:
     return cleared_sum(theta(c, spec) for c in chars)
 
 
-def _pair_triples(exps, a: int, b: int, spec: Specialization, limit: bool):
+def _pair_triples(exps, a: int, b: int, spec: Specialization):
     """(p, q, m) triples of theta over the weights e_b/e_a * t1^i1 * t2^i2, (i1, i2) in exps.
 
     The triples _theta_factors gives for those weights, each of
     multiplicity 1, without building a Weight for a weight whose value is
     memoized: the plain tuple (i1, i2, b, a), or (i1, i2, None, None) on
     the diagonal a = b, is the memo key.  pair_exponents has checked the
-    exponents, so no weight is trivial.  In limit mode the weights of an
-    off-diagonal pair all tend to 0 (a > b) or all to infinity (a < b), so
-    they give the single triple (0, 1, len(exps)) or none.
+    exponents, so no weight is trivial.
     """
-    if a == b:
-        num = den = None
-    elif limit:
-        if a > b and exps:
-            yield 0, 1, len(exps)
-        return
-    else:
-        num, den = b, a
+    num, den = (None, None) if a == b else (b, a)
     for i1, i2 in exps:
         p, q = _theta_factor((i1, i2, num, den), spec)
         yield p, q, 1
 
 
-def _pair_factor(factors: dict, key: tuple, spec: Specialization, limit: bool) -> Cleared:
-    """The pair factor F under key = (Y_a, Y_b, a, b, d, side), from factors or made there.
+def _pair_factor(factors: dict, p_a, p_b, a: int, b: int, d: int, side: str,
+                 spec: Specialization) -> Cleared:
+    """The pair factor F(Y_a, Y_b, a, b, d, side), from factors or made there.
 
     A missing F is theta of the pairing block that pair_exponents gives,
-    multiplied out by _cleared from the triples of _pair_triples.  Only a
-    factor that returns is stored, so a degenerate one raises
-    DegenerateSpecializationError again each time it is met.
+    multiplied out by _cleared from the triples of _pair_triples.  A
+    diagonal factor (a = b, so Y_a = Y_b and d = 0) has no e-part and is
+    the same at every slot, so it is stored once under (Y_a, side); any
+    other under (Y_a, Y_b, a, b, d, side).  Only a factor that returns is
+    stored, so a degenerate one raises DegenerateSpecializationError again
+    each time it is met.
     """
+    key = (p_a, side) if a == b else (p_a, p_b, a, b, d, side)
     f = factors.get(key)
     if f is None:
-        p_a, p_b, a, b, d, side = key
         exps = pair_exponents(p_a, p_b, d, BLOWUP_SIDES[side])
-        f = factors[key] = _cleared(_pair_triples(exps, a, b, spec, limit))
+        f = factors[key] = _cleared(_pair_triples(exps, a, b, spec))
     return f
 
 
-def plane_block_theta(
-    pt: PartitionTuple, kvec: LatticeVector, side: str, spec: Specialization, limit: bool
-) -> Cleared:
-    """Theta of plane_block(pt, kvec, side), or its limit, as a product of pair factors.
+def check_side_blocks(w: int, ks, side: str, spec: Specialization, limit: bool) -> None:
+    """Check theta of the block of every tuple of total size w, as a per-block side sum would.
 
-    Theta is multiplicative and the block is the sum over slot pairs (a, b)
-    of the pairing blocks of Y_a with Y_b at d = k_b - k_a, so its theta
-    is the product of the pair factors F = theta of one pairing block
-    (_pair_factor).  F depends on t1, t2 and e and on the mode's case
-    table, so it is memoized by (Y_a, Y_b, a, b, d, side) in
-    spec.pair_memo under the mode, LIMIT or EQUIVARIANT.  The product is
-    never reduced, so it is the cleared pair of theta_eval or
-    theta_limit_factor of the block, integer for integer.  A pair factor
-    meets the block's weights out of sorted order, so when one degenerates
-    the block's weights are checked again in sorted order, and the error
-    names the weight theta_eval of the block names.
+    Tuples go in enumeration order and the weights of each block in sorted
+    order, through the checks of theta_eval (of theta_limit_factor in limit
+    mode), and nothing is multiplied.  So the DegenerateSpecializationError
+    raised, if any, is that of the first degenerate block of the side sum,
+    and it names the weight theta of that block names.
     """
-    factors = spec.pair_memo.setdefault(LIMIT if limit else EQUIVARIANT, {})
-    slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
-    block = None
-    for a, (ka, p_a) in slots:
-        for b, (kb, p_b) in slots:
-            try:
-                f = _pair_factor(factors, (p_a, p_b, a, b, kb - ka, side), spec, limit)
-            except DegenerateSpecializationError:
-                weights = plane_block_weights(pt, kvec.entries, BLOWUP_SIDES[side])
-                _theta_factors(sorted(weights, key=_sort_key), spec, limit)
-                raise
-            block = f if block is None else cleared_product(block, f)
-    return block
+    chart = BLOWUP_SIDES[side]
+    for pt in enumerate_tuples(len(ks), w):
+        _theta_factors(sorted(plane_block_weights(pt, ks, chart), key=_sort_key), spec, limit)
 
 
-def side_sum_theta(
-    w: int, kvec: LatticeVector, side: str, spec: Specialization, limit: bool
-) -> Cleared:
-    """Sum of plane_block_theta over every tuple of total size w, as one nested sum.
+def side_sum_theta(w: int, kvec: LatticeVector, side: str, spec: Specialization) -> Cleared:
+    """Sum of theta of the blocks plane_block(pt, kvec, side), |pt| = w, as one nested sum.
 
-    The block of (Y_1, ..., Y_r) is the product of its pair factors F_ab,
-    so by the distributive law the sum nests by slot:
+    The block of (Y_1, ..., Y_r) is the sum of its pairing blocks, so its
+    theta is the product of its pair factors F_ab (_pair_factor), which
+    spec.pair_memo keeps.  By the distributive law the sum nests by slot:
 
         sum_{Y_1} F_11 * sum_{Y_2} (P_12 * F_22) * sum_{Y_3} (P_13 * P_23 * F_33) * ...
 
     with P_ab = F_ab * F_ba, memoized per diagram pair beside the pair
-    factors in spec.pair_memo under ("pair", Y_a, Y_b, a, b, d, side).
-    The nesting depth is the rank, and the last slot takes the size that
-    is left.  A factor of two empty diagrams is the unit ([1], 1), and no
-    product is taken with it.  The sum meets every pair factor of every
-    block, so it is degenerate exactly when one of the blocks is, but it
-    meets them slot by slot, not block by block; a sum that raises
-    DegenerateSpecializationError is therefore done again block by block,
-    tuples in enumeration order, and the error of the first degenerate
-    block, the one the per-block sum raises, is the one raised.
+    factors under ("pair", Y_a, Y_b, a, b, d, side).  The nesting depth is
+    the rank, and the last slot takes the size that is left.  A factor of
+    two empty diagrams is the unit ([1], 1), and no product is taken with
+    it.  The sum is never reduced, so each block's share is its theta_eval
+    pair, integer for integer.  It meets every pair factor of every block,
+    so it is degenerate exactly when one of the blocks is, but it meets
+    them slot by slot, not block by block; a sum that raises
+    DegenerateSpecializationError is therefore checked again block by block
+    (check_side_blocks), and the error of the first degenerate block, the
+    one the per-block sum raises, is the one raised.
     """
-    factors = spec.pair_memo.setdefault(LIMIT if limit else EQUIVARIANT, {})
+    factors = spec.pair_memo
     ks = kvec.entries
     last = len(ks)
     chosen = []  # (slot, diagram) of the slots summed over so far
@@ -590,8 +563,8 @@ def side_sum_theta(
         p = factors.get(key)
         if p is None:
             p = factors[key] = cleared_product(
-                _pair_factor(factors, (p_a, p_b, a, b, d, side), spec, limit),
-                _pair_factor(factors, (p_b, p_a, b, a, -d, side), spec, limit),
+                _pair_factor(factors, p_a, p_b, a, b, d, side, spec),
+                _pair_factor(factors, p_b, p_a, b, a, -d, side, spec),
             )
         return p
 
@@ -602,7 +575,7 @@ def side_sum_theta(
             for p_b in enumerate_partitions(size):
                 term = None
                 if p_b:
-                    term = _pair_factor(factors, (p_b, p_b, b, b, 0, side), spec, limit)
+                    term = _pair_factor(factors, p_b, p_b, b, b, 0, side, spec)
                 for a, p_a in chosen:
                     if p_a or p_b:
                         p = pair(p_a, p_b, a, b)
@@ -618,8 +591,6 @@ def side_sum_theta(
 
     try:
         return level(1, w)
-    except DegenerateSpecializationError as exc:
-        error = exc
-    for pt in enumerate_tuples(last, w):
-        plane_block_theta(pt, kvec, side, spec, limit)
-    raise error
+    except DegenerateSpecializationError:
+        check_side_blocks(w, ks, side, spec, False)
+        raise

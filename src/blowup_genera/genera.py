@@ -6,17 +6,17 @@ q^(2r(|Y|+|Z|) + pair_form), factored over lattice vectors: theta of the
 exceptional simplex times the convolution of the Y-block and Z-block theta
 sums, so no full blow-up tangent character is built.  Nor is a Y or Z
 block built: theta of each is the product of its Nekrasov pair factors,
-which the specialization memoizes per mode (Specialization.pair_memo),
+which the specialization memoizes (Specialization.pair_memo),
 so the blocks that share a pair of diagrams, slots and shift share its
 factor, within one zhat_series call and across every call at that
 specialization, whatever its k or max_n.  Nor is a block multiplied
 out: the side sum of one weight is one sum nested by slot, by the
 distributive law (characters.side_sum_theta), and a degenerate side
 names the weight the first degenerate block names.  In limit mode a
-block's theta depends on neither the lattice vector nor k, so the Y- and
-Z-block sums of each weight and their convolution are made once per
-specialization and kept beside the pair factors (_limit_convolution);
-each vector multiplies in only its own simplex.
+side sum is a y-shift of a convolution power of the one-slot sums
+(_limit_side_sum), so the Y- and Z-block sums of each weight and their
+convolution are made once per specialization and kept beside the pair
+factors (_limit_convolution); each vector multiplies in only its own simplex.
 
 Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
@@ -42,6 +42,8 @@ from itertools import count
 from .characters import (
     EQUIVARIANT,
     LIMIT,
+    DegenerateSpecializationError,
+    check_side_blocks,
     side_sum_theta,
     simplex_block,
     tangent_p2,
@@ -106,50 +108,68 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     + Z block, and theta is multiplicative, so the share at weight w is
     theta(simplex) * sum_{i+j=w} A(i) * B(j), where A(i) sums theta of the
     Y blocks of all tuples of size i and B(j) that of the Z blocks of size j.
-    Each side sum is characters.side_sum_theta, one sum nested by slot
-    over pair factors memoized in req.spec.pair_memo, so no block is
-    multiplied out.  In equivariant mode the side sums depend on kvec and
-    are made here, the Y sum of a weight before its Z sum; in limit mode
-    they do not, and every vector reads them from _limit_convolution.
+    In equivariant mode the side sums depend on kvec and are made here,
+    each one sum nested by slot (characters.side_sum_theta), the Y sum of
+    a weight before its Z sum; in limit mode they do not, and every vector
+    reads them from _limit_convolution.
     """
     spec, limit = req.spec, req.mode == LIMIT
     simplex = theta_sum([simplex_block(kvec)], spec, limit)
     if limit:
         for w in count():
-            yield cleared_product(simplex, _limit_convolution(req, kvec, w))
+            yield cleared_product(simplex, _limit_convolution(req, w))
     a, b = [], []
     for w in count():
-        a.append(side_sum_theta(w, kvec, "y", spec, limit))
-        b.append(side_sum_theta(w, kvec, "z", spec, limit))
+        a.append(side_sum_theta(w, kvec, "y", spec))
+        b.append(side_sum_theta(w, kvec, "z", spec))
         yield cleared_product(simplex, cleared_convolution(a, b))
 
 
-def _limit_convolution(req: SeriesRequest, kvec: LatticeVector, w: int) -> Cleared:
+def _limit_convolution(req: SeriesRequest, w: int) -> Cleared:
     """sum_{i+j=w} A(i) * B(j) of the limit side sums, made once per specialization.
 
-    In the ordered limit an off-diagonal pair factor is y^(|Y_a|+|Y_b|)
-    for a > b and 1 for a < b, and a diagonal one has d = 0, so a block's
-    limit theta depends on neither kvec nor k.  The side sums A(w), B(w)
-    and the convolution are therefore kept beside the pair factors in
-    req.spec.pair_memo[LIMIT], under ("side", side, w) and ("conv", w),
+    The side sums A(w), B(w) (_limit_side_sum) and the convolution depend
+    on neither the lattice vector nor k, so they are kept beside the pair
+    factors in req.spec.pair_memo, under ("side", side, w) and ("conv", w),
     and every lattice vector of every build at that specialization reads
     them.  The first vector to reach a weight makes its Y sum and then its
-    Z sum with side_sum_theta, which names the weight of the first
-    degenerate block in enumeration order, as the per-vector sum would;
-    only a sum that returns is stored, so a degenerate one raises again,
-    with the same weight, each time it is met.
+    Z sum, as the per-vector sum would; only a sum that returns is stored,
+    so a degenerate one raises again, with the same weight, each time it
+    is met.
     """
-    memo = req.spec.pair_memo.setdefault(LIMIT, {})
+    memo = req.spec.pair_memo
     conv = memo.get(("conv", w))
     if conv is None:
         for side in ("y", "z"):
             if ("side", side, w) not in memo:
-                memo["side", side, w] = side_sum_theta(w, kvec, side, req.spec, True)
+                memo["side", side, w] = _limit_side_sum(w, req.rank, side, req.spec)
         conv = memo["conv", w] = cleared_convolution(
             [memo["side", "y", i] for i in range(w + 1)],
             [memo["side", "z", j] for j in range(w + 1)],
         )
     return conv
+
+
+def _limit_side_sum(w: int, r: int, side: str, spec: Specialization) -> Cleared:
+    """Limit theta of the w-blocks of one side, y^((r-1)w) [x^w] S(x)^r, S the one-slot sums.
+
+    In the limit an off-diagonal pair factor is y^(|Y_a|+|Y_b|) (a > b) or
+    1 (a < b), and a diagonal one has no e-part, so it is the same in both
+    modes.  S(s) sums the diagonal factors of the diagrams of size s.  A
+    degenerate S(s) is met in a block of size w (at r = 1 only S(w) is,
+    and the builds reach the weights in ascending order), and
+    check_side_blocks then names the weight of the per-block limit sum.
+    """
+    try:
+        one = [side_sum_theta(s, LatticeVector((0,)), side, spec) for s in range(w + 1)]
+    except DegenerateSpecializationError:
+        check_side_blocks(w, (0,) * r, side, spec, True)
+        raise
+    power = one
+    for _ in range(r - 1):
+        power = [cleared_convolution(power[: i + 1], one[: i + 1]) for i in range(w + 1)]
+    num, den = power[-1]
+    return [0] * ((r - 1) * w) + num, den
 
 
 def zhat_series(req: SeriesRequest) -> QSeries:
@@ -168,13 +188,13 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     before the Z blocks.  The per-fixed-point sum over
     enumerate_blowup_fixed_points first meets every block in that same
     order, at (Y, empty, kvec) and then (empty, Z, kvec).  A degenerate
-    nested side sum is done again block by block (side_sum_theta), and
-    within a block both name the first degenerate weight in sorted order
-    (plane_block_theta), so a degenerate specialization names the same weight.
-    In limit mode the side sums of a weight are shared by every vector
-    (_limit_convolution): the first vector to reach the weight makes them,
-    in that order, and a later vector would meet only the same diagonal
-    weights again, so the limit errors are those of the per-vector sum too.
+    side sum is checked again block by block (characters.check_side_blocks),
+    each block's weights in sorted order, so a degenerate specialization
+    names the same weight.  In limit mode the side sums of a weight are
+    shared by every vector (_limit_convolution): the first vector to reach
+    the weight makes them, in that order, and a later vector would meet
+    only the same diagonal weights again, so the limit errors are those of
+    the per-vector sum too.
     """
     r, k = req.rank, req.k
     check_k(r, k)

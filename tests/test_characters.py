@@ -6,9 +6,8 @@ from itertools import chain, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from blowup_genera import characters
 from blowup_genera.characters import (
-    EQUIVARIANT,
-    LIMIT,
     Character,
     DegenerateSpecializationError,
     RankCheckError,
@@ -16,7 +15,6 @@ from blowup_genera.characters import (
     hook_exponents,
     make_weight,
     plane_block,
-    plane_block_theta,
     simplex_block,
     simplex_exponents,
     tangent_blowup,
@@ -30,6 +28,7 @@ from blowup_genera.coefficients import (
     Specialization,
     YPoly,
     YRat,
+    cleared_product,
     cleared_value,
     sample_specialization,
 )
@@ -624,10 +623,20 @@ def test_theta_kernel_matches_reference_on_tangent_characters():
 
 
 # -- blow-up blocks from pair factors ------------------------------------------
-# plane_block_theta multiplies one cleared pair per slot pair; theta_eval (or
-# theta_limit_factor) of the whole plane_block is the reference, and the two
-# must agree integer for integer, not only in value.  Its value at y0 must be
-# the Fraction reference's theta of the block.
+# theta of a block is the product of its r^2 pair factors, which must agree
+# with theta_eval of the whole plane_block integer for integer, not only in
+# value.  Its value at y0 must be the Fraction reference's theta of the block.
+
+def pair_factor_product(pt, kvec, side, spec):
+    """theta of plane_block(pt, kvec, side) as the product of its pair factors, pair by pair."""
+    slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
+    block = ([1], 1)
+    for a, (ka, p_a) in slots:
+        for b, (kb, p_b) in slots:
+            f = characters._pair_factor(spec.pair_memo, p_a, p_b, a, b, kb - ka, side, spec)
+            block = cleared_product(block, f)
+    return block
+
 
 # small values make some weight of a block evaluate to 1 far more often than
 # sample_specialization's draws from [2, 97]
@@ -647,13 +656,8 @@ def plane_blocks(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    plane_blocks(),
-    st.sampled_from(["y", "z"]),
-    st.sampled_from(Y_MODES),
-    st.booleans(),
-)
-@example(  # e2/e1 * t1^-5 = 1 in pair (1, 2), met before t1^2 = 1 in pair (2, 2)
+@given(plane_blocks(), st.sampled_from(["y", "z"]), st.sampled_from(Y_MODES))
+@example(  # e2/e1 * t1^-5 = 1 in pair (1, 2) and t1^2 = 1 in pair (2, 2)
     (
         PartitionTuple((Partition(), Partition((1, 1)))),
         LatticeVector((2, -2)),
@@ -661,36 +665,53 @@ def plane_blocks(draw):
     ),
     "y",
     None,
-    False,
 )
-@example(  # limit mode: pair (2, 1) tends to y^1, so its factor carries the sign (-1)^1
+def test_pair_factor_theta_is_the_block_theta(block, side, y0):
+    pt, kvec, spec = block
+    try:
+        want = theta_eval(plane_block(pt, kvec, side), spec)
+    except DegenerateSpecializationError:
+        # some pair factor holds the weight, and none is stored that raised
+        with pytest.raises(DegenerateSpecializationError):
+            pair_factor_product(pt, kvec, side, spec)
+        return
+    for _ in range(2):  # filling the specialization's memo, then reading it
+        got = pair_factor_product(pt, kvec, side, spec)
+        assert got == want
+        # one diagonal factor per distinct diagram, whatever its slot
+        diagrams = set(pt.entries)
+        assert {key for key in spec.pair_memo if len(key) == 2} == {(p, side) for p in diagrams}
+        assert len(spec.pair_memo) == pt.rank * (pt.rank - 1) + len(diagrams)
+    block = plane_block(pt, kvec, side)
+    assert_same(at(cleared_value(got), y0), reference_theta(block, spec, False, y0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_blocks(), st.sampled_from(["y", "z"]))
+@example(  # limit mode: pair (2, 1) tends to y^1, so its theta_limit_factor carries (-1)^1
     (
         PartitionTuple((Partition((1,)), Partition())),
         LatticeVector((0, 0)),
         sample_specialization(2, 101),
     ),
     "y",
-    None,
-    True,
 )
-def test_pair_factor_theta_is_the_block_theta(block, side, y0, limit):
+def test_limit_block_theta_is_its_diagonal_factors_shifted(block, side):
+    # in the ordered limit each off-diagonal pair (a > b) gives y^(|Y_a| + |Y_b|)
+    # and each (a < b) gives 1: y^((r - 1)|pt|) times the diagonal factors
     pt, kvec, spec = block
-    theta = theta_limit_factor if limit else theta_eval
     try:
-        want = theta(plane_block(pt, kvec, side), spec)
-    except DegenerateSpecializationError as exc:
-        # the pair factors name the weight theta of the sorted block names
-        with pytest.raises(DegenerateSpecializationError) as err:
-            plane_block_theta(pt, kvec, side, spec, limit)
-        assert err.value.weight == exc.weight
-        assert str(err.value) == str(exc)
+        want = theta_limit_factor(plane_block(pt, kvec, side), spec)
+    except DegenerateSpecializationError:
+        with pytest.raises(DegenerateSpecializationError):
+            for p in pt.entries:
+                characters._pair_factor(spec.pair_memo, p, p, 1, 1, 0, side, spec)
         return
-    for _ in range(2):  # filling the specialization's memo, then reading it
-        got = plane_block_theta(pt, kvec, side, spec, limit)
-        assert got == want
-        assert len(spec.pair_memo[LIMIT if limit else EQUIVARIANT]) == pt.rank**2
-    block = plane_block(pt, kvec, side)
-    assert_same(at(cleared_value(got), y0), reference_theta(block, spec, limit, y0))
+    got = ([0] * ((pt.rank - 1) * pt.total_size) + [1], 1)
+    for p in pt.entries:
+        f = characters._pair_factor(spec.pair_memo, p, p, 1, 1, 0, side, spec)
+        got = cleared_product(got, f)
+    assert cleared_value(got) == cleared_value(want)
 
 
 def test_block_theta_takes_the_factors_of_its_own_specialization():
@@ -700,6 +721,6 @@ def test_block_theta_takes_the_factors_of_its_own_specialization():
     kvec = LatticeVector((0, 1))
     specs = [sample_specialization(2, 7), sample_specialization(2, 101)]
     for spec in specs * 2:
-        got = plane_block_theta(pt, kvec, "y", spec, False)
+        got = pair_factor_product(pt, kvec, "y", spec)
         assert got == theta_eval(plane_block(pt, kvec, "y"), spec)
-    assert specs[0].pair_memo[EQUIVARIANT] != specs[1].pair_memo[EQUIVARIANT]
+    assert specs[0].pair_memo != specs[1].pair_memo

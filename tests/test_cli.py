@@ -383,6 +383,21 @@ def test_degenerate_seed_exits_one_with_typed_error():
     assert last.startswith("blowup_genera.characters.DegenerateSpecializationError:")
 
 
+@pytest.mark.parametrize("rank, max_n", [(2, 3), (3, 2)])
+def test_degenerate_limit_seed_names_its_diagonal_weight(rank, max_n):
+    # a sampled seed whose limit build degenerates on a diagonal weight; the
+    # last line is the one the per-block limit sum printed
+    argv = ["compute-zhat", "--rank", str(rank), "--k", "1", "--max-n", str(max_n),
+            "--mode", "limit", "--seed", "6989"]
+    proc = run_process("-m", "blowup_genera.cli", *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "blowup_genera.characters.DegenerateSpecializationError: theta factor degenerated: "
+        "weight 1 * t1^2 * t2^-1 evaluates to 1 under specialization seed 6989"
+    )
+
+
 RESEED_LIMIT = """
 from blowup_genera import cli, verify
 verify.MAX_RESEEDS = 1

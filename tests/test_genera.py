@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_characters import at, printed, reference_theta
 
+from blowup_genera import genera
 from blowup_genera.characters import (
+    BLOWUP_SIDES,
     Character,
     DegenerateSpecializationError,
     RankCheckError,
@@ -15,12 +17,12 @@ from blowup_genera.characters import (
     make_weight,
     pair_exponents,
     plane_block,
-    plane_block_theta,
     side_sum_theta,
     simplex_block,
     tangent_blowup,
     tangent_p2,
     theta_eval,
+    theta_limit_factor,
     theta_sum,
 )
 from blowup_genera.coefficients import (
@@ -50,6 +52,7 @@ from blowup_genera.partitions import (
     blowup_virtual_dim,
     enumerate_blowup_fixed_points,
     enumerate_lattice_vectors,
+    enumerate_partitions,
     enumerate_tuples,
 )
 from blowup_genera.qseries import QSeries
@@ -313,9 +316,9 @@ def test_limit_degeneracy_on_the_z_side_past_weight_zero(rank, k, max_n):
     assert len(live) >= 2  # weight 2 is first reached among other vectors
     for w in range(3):
         for t in enumerate_tuples(rank, w):
-            plane_block_theta(t, live[0], "y", spec, True)
+            theta_limit_factor(plane_block(t, live[0], "y"), spec)
             if w < 2:
-                plane_block_theta(t, live[0], "z", spec, True)
+                theta_limit_factor(plane_block(t, live[0], "z"), spec)
     req = SeriesRequest(rank=rank, max_n=max_n, spec=spec, k=k, mode=LIMIT)
     with pytest.raises(DegenerateSpecializationError) as want:
         reference_zhat_series(req)
@@ -324,33 +327,42 @@ def test_limit_degeneracy_on_the_z_side_past_weight_zero(rank, k, max_n):
             zhat_series(req)
         assert got.value.weight == want.value.weight == make_weight(0, 2)
         assert str(got.value) == str(want.value)
-        memo = spec.pair_memo[LIMIT]
+        memo = spec.pair_memo
         assert ("side", "y", 2) in memo and ("side", "z", 2) not in memo
         assert ("conv", 2) not in memo
 
 
 def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
     import blowup_genera.characters as characters
-    import blowup_genera.genera as genera
 
     calls = []
-    real = genera.side_sum_theta
+    real_limit, real_side = genera._limit_side_sum, genera.side_sum_theta
 
-    def counted(w, kvec, side, spec, limit):
-        calls.append((side, w, limit))
-        return real(w, kvec, side, spec, limit)
+    def counted_limit(w, r, side, spec):
+        calls.append((side, w))
+        return real_limit(w, r, side, spec)
+
+    def counted_side(w, kvec, side, spec):
+        calls.append((side, w, kvec.rank))
+        return real_side(w, kvec, side, spec)
 
     def refuse(*_args):
-        raise AssertionError("a block summed on its own on a nondegenerate build")
+        raise AssertionError("blocks checked one by one on a nondegenerate build")
 
-    monkeypatch.setattr(genera, "side_sum_theta", counted)
-    monkeypatch.setattr(characters, "plane_block_theta", refuse)
+    monkeypatch.setattr(genera, "_limit_side_sum", counted_limit)
+    monkeypatch.setattr(genera, "side_sum_theta", counted_side)
+    monkeypatch.setattr(genera, "check_side_blocks", refuse)
+    monkeypatch.setattr(characters, "check_side_blocks", refuse)
     r, max_n = 3, 3
-    # every k at one specialization: each side sum of weight <= max_n once
+    # every k at one specialization: each side sum of weight <= max_n once,
+    # each made from one-slot sums only
     spec = sample_specialization(r, 101)
     for k in range(r):
         zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k, mode=LIMIT))
-    assert calls == [(side, w, True) for w in range(max_n + 1) for side in ("y", "z")]
+    assert [c for c in calls if len(c) == 2] == [
+        (side, w) for w in range(max_n + 1) for side in ("y", "z")
+    ]
+    assert {c[2] for c in calls if len(c) == 3} == {1}
     # an equivariant build makes both side sums of every live vector at every weight
     calls.clear()
     k, max_n = 1, 2
@@ -358,17 +370,69 @@ def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
     zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
     reached = [(top - v.pair_form) // (2 * r) for v in enumerate_lattice_vectors(r, k, top)]
     assert sorted(calls) == sorted(
-        (side, w, False) for top_w in reached for w in range(top_w + 1) for side in ("y", "z")
+        (side, w, r) for top_w in reached for w in range(top_w + 1) for side in ("y", "z")
     )
 
 
-# -- differential tests of the nested side sum ------------------------------------
-# The side sum as it was before the nested sum: theta of every block, each the
-# product of its r^2 pair factors, summed tuple by tuple in enumeration order.
+def test_diagonal_pair_factors_are_made_once_per_diagram_and_side(monkeypatch):
+    import blowup_genera.characters as characters
+
+    # a diagonal factor has no e-part, so the slots share it
+    diagonal = []
+    real = characters._pair_triples
+
+    def recorded(exps, a, b, spec):
+        if a == b:
+            diagonal.append(exps)
+        return real(exps, a, b, spec)
+
+    monkeypatch.setattr(characters, "_pair_triples", recorded)
+    r, k, max_n = 3, 1, 3
+    spec = sample_specialization(r, 101)
+    zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k))
+    met = [(p, side) for w in range(1, max_n + 1) for p in enumerate_partitions(w)
+           for side in ("y", "z")]
+    assert sorted(diagonal) == sorted(
+        pair_exponents(p, p, 0, BLOWUP_SIDES[side]) for p, side in met
+    )
+    assert {key for key in spec.pair_memo if len(key) == 2} == set(met)
+
+
+def test_limit_build_stores_only_diagonal_factors(monkeypatch):
+    import blowup_genera.characters as characters
+
+    # no off-diagonal factor is made in limit mode, so no product is taken
+    # with the unit that such a factor of slots a < b tends to
+    products = []
+    real = characters.cleared_product
+
+    def recorded(a, b):
+        products.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(characters, "cleared_product", recorded)
+    spec = sample_specialization(3, 101)
+    zhat_series(SeriesRequest(rank=3, max_n=3, spec=spec, k=1, mode=LIMIT))
+    factors = [key for key in spec.pair_memo if key[0] not in ("side", "conv")]
+    assert factors and all(len(key) == 2 and isinstance(key[0], Partition) for key in factors)
+    assert not products
+
+
+# -- differential tests of the side sums ------------------------------------------
+# The side sum as theta of every block, summed tuple by tuple in enumeration
+# order: the nested equivariant sum and the limit sum from one-slot sums must
+# give its value, or name its degenerate weight.
 
 def reference_side_sum(w, kvec, side, spec, limit):
+    theta = theta_limit_factor if limit else theta_eval
     tuples = enumerate_tuples(kvec.rank, w)
-    return cleared_sum(plane_block_theta(t, kvec, side, spec, limit) for t in tuples)
+    return cleared_sum(theta(plane_block(t, kvec, side), spec) for t in tuples)
+
+
+def engine_side_sum(w, kvec, side, spec, limit):
+    if limit:
+        return genera._limit_side_sum(w, kvec.rank, side, spec)
+    return side_sum_theta(w, kvec, side, spec)
 
 
 def side_sum_outcome(build, w, kvec, side, spec, limit):
@@ -387,7 +451,7 @@ def assert_side_sums_agree(r, k, max_n, mode, spec_of):
     for kvec in enumerate_lattice_vectors(r, k, top):
         for w in range((top - kvec.pair_form) // (2 * r) + 1):
             for side in ("y", "z"):
-                got = side_sum_outcome(side_sum_theta, w, kvec, side, spec_of(), limit)
+                got = side_sum_outcome(engine_side_sum, w, kvec, side, spec_of(), limit)
                 want = side_sum_outcome(reference_side_sum, w, kvec, side, spec_of(), limit)
                 assert got == want, (kvec, w, side)
                 outcomes.append(got)
@@ -429,6 +493,11 @@ def test_nested_side_sums_equal_the_per_block_sums_at_higher_rank(r, k, max_n, m
         (3, 0, 2, LIMIT, (-1, -2, 3, -3, 2)),
         (3, 1, 2, LIMIT, (F(-1, 2), F(1, 4), -1, 4, -2)),
         (2, 1, 3, LIMIT, (2, -1, 3, 5)),
+        (2, 1, 3, LIMIT, 6989),
+        (3, 1, 2, LIMIT, 6989),
+        # a diagram of size 2 holds t1^-2 * t2^2, but the first degenerate
+        # block of size 4 names t1^-4 * t2^4
+        (2, 1, 4, LIMIT, (-2, 2, 5, 7)),
     ],
 )
 def test_nested_side_sums_name_the_per_block_weight_when_degenerate(rank, k, max_n, mode, values):
@@ -455,19 +524,20 @@ def test_nested_side_sums_take_no_product_with_the_unit_factor(monkeypatch):
     assert not any(([1], 1) in pair for pair in products)
 
 
-def test_degenerate_side_names_the_weight_of_the_sorted_block():
-    # t2 = -1 and e2/e1 = -1: in the Z block of (empty, (2)) at kvec (0, 1)
-    # the pair (1, 2) holds e2/e1 * t2 = 1, met first in pair order, and the
-    # diagonal pair (2, 2) holds t2^2 = 1, met first in sorted order
-    spec = Specialization(F(2), F(-1), (F(5), F(-5)), seed=5)
-    pt, kvec = PartitionTuple((Partition(), Partition((2,)))), LatticeVector((0, 1))
-    with pytest.raises(DegenerateSpecializationError) as pairs:
-        plane_block_theta(pt, kvec, "z", spec, False)
+def test_degenerate_side_names_the_weight_of_the_first_block():
+    # t2 = -2 and e2/e1 = -2: the nested sum first meets e2/e1 * t2^-1 = 1, in
+    # a pair factor of the tuple (empty, (1)), while the first tuple in
+    # enumeration order, ((1), empty), holds e1/e2 * t2 = 1
+    spec = Specialization(F(2), F(-2), (F(1, 2), F(-1)), seed=5)
+    kvec = LatticeVector((1, 0))
+    first = PartitionTuple((Partition((1,)), Partition()))
+    with pytest.raises(DegenerateSpecializationError) as nested:
+        side_sum_theta(1, kvec, "z", spec)
     with pytest.raises(DegenerateSpecializationError) as block:
-        theta_eval(plane_block(pt, kvec, "z"), spec)
-    assert pairs.value.weight == make_weight(0, 2)
-    assert block.value.weight == make_weight(0, 2)
-    assert str(pairs.value) == str(block.value)
+        theta_eval(plane_block(first, kvec, "z"), spec)
+    assert nested.value.__context__.weight == make_weight(0, -1, 2, 1)
+    assert nested.value.weight == block.value.weight == make_weight(0, 1, 1, 2)
+    assert str(nested.value) == str(block.value)
 
 
 def test_zhat_series_builds_no_plane_block(monkeypatch):

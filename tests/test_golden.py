@@ -72,6 +72,13 @@ GOLDEN = {
     ("compute-zhat", "--rank", "4", "--k", "2", "--max-n", "3", "--mode", "limit",
      "--seed", "101"):
         "e9c3a575c6437c2faa23469d4d84cc9283d76afab5b028e6ba631e401c39ebb6",
+    # limit ranks beyond the verify grid, where a side sum is a convolution power
+    ("compute-zhat", "--rank", "5", "--k", "2", "--max-n", "4", "--mode", "limit",
+     "--seed", "101"):
+        "14f915f0c2e4734a7f21893ff501e00e4dacb914e94a5fd39af27ddb645c6746",
+    ("compute-zhat", "--rank", "6", "--k", "3", "--max-n", "2", "--mode", "limit",
+     "--seed", "101"):
+        "c96234f95de7eb66232c4756569dea95742fc84da38d02f9db9b394d2ce1bca2",
     ("verify-blowup", "--rank", "2", "--k", "1", "--mode", "limit", "--seed-list", "53,192,101"):
         "bd1652a762404fe11e9555df59beb619ee3ce8d9d79d1644b05eae0c9be802b5",
     ("verify-limits", "--rank", "3", "--k", "1", "--seed-list", "53,192,101"):  # reseeds once

@@ -181,7 +181,7 @@ def test_record_survives_pickle_and_copy(make, duplicate):
 def test_copied_specialization_starts_with_empty_memos():
     spec = sample_specialization(2, 5)
     spec.weight_memo["w"] = (2, 3)
-    spec.pair_memo["equivariant"] = {}
+    spec.pair_memo["key"] = ([1], 1)
     for duplicate in COPIES.values():
         twin = duplicate(spec)
         assert twin == spec and twin.weight_memo == {} and twin.pair_memo == {}

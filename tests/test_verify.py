@@ -640,35 +640,37 @@ def test_series_memo_truncates_and_evaluates_without_building(monkeypatch):
     assert len(built) == len(others)
 
 
-def test_pair_memo_belongs_to_one_specialization_and_mode():
-    # one pair memo per mode
-    spec = SeriesMemo().specialization(2, 5)
-    for mode in (EQUIVARIANT, LIMIT):
-        genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=1, mode=mode))
-    assert spec.pair_memo.keys() == {EQUIVARIANT, LIMIT}
-    # the factors differ with the mode, so they may not be shared
-    assert spec.pair_memo[EQUIVARIANT] is not spec.pair_memo[LIMIT]
-    assert spec.pair_memo[EQUIVARIANT] != spec.pair_memo[LIMIT]
+def test_pair_memo_belongs_to_one_specialization():
+    # one memo for both modes: a diagonal factor has no e-part, so a limit
+    # build stores the very factors an equivariant build makes
+    limit, equivariant = SeriesMemo().specialization(2, 5), sample_specialization(2, 5)
+    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=limit, k=1, mode=LIMIT))
+    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=equivariant, k=1))
+    diagonal = {key: f for key, f in limit.pair_memo.items() if key[0] not in ("side", "conv")}
+    assert diagonal and diagonal.items() <= equivariant.pair_memo.items()
+    # an equivariant build at the same specialization reads them and adds its own
+    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=limit, k=1))
+    assert limit.pair_memo == {**equivariant.pair_memo, **limit.pair_memo}
     # a later build at another k reuses the factors, and the memo stays out of the value
     equal = sample_specialization(2, 5)
-    before = dict(spec.pair_memo[EQUIVARIANT])
-    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=spec, k=0))
-    assert before.items() <= spec.pair_memo[EQUIVARIANT].items()
-    assert spec == equal and hash(spec) == hash(equal) and not equal.pair_memo
-    assert repr(spec) == repr(equal) and "pair_memo" not in repr(equal)
+    before = dict(limit.pair_memo)
+    genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=limit, k=0))
+    assert before.items() <= limit.pair_memo.items()
+    assert limit == equal and hash(limit) == hash(equal) and not equal.pair_memo
+    assert repr(limit) == repr(equal) and "pair_memo" not in repr(equal)
 
 
 def test_degenerate_pair_factor_is_never_stored(monkeypatch):
     from blowup_genera import characters
 
-    # pair factors take their triples from _pair_triples, and the sorted
-    # re-check of a block from _theta_factors; both record what raised
+    # pair factors take their triples from _pair_triples, and the check of
+    # the blocks one by one from _theta_factors; both record what raised
     raised = []
     pair_triples, block_triples = characters._pair_triples, characters._theta_factors
 
-    def recording_pair(exps, a, b, spec, limit):
+    def recording_pair(exps, a, b, spec):
         try:
-            yield from pair_triples(exps, a, b, spec, limit)
+            yield from pair_triples(exps, a, b, spec)
         except DegenerateSpecializationError:
             raised.append(("pair", len(exps)))
             raise
@@ -682,8 +684,8 @@ def test_degenerate_pair_factor_is_never_stored(monkeypatch):
 
     monkeypatch.setattr(characters, "_pair_triples", recording_pair)
     monkeypatch.setattr(characters, "_theta_factors", recording_block)
-    # at seed 192 a rank-2 pair factor degenerates; its block's weights are
-    # then checked again in sorted order, which names the weight
+    # at seed 192 a rank-2 pair factor degenerates; the blocks of its side
+    # are then checked one by one, weights in sorted order, which names the weight
     spec = sample_specialization(2, 192)
     req = SeriesRequest(rank=2, max_n=1, spec=spec, k=1)
     errors, sizes = [], []
@@ -692,12 +694,11 @@ def test_degenerate_pair_factor_is_never_stored(monkeypatch):
         with pytest.raises(DegenerateSpecializationError) as err:
             genera.zhat_series(req)
         errors.append(str(err.value))
-        sizes.append(len(spec.pair_memo[EQUIVARIANT]))
-        # the nested side sum meets the factor first; the side is then summed
-        # again block by block, which meets the same factor again, so the
-        # nested sum did not store it, and checks its block's weights in order
-        assert raised[:2] == [("pair", 1), ("pair", 1)]  # one pairing block each time
-        assert len(raised) == 3 and raised[2][0] == "block"
+        sizes.append(len(spec.pair_memo))
+        # the nested side sum meets the factor (one pairing block) each time,
+        # so it was not stored, and the check raises at the first bad block
+        assert raised[0] == ("pair", 1)
+        assert len(raised) == 2 and raised[1][0] == "block"
     assert errors[0] == errors[1] and sizes[0] == sizes[1]
 
 

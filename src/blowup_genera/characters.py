@@ -65,31 +65,29 @@ pure t-monomials keep their theta.
 Theta is multiplicative, so theta of a Y or Z block is the product of its
 pair factors F(Y_a, Y_b, a, b, d, side), theta of one pairing block, the
 chi_y form of Nekrasov's factor N_{Y_a,Y_b}.  The specialization keeps
-them (Specialization.pair_memo), so every blow-up series at that
-specialization shares them.  A diagonal factor (a = b) has no e-part, so
-it is stored once per diagram and side, whatever the slot, and it is the
-same in limit mode, which is built from it alone (genera._limit_side_sum);
-every other factor is equivariant only.  A missing F costs one memo
-lookup and one linear product per weight: its triples come from
+the products it reads back (Specialization.pair_memo, see _pair_factor):
+a diagonal factor F_aa, which has no e-part, once per diagram and side,
+the same in limit mode (genera._limit_convolution), and for slots a < b
+the slot-pair product P_ab = F_ab * F_ba.  A missing entry costs one
+memo lookup and one linear product per weight: its triples come from
 _pair_triples, which looks each value up by the plain tuple
 (i1, i2, num, den) of the weight and builds a Weight only on a miss or
-for a degenerate value.  F is a cleared pair from the same checks as
-theta_eval, and an unreduced product of integers does not depend on the
-order of its factors, so the product of a block's factors is the
+for a degenerate value.  An entry is a cleared pair from the same checks
+as theta_eval, and an unreduced product of integers does not depend on
+the order of its factors, so the product of a block's entries is the
 block's theta_eval pair, integer for integer.
 
 The series multiply no block out.  side_sum_theta sums theta of the
 blocks of every tuple of one size as one sum nested by slot, by the
-distributive law: the factors of slot b with the slots before it
-multiply the sum over the slots after it, and the factor pair
-F_ab * F_ba of two slots is memoized beside the pair factors.  In place
-of the r^2 - 1 products of each block, a tuple takes at most r - 1 of
-its own, at its last slot; the products at the slots before are shared
-by every tuple that extends them, and none is taken with the unit
-factor of two empty diagrams.  The nested sum meets the pair factors
-slot by slot, not block by block, so when one degenerates the blocks
-are checked again one by one (check_side_blocks), which names the
-weight the per-block sum names, in either mode.
+distributive law: the entries of slot b with the slots before it
+multiply the sum over the slots after it.  In place of the r^2 - 1
+products of each block, a tuple takes at most r - 1 of its own, at its
+last slot; the products at the slots before are shared by every tuple
+that extends them, and none is taken with the unit entry of two empty
+diagrams.  The nested sum meets the pair factors slot by slot, not block
+by block, so when one degenerates the blocks are checked again one by
+one (check_side_blocks), which names the weight the per-block sum names,
+in either mode.
 """
 
 from __future__ import annotations
@@ -498,21 +496,24 @@ def _pair_triples(exps, a: int, b: int, spec: Specialization):
 
 def _pair_factor(factors: dict, p_a, p_b, a: int, b: int, d: int, side: str,
                  spec: Specialization) -> Cleared:
-    """The pair factor F(Y_a, Y_b, a, b, d, side), from factors or made there.
+    """The memo entry of slots a <= b at d = k_b - k_a, from factors or made there.
 
-    A missing F is theta of the pairing block that pair_exponents gives,
-    multiplied out by _cleared from the triples of _pair_triples.  A
-    diagonal factor (a = b, so Y_a = Y_b and d = 0) has no e-part and is
-    the same at every slot, so it is stored once under (Y_a, side); any
-    other under (Y_a, Y_b, a, b, d, side).  Only a factor that returns is
-    stored, so a degenerate one raises DegenerateSpecializationError again
-    each time it is met.
+    A diagonal factor F(Y_a, Y_a, side) (a = b, d = 0) has no e-part, so
+    it is stored once under (Y_a, side).  For a < b the entry is P_ab =
+    F_ab * F_ba under (Y_a, Y_b, a, b, d, side): one _cleared over the
+    triples of both pairing blocks, F_ab's first.  Only an entry that
+    returns is stored, so a degenerate one raises
+    DegenerateSpecializationError again each time it is met.
     """
     key = (p_a, side) if a == b else (p_a, p_b, a, b, d, side)
     f = factors.get(key)
     if f is None:
-        exps = pair_exponents(p_a, p_b, d, BLOWUP_SIDES[side])
-        f = factors[key] = _cleared(_pair_triples(exps, a, b, spec))
+        chart = BLOWUP_SIDES[side]
+        triples = _pair_triples(pair_exponents(p_a, p_b, d, chart), a, b, spec)
+        if a != b:
+            back = _pair_triples(pair_exponents(p_b, p_a, -d, chart), b, a, spec)
+            triples = chain(triples, back)
+        f = factors[key] = _cleared(triples)
     return f
 
 
@@ -534,19 +535,19 @@ def side_sum_theta(w: int, kvec: LatticeVector, side: str, spec: Specialization)
     """Sum of theta of the blocks plane_block(pt, kvec, side), |pt| = w, as one nested sum.
 
     The block of (Y_1, ..., Y_r) is the sum of its pairing blocks, so its
-    theta is the product of its pair factors F_ab (_pair_factor), which
-    spec.pair_memo keeps.  By the distributive law the sum nests by slot:
+    theta is the product of its pair factors F_ab.  By the distributive
+    law the sum nests by slot:
 
         sum_{Y_1} F_11 * sum_{Y_2} (P_12 * F_22) * sum_{Y_3} (P_13 * P_23 * F_33) * ...
 
-    with P_ab = F_ab * F_ba, memoized per diagram pair beside the pair
-    factors under ("pair", Y_a, Y_b, a, b, d, side).  The nesting depth is
-    the rank, and the last slot takes the size that is left.  A factor of
-    two empty diagrams is the unit ([1], 1), and no product is taken with
-    it.  The sum is never reduced, so each block's share is its theta_eval
-    pair, integer for integer.  It meets every pair factor of every block,
-    so it is degenerate exactly when one of the blocks is, but it meets
-    them slot by slot, not block by block; a sum that raises
+    with P_ab = F_ab * F_ba; _pair_factor gives F_bb and P_ab, which
+    spec.pair_memo keeps.  The nesting depth is the rank, and the last
+    slot takes the size that is left.  The entry of two empty diagrams is
+    the unit ([1], 1), and no product is taken with it.  The sum is never
+    reduced, so each block's share is its theta_eval pair, integer for
+    integer.  It meets every pair factor of every block, so it is
+    degenerate exactly when one of the blocks is, but it meets them slot
+    by slot, not block by block; a sum that raises
     DegenerateSpecializationError is therefore checked again block by block
     (check_side_blocks), and the error of the first degenerate block, the
     one the per-block sum raises, is the one raised.
@@ -555,18 +556,6 @@ def side_sum_theta(w: int, kvec: LatticeVector, side: str, spec: Specialization)
     ks = kvec.entries
     last = len(ks)
     chosen = []  # (slot, diagram) of the slots summed over so far
-
-    def pair(p_a, p_b, a, b):
-        # P_ab of slots a < b, made from its two pair factors on a miss
-        d = ks[b - 1] - ks[a - 1]
-        key = ("pair", p_a, p_b, a, b, d, side)
-        p = factors.get(key)
-        if p is None:
-            p = factors[key] = cleared_product(
-                _pair_factor(factors, p_a, p_b, a, b, d, side, spec),
-                _pair_factor(factors, p_b, p_a, b, a, -d, side, spec),
-            )
-        return p
 
     def level(b, left):
         # sum over Y_b of its factors with the slots before it, times the rest
@@ -578,7 +567,8 @@ def side_sum_theta(w: int, kvec: LatticeVector, side: str, spec: Specialization)
                     term = _pair_factor(factors, p_b, p_b, b, b, 0, side, spec)
                 for a, p_a in chosen:
                     if p_a or p_b:
-                        p = pair(p_a, p_b, a, b)
+                        d = ks[b - 1] - ks[a - 1]
+                        p = _pair_factor(factors, p_a, p_b, a, b, d, side, spec)
                         term = p if term is None else cleared_product(term, p)
                 if b < last:
                     chosen.append((b, p_b))

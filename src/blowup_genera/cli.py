@@ -9,7 +9,9 @@ base..base+count-1), so identical invocations produce identical outputs;
 wall-clock timing is only included when --timing is passed.  Each
 subcommand accepts only the flags it honours.  Exit codes: 0 success or
 pass, 1 verification failure, 2 usage error, including an unknown,
-conflicting or unused flag, an out-of-range number, an --output path
+conflicting or unused flag, an out-of-range number, a verify-blowup,
+verify-corollary or verify-limits --order below the first blow-up
+degree k(r-k), which would compare no coefficient, an --output path
 that is a directory or lies in a missing one (refused before any
 computation) and a request whose lattice, or its lowest layer alone,
 holds more than partitions.MAX_LATTICE_LAYER vectors.  compute-z and
@@ -42,7 +44,7 @@ from .coefficients import (
     PRNG_NAME,
     sample_specialization,
 )
-from .partitions import LatticeTooLargeError, blowup_max_n, check_k
+from .partitions import LatticeTooLargeError, blowup_max_n, check_k, check_verify_order
 
 
 def _output_flags(p: argparse.ArgumentParser, timing: bool = True) -> None:
@@ -269,6 +271,11 @@ def main(argv=None) -> int:
             check_k(args.rank, args.k)
         except ValueError as exc:
             parser.error(f"--k: {exc}")
+    if "driver" in args and args.order is not None:
+        try:
+            check_verify_order(args.rank, args.k, args.order)
+        except ValueError as exc:
+            parser.error(f"--order: {exc}")
     if args.output and os.path.isdir(args.output):
         parser.error(f"--output: {args.output!r} is a directory")
     if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):

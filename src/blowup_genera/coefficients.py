@@ -479,14 +479,14 @@ class Specialization(Record):
     a specialization is a polynomial identity in y.
 
     weight_memo maps each weight met so far to its value p/q as the
-    lowest-terms pair (p, q).  pair_memo holds the Nekrasov pair factors
-    F that the blow-up series of this specialization have met, a diagonal
-    one under (Y, side) and any other under (Y_a, Y_b, a, b, d, side), the
-    products F_ab * F_ba of the nested side sums under ("pair", ...) (see
-    characters.side_sum_theta), and the limit side sums under
-    ("side", side, w) with their convolution under ("conv", w) (see
-    genera._limit_convolution), so every zhat_series build at this
-    specialization shares them, whatever its k, max_n or mode.  Neither memo
+    lowest-terms pair (p, q).  pair_memo holds the products of Nekrasov
+    pair factors F that the blow-up series of this specialization read
+    back: each diagonal factor under (Y, side), each slot-pair product
+    F_ab * F_ba of slots a < b under (Y_a, Y_b, a, b, d, side) (see
+    characters._pair_factor), and the limit convolution of each weight
+    under ("conv", w) (see genera._limit_convolution), so every
+    zhat_series build at this specialization shares them, whatever its k,
+    max_n or mode.  Neither memo
     takes part in equality, hashing or repr, and every specialization has
     both of its own.
     """

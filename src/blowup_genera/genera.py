@@ -8,15 +8,14 @@ sums, so no full blow-up tangent character is built.  Nor is a Y or Z
 block built: theta of each is the product of its Nekrasov pair factors,
 which the specialization memoizes (Specialization.pair_memo),
 so the blocks that share a pair of diagrams, slots and shift share its
-factor, within one zhat_series call and across every call at that
+product, within one zhat_series call and across every call at that
 specialization, whatever its k or max_n.  Nor is a block multiplied
 out: the side sum of one weight is one sum nested by slot, by the
 distributive law (characters.side_sum_theta), and a degenerate side
-names the weight the first degenerate block names.  In limit mode a
-side sum is a y-shift of a convolution power of the one-slot sums
-(_limit_side_sum), so the Y- and Z-block sums of each weight and their
-convolution are made once per specialization and kept beside the pair
-factors (_limit_convolution); each vector multiplies in only its own simplex.
+names the weight the first degenerate block names.  In limit mode the
+convolution of the side sums of weight w is y^((r-1)w) [x^w] T(x)^r, T
+the rank-one, k = 0 blow-up sum, made once per specialization
+(_limit_convolution); each vector multiplies in only its own simplex.
 
 Both sum in integers: theta of every character or block arrives as a
 cleared pair (an integer coefficient list in y over one integer
@@ -111,7 +110,7 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
     In equivariant mode the side sums depend on kvec and are made here,
     each one sum nested by slot (characters.side_sum_theta), the Y sum of
     a weight before its Z sum; in limit mode they do not, and every vector
-    reads them from _limit_convolution.
+    reads their convolution from _limit_convolution.
     """
     spec, limit = req.spec, req.mode == LIMIT
     simplex = theta_sum([simplex_block(kvec)], spec, limit)
@@ -128,48 +127,35 @@ def _lattice_vector_shares(req: SeriesRequest, kvec: LatticeVector):
 def _limit_convolution(req: SeriesRequest, w: int) -> Cleared:
     """sum_{i+j=w} A(i) * B(j) of the limit side sums, made once per specialization.
 
-    The side sums A(w), B(w) (_limit_side_sum) and the convolution depend
-    on neither the lattice vector nor k, so they are kept beside the pair
-    factors in req.spec.pair_memo, under ("side", side, w) and ("conv", w),
-    and every lattice vector of every build at that specialization reads
-    them.  The first vector to reach a weight makes its Y sum and then its
-    Z sum, as the per-vector sum would; only a sum that returns is stored,
-    so a degenerate one raises again, with the same weight, each time it
-    is met.
-    """
-    memo = req.spec.pair_memo
-    conv = memo.get(("conv", w))
-    if conv is None:
-        for side in ("y", "z"):
-            if ("side", side, w) not in memo:
-                memo["side", side, w] = _limit_side_sum(w, req.rank, side, req.spec)
-        conv = memo["conv", w] = cleared_convolution(
-            [memo["side", "y", i] for i in range(w + 1)],
-            [memo["side", "z", j] for j in range(w + 1)],
-        )
-    return conv
-
-
-def _limit_side_sum(w: int, r: int, side: str, spec: Specialization) -> Cleared:
-    """Limit theta of the w-blocks of one side, y^((r-1)w) [x^w] S(x)^r, S the one-slot sums.
-
     In the limit an off-diagonal pair factor is y^(|Y_a|+|Y_b|) (a > b) or
-    1 (a < b), and a diagonal one has no e-part, so it is the same in both
-    modes.  S(s) sums the diagonal factors of the diagrams of size s.  A
-    degenerate S(s) is met in a block of size w (at r = 1 only S(w) is,
-    and the builds reach the weights in ascending order), and
-    check_side_blocks then names the weight of the per-block limit sum.
+    1 (a < b), and a diagonal one is the same in both modes, so a side sum
+    is y^((r-1)w) [x^w] S(x)^r, S(s) the one-slot sum of the diagrams of
+    size s, and the convolution is y^((r-1)w) [x^w] T(x)^r, T = S_y * S_z
+    the rank-one, k = 0 blow-up sum.  It depends on neither the lattice
+    vector nor k, so every build at the specialization reads it from
+    req.spec.pair_memo under ("conv", w).  A degenerate S(s), Y before Z,
+    is met in a block of size w (at r = 1 only S(w) is, and the builds
+    reach the weights in ascending order), and check_side_blocks names
+    that side's per-block weight; nothing degenerate is stored.
     """
-    try:
-        one = [side_sum_theta(s, LatticeVector((0,)), side, spec) for s in range(w + 1)]
-    except DegenerateSpecializationError:
-        check_side_blocks(w, (0,) * r, side, spec, True)
-        raise
-    power = one
-    for _ in range(r - 1):
-        power = [cleared_convolution(power[: i + 1], one[: i + 1]) for i in range(w + 1)]
-    num, den = power[-1]
-    return [0] * ((r - 1) * w) + num, den
+    r, spec = req.rank, req.spec
+    conv = spec.pair_memo.get(("conv", w))
+    if conv is None:
+        one = []
+        for side in ("y", "z"):
+            try:
+                one.append([side_sum_theta(s, LatticeVector((0,)), side, spec)
+                            for s in range(w + 1)])
+            except DegenerateSpecializationError:
+                check_side_blocks(w, (0,) * r, side, spec, True)
+                raise
+        t = [cleared_convolution(one[0][: i + 1], one[1][: i + 1]) for i in range(w + 1)]
+        power = t
+        for _ in range(r - 1):
+            power = [cleared_convolution(power[: i + 1], t[: i + 1]) for i in range(w + 1)]
+        num, den = power[-1]
+        conv = spec.pair_memo["conv", w] = [0] * ((r - 1) * w) + num, den
+    return conv
 
 
 def zhat_series(req: SeriesRequest) -> QSeries:
@@ -190,11 +176,11 @@ def zhat_series(req: SeriesRequest) -> QSeries:
     order, at (Y, empty, kvec) and then (empty, Z, kvec).  A degenerate
     side sum is checked again block by block (characters.check_side_blocks),
     each block's weights in sorted order, so a degenerate specialization
-    names the same weight.  In limit mode the side sums of a weight are
+    names the same weight.  In limit mode the convolution of a weight is
     shared by every vector (_limit_convolution): the first vector to reach
-    the weight makes them, in that order, and a later vector would meet
-    only the same diagonal weights again, so the limit errors are those of
-    the per-vector sum too.
+    the weight makes it, the Y side before the Z side, and a later vector
+    would meet only the same diagonal weights again, so the limit errors
+    are those of the per-vector sum too.
     """
     r, k = req.rank, req.k
     check_k(r, k)

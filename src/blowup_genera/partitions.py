@@ -275,6 +275,16 @@ def blowup_virtual_dim(r: int, k: int, n: int) -> int:
     return 2 * r * n + k * (r - k)
 
 
+def check_verify_order(r: int, k: int, order: int) -> None:
+    """Raise ValueError unless order reaches k(r-k): below it zhat and Y_k * Z are both 0."""
+    first = blowup_virtual_dim(r, k, 0)
+    if order < first:
+        raise ValueError(
+            f"order must reach the first blow-up degree k(r-k) = {first}, "
+            f"got order={order}, r={r}, k={k}"
+        )
+
+
 def blowup_max_n(r: int, k: int, order: int) -> int:
     """Smallest n >= 0 with blowup_virtual_dim(r, k, n) >= order: the cutoff reaching q**order."""
     return max(-(-(order - k * (r - k)) // (2 * r)), 0)

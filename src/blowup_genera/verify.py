@@ -66,7 +66,7 @@ from .coefficients import (
     sample_specialization,
 )
 from .genera import EQUIVARIANT, LIMIT, SeriesRequest, z_series, zhat_series
-from .partitions import blowup_max_n, blowup_virtual_dim, check_k
+from .partitions import blowup_max_n, blowup_virtual_dim, check_k, check_verify_order
 from .qseries import QSeries
 from .records import Record
 
@@ -227,13 +227,16 @@ def _start(r: int, k: int, order: int | None, seeds, memo: SeriesMemo | None):
     """Check k; the order, seeds and memo of one driver run, and its start time.
 
     None takes default_order(r, k), default_seeds() or a fresh SeriesMemo.
-    An empty seed list, which would check nothing, raises ValueError.
+    An empty seed list or an order below the first blow-up degree k(r-k)
+    (check_verify_order), either of which would check nothing, raises
+    ValueError.
     """
     check_k(r, k)
     seeds = default_seeds() if seeds is None else tuple(seeds)
     if not seeds:
         raise ValueError("a verification run needs at least one seed")
     order = default_order(r, k) if order is None else order
+    check_verify_order(r, k, order)
     return order, seeds, SeriesMemo() if memo is None else memo, time.perf_counter()
 
 

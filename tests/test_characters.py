@@ -623,16 +623,17 @@ def test_theta_kernel_matches_reference_on_tangent_characters():
 
 
 # -- blow-up blocks from pair factors ------------------------------------------
-# theta of a block is the product of its r^2 pair factors, which must agree
-# with theta_eval of the whole plane_block integer for integer, not only in
-# value.  Its value at y0 must be the Fraction reference's theta of the block.
+# theta of a block is the product of its r diagonal factors and r(r-1)/2
+# slot-pair products, which must agree with theta_eval of the whole
+# plane_block integer for integer, not only in value.  Its value at y0 must
+# be the Fraction reference's theta of the block.
 
 def pair_factor_product(pt, kvec, side, spec):
-    """theta of plane_block(pt, kvec, side) as the product of its pair factors, pair by pair."""
+    """theta of plane_block(pt, kvec, side) as the product of its memo entries, slots a <= b."""
     slots = list(enumerate(zip(kvec.entries, pt.entries), 1))
     block = ([1], 1)
     for a, (ka, p_a) in slots:
-        for b, (kb, p_b) in slots:
+        for b, (kb, p_b) in slots[a - 1:]:
             f = characters._pair_factor(spec.pair_memo, p_a, p_b, a, b, kb - ka, side, spec)
             block = cleared_product(block, f)
     return block
@@ -681,7 +682,7 @@ def test_pair_factor_theta_is_the_block_theta(block, side, y0):
         # one diagonal factor per distinct diagram, whatever its slot
         diagrams = set(pt.entries)
         assert {key for key in spec.pair_memo if len(key) == 2} == {(p, side) for p in diagrams}
-        assert len(spec.pair_memo) == pt.rank * (pt.rank - 1) + len(diagrams)
+        assert len(spec.pair_memo) == pt.rank * (pt.rank - 1) // 2 + len(diagrams)
     block = plane_block(pt, kvec, side)
     assert_same(at(cleared_value(got), y0), reference_theta(block, spec, False, y0))
 

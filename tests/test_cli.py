@@ -63,6 +63,23 @@ def test_verify_blowup_k_out_of_range_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-blowup", "--rank", "2", "--k", "1", "--order", "0", "--seeds", "1"],
+        ["verify-limits", "--rank", "2", "--k", "1", "--order", "0"],
+        ["verify-corollary", "--rank", "3", "--k", "2", "--order", "0"],
+    ],
+)
+def test_verify_order_below_the_first_blowup_degree_is_usage_error(capsys, argv):
+    # such a run would compare no coefficient, so it may not report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("blowup-genera: error: --order: order must reach the first blow-up")
+
+
 def test_missing_cutoff_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute-z", "--rank", "1", "--seed", "1"])

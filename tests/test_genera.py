@@ -1,12 +1,13 @@
 """Generating series assembly: gradings, modes, closed form, reports."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_characters import at, printed, reference_theta
 
-from blowup_genera import genera
+from blowup_genera import characters, genera
 from blowup_genera.characters import (
     BLOWUP_SIDES,
     Character,
@@ -322,25 +323,20 @@ def test_limit_degeneracy_on_the_z_side_past_weight_zero(rank, k, max_n):
     req = SeriesRequest(rank=rank, max_n=max_n, spec=spec, k=k, mode=LIMIT)
     with pytest.raises(DegenerateSpecializationError) as want:
         reference_zhat_series(req)
-    for _ in range(2):  # the Z sum of weight 2 is never stored, so it raises again
+    for _ in range(2):  # nothing of weight 2 is stored, so it raises again
         with pytest.raises(DegenerateSpecializationError) as got:
             zhat_series(req)
         assert got.value.weight == want.value.weight == make_weight(0, 2)
         assert str(got.value) == str(want.value)
         memo = spec.pair_memo
-        assert ("side", "y", 2) in memo and ("side", "z", 2) not in memo
-        assert ("conv", 2) not in memo
+        assert ("conv", 1) in memo and ("conv", 2) not in memo
+        # the one-slot Z sum met the diagonal weight, and the Z blocks then named it
+        assert got.value.__context__.weight == make_weight(0, 2)
 
 
 def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
-    import blowup_genera.characters as characters
-
     calls = []
-    real_limit, real_side = genera._limit_side_sum, genera.side_sum_theta
-
-    def counted_limit(w, r, side, spec):
-        calls.append((side, w))
-        return real_limit(w, r, side, spec)
+    real_side = genera.side_sum_theta
 
     def counted_side(w, kvec, side, spec):
         calls.append((side, w, kvec.rank))
@@ -349,20 +345,21 @@ def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
     def refuse(*_args):
         raise AssertionError("blocks checked one by one on a nondegenerate build")
 
-    monkeypatch.setattr(genera, "_limit_side_sum", counted_limit)
     monkeypatch.setattr(genera, "side_sum_theta", counted_side)
     monkeypatch.setattr(genera, "check_side_blocks", refuse)
     monkeypatch.setattr(characters, "check_side_blocks", refuse)
     r, max_n = 3, 3
-    # every k at one specialization: each side sum of weight <= max_n once,
-    # each made from one-slot sums only
+    # every k at one specialization: the convolution of each weight <= max_n
+    # once, made from the one-slot sums of weights up to it, Y before Z
     spec = sample_specialization(r, 101)
     for k in range(r):
         zhat_series(SeriesRequest(rank=r, max_n=max_n, spec=spec, k=k, mode=LIMIT))
-    assert [c for c in calls if len(c) == 2] == [
-        (side, w) for w in range(max_n + 1) for side in ("y", "z")
+    assert calls == [
+        (side, s, 1) for w in range(max_n + 1) for side in ("y", "z") for s in range(w + 1)
     ]
-    assert {c[2] for c in calls if len(c) == 3} == {1}
+    assert {key for key in spec.pair_memo if key[0] == "conv"} == {
+        ("conv", w) for w in range(max_n + 1)
+    }
     # an equivariant build makes both side sums of every live vector at every weight
     calls.clear()
     k, max_n = 1, 2
@@ -375,8 +372,6 @@ def test_limit_side_sums_are_made_once_per_specialization(monkeypatch):
 
 
 def test_diagonal_pair_factors_are_made_once_per_diagram_and_side(monkeypatch):
-    import blowup_genera.characters as characters
-
     # a diagonal factor has no e-part, so the slots share it
     diagonal = []
     real = characters._pair_triples
@@ -399,8 +394,6 @@ def test_diagonal_pair_factors_are_made_once_per_diagram_and_side(monkeypatch):
 
 
 def test_limit_build_stores_only_diagonal_factors(monkeypatch):
-    import blowup_genera.characters as characters
-
     # no off-diagonal factor is made in limit mode, so no product is taken
     # with the unit that such a factor of slots a < b tends to
     products = []
@@ -413,15 +406,55 @@ def test_limit_build_stores_only_diagonal_factors(monkeypatch):
     monkeypatch.setattr(characters, "cleared_product", recorded)
     spec = sample_specialization(3, 101)
     zhat_series(SeriesRequest(rank=3, max_n=3, spec=spec, k=1, mode=LIMIT))
-    factors = [key for key in spec.pair_memo if key[0] not in ("side", "conv")]
+    factors = [key for key in spec.pair_memo if key[0] != "conv"]
     assert factors and all(len(key) == 2 and isinstance(key[0], Partition) for key in factors)
     assert not products
 
 
+def test_pair_memo_keeps_diagonal_factors_slot_pair_products_and_convolutions():
+    # the memo holds what the builds read back, one entry per product
+    r = 3
+    spec = sample_specialization(r, 101)
+    for mode in (EQUIVARIANT, LIMIT):
+        zhat_series(SeriesRequest(rank=r, max_n=3, spec=spec, k=1, mode=mode))
+    kinds = set()
+    for key in spec.pair_memo:
+        if key[0] == "conv":
+            assert len(key) == 2 and isinstance(key[1], int)
+            kinds.add("conv")
+        elif len(key) == 2:
+            assert isinstance(key[0], Partition) and key[1] in BLOWUP_SIDES
+            kinds.add("diagonal")
+        else:
+            p_a, p_b, a, b, d, side = key
+            assert isinstance(p_a, Partition) and isinstance(p_b, Partition)
+            assert 1 <= a < b <= r and isinstance(d, int) and side in BLOWUP_SIDES
+            kinds.add("slot pair")
+    assert kinds == {"conv", "diagonal", "slot pair"}
+    # a slot-pair product is the product of theta of its two pairing blocks,
+    # integer for integer, whether the builds stored it or it is made here
+    diagrams = [p for n in range(4) for p in enumerate_partitions(n)]
+    slot_pairs = [(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+    for side, chart in BLOWUP_SIDES.items():
+        for p_a, p_b, d, (a, b) in product(diagrams, diagrams, range(-2, 3), slot_pairs):
+            blocks = [
+                Character((make_weight(i1, i2, num, den), 1) for i1, i2 in pair_exponents(*pair))
+                for pair, num, den in (((p_a, p_b, d, chart), b, a), ((p_b, p_a, -d, chart), a, b))
+            ]
+            try:
+                want = cleared_product(*(theta_eval(c, spec) for c in blocks))
+            except DegenerateSpecializationError:
+                with pytest.raises(DegenerateSpecializationError):
+                    characters._pair_factor(spec.pair_memo, p_a, p_b, a, b, d, side, spec)
+                continue
+            got = characters._pair_factor(spec.pair_memo, p_a, p_b, a, b, d, side, spec)
+            assert got == want, (p_a, p_b, a, b, d, side)
+
+
 # -- differential tests of the side sums ------------------------------------------
 # The side sum as theta of every block, summed tuple by tuple in enumeration
-# order: the nested equivariant sum and the limit sum from one-slot sums must
-# give its value, or name its degenerate weight.
+# order: the nested equivariant sum, and the limit convolution of the
+# one-slot sums, must give its value, or name its degenerate weight.
 
 def reference_side_sum(w, kvec, side, spec, limit):
     theta = theta_limit_factor if limit else theta_eval
@@ -429,30 +462,52 @@ def reference_side_sum(w, kvec, side, spec, limit):
     return cleared_sum(theta(plane_block(t, kvec, side), spec) for t in tuples)
 
 
-def engine_side_sum(w, kvec, side, spec, limit):
-    if limit:
-        return genera._limit_side_sum(w, kvec.rank, side, spec)
-    return side_sum_theta(w, kvec, side, spec)
+def reference_convolution(w, kvec, spec):
+    """sum_{i+j=w} A(i) * B(j) of the per-block limit side sums, Y before Z.
+
+    A build reaches weight w only after every smaller weight returned, so
+    the blocks of weight w are the first that can degenerate: on each side
+    they are checked first.
+    """
+    sums = []
+    for side in ("y", "z"):
+        top = reference_side_sum(w, kvec, side, spec, True)
+        sums.append([reference_side_sum(i, kvec, side, spec, True) for i in range(w)] + [top])
+    return cleared_convolution(*sums)
 
 
-def side_sum_outcome(build, w, kvec, side, spec, limit):
-    """The value of a side sum, or the weight and message of its degenerate weight."""
+def limit_convolution(w, kvec, spec):
+    req = SeriesRequest(rank=kvec.rank, max_n=w, spec=spec, mode=LIMIT)
+    return genera._limit_convolution(req, w)
+
+
+def outcome(build, *args):
+    """The value of a sum, or the weight and message of its degenerate weight."""
     try:
-        return cleared_value(build(w, kvec, side, spec, limit))
+        return cleared_value(build(*args))
     except DegenerateSpecializationError as exc:
         return exc.weight, str(exc)
 
 
 def assert_side_sums_agree(r, k, max_n, mode, spec_of):
-    """Nested and per-block side sums of each live vector of (r, k, max_n), on fresh specs."""
-    limit = mode == LIMIT
+    """Engine and per-block sums of each live vector of (r, k, max_n), on fresh specs.
+
+    Equivariant mode compares each nested side sum, limit mode the
+    convolution of each weight.
+    """
     top = blowup_virtual_dim(r, k, max_n)
     outcomes = []
     for kvec in enumerate_lattice_vectors(r, k, top):
         for w in range((top - kvec.pair_form) // (2 * r) + 1):
+            if mode == LIMIT:
+                got = outcome(limit_convolution, w, kvec, spec_of())
+                want = outcome(reference_convolution, w, kvec, spec_of())
+                assert got == want, (kvec, w)
+                outcomes.append(got)
+                continue
             for side in ("y", "z"):
-                got = side_sum_outcome(engine_side_sum, w, kvec, side, spec_of(), limit)
-                want = side_sum_outcome(reference_side_sum, w, kvec, side, spec_of(), limit)
+                got = outcome(side_sum_theta, w, kvec, side, spec_of())
+                want = outcome(reference_side_sum, w, kvec, side, spec_of(), False)
                 assert got == want, (kvec, w, side)
                 outcomes.append(got)
     return outcomes
@@ -508,8 +563,6 @@ def test_nested_side_sums_name_the_per_block_weight_when_degenerate(rank, k, max
 def test_nested_side_sums_take_no_product_with_the_unit_factor(monkeypatch):
     # two empty diagrams give the pair factor ([1], 1); an equivariant factor
     # of any other pair has at least one linear factor in y
-    import blowup_genera.characters as characters
-
     products = []
     real = characters.cleared_product
 
@@ -543,8 +596,6 @@ def test_degenerate_side_names_the_weight_of_the_first_block():
 def test_zhat_series_builds_no_plane_block(monkeypatch):
     # a series takes every Y and Z block from pair factors, and a degenerate
     # one is named from the sorted weights, so no plane_block is built
-    import blowup_genera.characters as characters
-
     def refuse(*_args):
         raise AssertionError("plane_block built on the pair-factor path")
 
@@ -601,8 +652,6 @@ def patch_characters(monkeypatch):
     and an entry made from a patched one (an off-diagonal pair of
     _trivial_pairs passes its checks) would outlive the test.
     """
-    import blowup_genera.characters as characters
-
     def clear():
         characters.pair_exponents.cache_clear()
         characters.hook_character.cache_clear()

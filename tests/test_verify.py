@@ -209,6 +209,26 @@ def test_empty_seed_list_is_refused(run):
         run()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_main_theorem(2, 1, order=0, seeds=(1,)),
+        lambda: verify_corollary(3, 2, order=1, seeds=(1,)),
+        lambda: verify_limit_consistency(2, 1, order=0, seeds=(1,)),
+    ],
+)
+def test_order_below_the_first_blowup_degree_is_refused(run):
+    # below k(r-k) both sides of the blow-up identity are 0: nothing is compared
+    with pytest.raises(ValueError, match="first blow-up degree"):
+        run()
+
+
+def test_order_at_the_first_blowup_degree_is_checked():
+    # through q^(k(r-k)) the first coefficient of zhat and of yk * z is compared
+    assert verify_main_theorem(2, 1, order=1, seeds=(1,)).outcome
+    assert verify_corollary(3, 2, order=2, seeds=(1,)).outcome
+
+
 def test_rank1_driver_defaults_to_the_default_seeds():
     assert verify_rank1_identity(2).params["seeds"] == list(default_seeds())
 
@@ -646,7 +666,7 @@ def test_pair_memo_belongs_to_one_specialization():
     limit, equivariant = SeriesMemo().specialization(2, 5), sample_specialization(2, 5)
     genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=limit, k=1, mode=LIMIT))
     genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=equivariant, k=1))
-    diagonal = {key: f for key, f in limit.pair_memo.items() if key[0] not in ("side", "conv")}
+    diagonal = {key: f for key, f in limit.pair_memo.items() if key[0] != "conv"}
     assert diagonal and diagonal.items() <= equivariant.pair_memo.items()
     # an equivariant build at the same specialization reads them and adds its own
     genera.zhat_series(SeriesRequest(rank=2, max_n=1, spec=limit, k=1))
@@ -663,7 +683,7 @@ def test_pair_memo_belongs_to_one_specialization():
 def test_degenerate_pair_factor_is_never_stored(monkeypatch):
     from blowup_genera import characters
 
-    # pair factors take their triples from _pair_triples, and the check of
+    # memo entries take their triples from _pair_triples, and the check of
     # the blocks one by one from _theta_factors; both record what raised
     raised = []
     pair_triples, block_triples = characters._pair_triples, characters._theta_factors
@@ -695,7 +715,7 @@ def test_degenerate_pair_factor_is_never_stored(monkeypatch):
             genera.zhat_series(req)
         errors.append(str(err.value))
         sizes.append(len(spec.pair_memo))
-        # the nested side sum meets the factor (one pairing block) each time,
+        # the nested side sum meets the degenerate pairing block each time,
         # so it was not stored, and the check raises at the first bad block
         assert raised[0] == ("pair", 1)
         assert len(raised) == 2 and raised[1][0] == "block"

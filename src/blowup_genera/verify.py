@@ -37,11 +37,13 @@ _start and builds what it meets, so its report is the same either way.
 The grid's three units, ranks 1, 2 and 3, share no memo, so verify_all
 runs them on two CPUs where it can: this process forks one child for
 ranks 1 and 3, which sends its reports back through a pipe as marshal
-data (each report's field tuple, and a unit's exception pickled only
-when one raised), and runs rank 2 itself.  The reports are joined in
-grid order, as one process would return them.  The grid stays in this
-process when it may use only one CPU, when os.fork is missing, when
-another thread runs or when the pipe or the fork cannot be made.
+data (each report's field tuple), and runs rank 2 itself.  The reports
+are joined in grid order, as one process would return them.  The grid
+stays in this process when it may use only one CPU, when os.fork is
+missing, when another thread runs or when the pipe or the fork cannot
+be made.  A grid whose forked run fails, because a unit raised in
+either process or the child was killed, runs again whole in this
+process, so it raises exactly what the grid in one process raises.
 """
 
 from __future__ import annotations
@@ -457,41 +459,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_units(units) -> list[tuple]:
-    """(reports, exception or None) of each unit, up to the first that raises."""
-    outcomes = []
-    for unit in units:
-        try:
-            outcomes.append((unit(), None))
-        except Exception as exc:
-            outcomes.append(([], exc))
-            break
-    return outcomes
+def _run_forked(here, there) -> tuple[list[list], list[list]] | None:
+    """The reports of each unit of here, run in this process, and of there, in one forked child.
 
+    The child sends its reports through a pipe as one marshal message: the
+    field tuple (Record._key) of each report, unit by unit.  A unit that
+    raises there sends nothing and ends the child with exit status 1; the
+    child always ends with os._exit, so it never returns into its
+    caller's frames.  Here each report is rebuilt through its constructor.
+    A unit that raises here kills and reaps the child at once; an
+    interrupt does so too and propagates.  gc.freeze keeps the collector
+    off the objects both processes start with.
 
-def _causes(exc) -> list[BaseException]:
-    """The chain of causes of exc (or None), outermost first, which pickle does not keep."""
-    chain = []
-    while exc is not None and exc.__cause__ is not None:
-        exc = exc.__cause__
-        chain.append(exc)
-    return chain
-
-
-def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
-    """_run_units of here in this process and of there in one forked child.
-
-    The child sends its outcomes through a pipe as one marshal message:
-    the field tuple (Record._key) of each report, unit by unit, and, when
-    a unit raised, its exception pickled with its chain of causes (see
-    _causes); pickle is imported only then.  The child always ends with
-    os._exit, so it never returns into its caller's frames.  Here each
-    report is rebuilt through its constructor and each chain is linked
-    back, so an error from the child names its cause as it would here.
-    Any exception here kills and reaps the child first.  gc.freeze keeps
-    the collector off the objects both processes start with.  Returns
-    None, with no unit run and nothing left open, when the pipe or the
-    fork cannot be made (a file or process limit, say).
+    Returns None, with nothing left open and no child left, when the pipe
+    or the fork cannot be made (a file or process limit, say), when a
+    unit here raised or when the child's exit status is nonzero.  The
+    caller then runs every unit in one process, which raises what it
+    raises there.
     """
     gc.freeze()
     try:
@@ -508,48 +492,30 @@ def _run_forked(here, there) -> tuple[list[tuple], list[tuple]] | None:
                 code = 1
                 try:
                     reader.close()
-                    outcomes = _run_units(there)
-                    error = outcomes[-1][1] if outcomes else None
-                    if error is not None:
-                        import pickle
-
-                        error = pickle.dumps((error, _causes(error)), pickle.HIGHEST_PROTOCOL)
-                    # encoded whole first, so a failure sends nothing
-                    keys = [[rep._key() for rep in reports] for reports, _ in outcomes]
-                    writer.write(marshal.dumps((keys, error)))
+                    # encoded whole first, so a unit that raises sends nothing
+                    writer.write(marshal.dumps([[rep._key() for rep in unit()] for unit in there]))
                     writer.close()
                     code = 0
                 finally:
                     os._exit(code)
             writer.close()
             try:
-                outcomes = _run_units(here)
+                reports = [unit() for unit in here]
                 data = reader.read()
-            except BaseException:
+            except BaseException as exc:
                 import signal
 
                 os.kill(pid, signal.SIGKILL)
-                raise
+                if not isinstance(exc, Exception):
+                    raise
+                return None
             finally:
                 _, status = os.waitpid(pid, 0)
     finally:
         gc.unfreeze()
-    if not data:
-        raise RuntimeError(
-            f"verify_all's child process ended with exit status "
-            f"{os.waitstatus_to_exitcode(status)} before sending its reports"
-        )
-    keys, error = marshal.loads(data)
-    there = [([VerificationReport(*key) for key in unit], None) for unit in keys]
-    if error is not None:
-        import pickle
-
-        exc, chain = pickle.loads(error)
-        there[-1] = ([], exc)
-        for cause in chain:
-            exc.__cause__ = cause
-            exc = cause
-    return outcomes, there
+    if status:  # the child's unit raised, or the child was killed
+        return None
+    return reports, [[VerificationReport(*key) for key in unit] for unit in marshal.loads(data)]
 
 
 def verify_all(seeds) -> list[VerificationReport]:
@@ -565,10 +531,12 @@ def verify_all(seeds) -> list[VerificationReport]:
 
     The three units, one per rank, share nothing, so where this process
     may use two CPUs, os.fork exists and no other thread runs, ranks 1
-    and 3 run in a forked child and rank 2 here.  The reports are then
-    joined in grid order, and the first unit in grid order that raised
-    re-raises here.  When the pipe or the fork cannot be made, all three
-    units run here.
+    and 3 run in a forked child and rank 2 here, and the reports are
+    joined in grid order.  Otherwise, and whenever that attempt returns
+    None (a unit in either process raised, the child was killed, or the
+    pipe or the fork could not be made), all three units run here, one
+    after the other: so a failing grid raises what the grid in one
+    process raises, traceback and chain of causes included.
     """
     seeds = tuple(seeds)
     units = [functools.partial(_rank_reports, r, seeds) for r in (1, 2, 3)]
@@ -578,14 +546,5 @@ def verify_all(seeds) -> list[VerificationReport]:
     if forked is None:
         return [rep for unit in units for rep in unit()]
     here, there = forked
-    reports = []
-    for outcome in itertools.chain.from_iterable(itertools.zip_longest(there, here)):
-        if outcome is None:
-            # a unit its process never had (the child has one more), or one
-            # it never reached after a unit that raised, which re-raised above
-            continue
-        unit_reports, error = outcome
-        if error is not None:
-            raise error
-        reports += unit_reports
-    return reports
+    pairs = itertools.zip_longest(there, here, fillvalue=[])
+    return [rep for pair in pairs for unit in pair for rep in unit]

@@ -540,8 +540,8 @@ def test_subcommand_imports_only_the_layers_it_runs(argv, absent):
     assert "logging" not in loaded
     # dataclasses would pull in inspect, ast and dis, which nothing else needs
     assert not loaded & {"dataclasses", "inspect"}
-    # verify-all's forked child sends its reports as marshal data, and
-    # pickle only an exception, which a passing run never raises
+    # verify-all's forked child sends its reports as marshal data, and a
+    # grid that fails runs again in one process, so nothing is pickled
     assert "pickle" not in loaded
 
 
@@ -660,3 +660,43 @@ def test_a_closed_stdout_ends_quietly_with_141(argv, buffered, tmp_path):
         os.close(write_fd)
     assert proc.returncode == 141 and proc.stderr == ""
     assert forks.read_text() == ("1" if argv[0] == "verify-all" else "0")
+
+
+# A fresh process runs cli.run on the arguments after argv[2] with
+# verify.MAX_RESEEDS set to one and the CPU probe set to argv[2]. Before
+# whatever run raised ends the process, it writes the number of forks and
+# whether pickle was imported to the file argv[1].
+FAILING_RUN = """
+import json, os, sys
+from blowup_genera import cli, verify
+forks = []
+real_fork = os.fork
+def counted_fork():
+    forks.append(os.getpid())
+    return real_fork()
+os.fork = counted_fork
+verify.MAX_RESEEDS = 1
+verify._usable_cpus = lambda: int(sys.argv[2])
+try:
+    sys.exit(cli.run(sys.argv[3:]))
+finally:
+    with open(sys.argv[1], "w") as fh:
+        json.dump([len(forks), "pickle" in sys.modules], fh)
+"""
+
+
+def test_a_failing_forked_grid_prints_what_the_grid_in_one_process_prints(tmp_path):
+    # seeds 53 and 192 degenerate at ranks 2 and 3, and one draw is all a driver gets
+    ended = []
+    for cpus in (2, 1):
+        seen = tmp_path / f"seen-{cpus}"
+        proc = run_process("-c", FAILING_RUN, str(seen), str(cpus),
+                           "verify-all", "--seed-list", "53,192,101")
+        ended.append((proc.returncode, proc.stdout, proc.stderr, json.loads(seen.read_text())))
+    (forked_code, forked_out, forked_err, forked_seen), (code, out, err, seen) = ended
+    assert forked_code == code == 1
+    assert forked_out == out == ""
+    assert forked_err == err
+    assert err.startswith("Traceback") and err.endswith(
+        "verify.ReseedLimitError: no nondegenerate specialization found near seed 53\n")
+    assert forked_seen == [1, False] and seen == [0, False]

@@ -509,27 +509,54 @@ def test_the_first_unit_in_grid_order_that_raises_is_raised(monkeypatch):
     assert isinstance(forked, ValueError) and str(forked) == str(alone) == "rank 1 fails"
 
 
-def exit_3():
-    os._exit(3)
-
-
-def raise_unpicklable():
-    raise ValueError(lambda: None)  # pickle cannot send a lambda
-
-
-@pytest.mark.parametrize("die, status", [(exit_3, 3), (raise_unpicklable, 1)])
-def test_a_child_that_sends_no_reports_is_an_error(die, status, monkeypatch):
+def test_a_child_that_ends_without_reports_leaves_the_grid_to_this_process(monkeypatch):
+    alone, _ = run_grid(monkeypatch, 1, (101,))
     rank_reports = verify._rank_reports
+    parent = os.getpid()
 
     def dying(r, seeds):
-        if r == 1:
-            die()
+        if os.getpid() != parent:
+            os._exit(3)
         return rank_reports(r, seeds)
 
     monkeypatch.setattr(verify, "_rank_reports", dying)
+    forked, forks = run_grid(monkeypatch, 2, (101,))
+    assert forks == 1
+    assert_no_child_left()
+    assert forked == alone
+
+
+def test_an_unpicklable_error_from_the_child_is_raised_as_itself(monkeypatch):
+    rank_reports = verify._rank_reports
+
+    def failing(r, seeds):
+        if r == 1:
+            raise ValueError(lambda: None)  # pickle cannot send a lambda
+        return rank_reports(r, seeds)
+
+    monkeypatch.setattr(verify, "_rank_reports", failing)
+    forked, forks = run_grid(monkeypatch, 2, (101,))
+    assert forks == 1
+    assert_no_child_left()
+    assert type(forked) is ValueError and forked.args[0].__name__ == "<lambda>"
+
+
+def test_an_error_here_kills_and_reaps_the_child_at_once(monkeypatch):
+    parent = os.getpid()
+
+    def failing_here(r, seeds):
+        if os.getpid() != parent:
+            time.sleep(10)  # each unit of the child, until it is killed
+        if r == 2:
+            raise ValueError("rank 2 fails")
+        return []
+
+    monkeypatch.setattr(verify, "_rank_reports", failing_here)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match=f"exit status {status} before sending its reports"):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rank 2 fails"):
         verify.verify_all((101,))
+    assert time.perf_counter() - start < 5
     assert_no_child_left()
 
 

@@ -1,10 +1,12 @@
 """End-to-end verification drivers with structured, reproducible reports.
 
 Each driver computes both sides of one identity at several seeded
-specializations and compares exactly, coefficient by coefficient.  The
-primary check direction is multiplicative (zhat == yk * z), which never
-inverts a series; the quotient route zhat * z^-1 is kept as a secondary
-check since the plane series always starts at 1.
+specializations and compares exactly, coefficient by coefficient, and
+every check is multiplicative (zhat == yk * z): no series is inverted.
+The quotient route zhat * z^-1 and its lattice y-signs are read from the
+products.  The plane series starts at 1, so multiplying by it is
+invertible through q^order: zhat * z^-1 agrees with a factor F through
+q^order exactly when zhat agrees with F * z.
 
 Specializations that collide with a weight (some theta factor would
 degenerate) are resampled at seed + 1, and every reseed is recorded in
@@ -17,22 +19,22 @@ so repeated runs are byte-identical.
 
 The rank-r drivers draw their specializations and take their series
 through a SeriesMemo, which keeps each specialization and each finished
-series by value and serves a request from what it holds when it can: the
-request itself or a truncation of a longer series of the same shape (see
-SeriesMemo for the three rules and why each is exact).  Every series is
-built with y symbolic; a driver that checks at a numeric y0 evaluates
-the finished pair once (QSeries.at_y), so the corollary's y = 1 and
-y = 0 checks at one seed share one build.  verify_all, the documented
-grid, makes one memo per rank and hands it to every driver of that rank,
-so the corollary's series come from the main theorem's builds, the limit
-check's shorter equivariant series from the main theorem's longer ones,
-and the blow-up series at one seed share the pair factors of its
-specialization; the memo is dropped when the next rank starts.  The
-rank-one identity is the blow-up formula at r = 1, k = 0 read in q^2, so
-it takes its series from the same memo: in the grid it runs first at
-rank 1, and the r = 1 main theorem finds every series it asks for
-already built.  A driver called on its own gets a memo of its own from
-_start and builds what it meets, so its report is the same either way.
+series by value and serves a request whole from the longest series of
+its shape built so far, when that one reaches far enough (see SeriesMemo
+for why that is exact).  Every series is built with y symbolic; a driver
+that checks at a numeric y0 evaluates the finished pair once
+(QSeries.at_y), so the corollary's y = 1 and y = 0 checks at one seed
+share one build.  verify_all, the documented grid, makes one memo per
+rank and hands it to every driver of that rank, so the corollary's
+series come from the main theorem's builds, the limit check's shorter
+equivariant series from the main theorem's longer ones, and the blow-up
+series at one seed share the pair factors of its specialization; the
+memo is dropped when the next rank starts.  The rank-one identity is the
+blow-up formula at r = 1, k = 0 read in q^2, so it takes its series from
+the same memo: in the grid it runs first at rank 1, and the r = 1 main
+theorem finds every series it asks for already built.  A driver called
+on its own gets a memo of its own from _start and builds what it meets,
+so its report is the same either way.
 
 The grid's three units, ranks 1, 2 and 3, share no memo, so verify_all
 runs them on two CPUs where it can: this process forks one child for
@@ -137,22 +139,21 @@ class SeriesMemo:
     Specializations are keyed by (r, seed), so every build at one seed
     meets the same object, with its weight and pair-factor memos.
 
-    Series are keyed by (kind, SeriesRequest), which hashes by value, and
-    series() serves a request from the first of these that holds:
+    Series are kept one per shape (kind, rank, spec, k, mode), spec by
+    value: the longest build that returned, with its max_n.  series()
+    serves a request with max_n up to that one the stored series whole,
+    and builds any other, whose build replaces the entry.
 
-    1. the request itself was served before;
-    2. a returned series of the same kind, rank, spec, k and mode has a
-       larger max_n: it is cut with QSeries.truncate;
-    3. otherwise the series is built.
-
-    Both reuse rules are exact.  The coefficient of one degree depends
-    only on the fixed points of that degree, and a longer build meets a
-    superset of the weights of a shorter one, so a truncation equals the
-    shorter build.  Whether a build is degenerate depends only on the
-    values p/q of the weights it meets, so a request served by rule 2
-    would have returned if built.  Only a series that returns is stored:
-    a degenerate build raises again each time it is met, so every driver
-    reseeds and records it as it would on its own.
+    So a served series may run past the request's order, and no report
+    changes: every driver compares through its own order, a product's
+    coefficient below the lower of its two orders depends only on known
+    coefficients, and a coefficient depends only on the fixed points of
+    its degree, so a longer build agrees with a shorter one through the
+    shorter one's order.  A longer build meets a superset of the weights
+    of a shorter one, and degeneracy depends only on the values p/q of
+    the weights met, so a request served here would have returned if
+    built.  A degenerate build raises and is never stored, so every
+    driver reseeds and records it as it would on its own.
     """
 
     def __init__(self):
@@ -167,22 +168,14 @@ class SeriesMemo:
         return spec
 
     def series(self, kind: str, req: SeriesRequest):
-        series = self.built.get((kind, req))
-        if series is None:
-            for (other_kind, other), longer in self.built.items():
-                if (other_kind == kind and other.max_n > req.max_n
-                        and (other.rank, other.spec, other.k, other.mode)
-                        == (req.rank, req.spec, req.k, req.mode)):
-                    k = 0 if kind == "z" else req.k
-                    order = blowup_virtual_dim(req.rank, k, req.max_n) + 1
-                    series = longer.truncate(order)
-                    break
-            else:
-                # looked up as module attributes at call time, so a wrapper
-                # installed on them (perfbench/spans.py) sees every build
-                build = z_series if kind == "z" else zhat_series
-                series = build(req)
-            self.built[kind, req] = series
+        shape = (kind, req.rank, req.spec, req.k, req.mode)
+        max_n, series = self.built.get(shape, (-1, None))
+        if req.max_n > max_n:
+            # looked up as module attributes at call time, so a wrapper
+            # installed on them (perfbench/spans.py) sees every build
+            build = z_series if kind == "z" else zhat_series
+            series = build(req)
+            self.built[shape] = req.max_n, series
         return series
 
 
@@ -273,10 +266,10 @@ def verify_main_theorem(
     """Check zhat == yk_main * z through q^order at every seeded specialization.
 
     The blow-up factor coefficients are universal polynomials in y, so the
-    same series must appear at every specialization.  Also runs the
-    inversion route zhat * z^-1 and records which lattice y-sign
-    convention the quotient matches (both, by the reversal symmetry).
-    The series come through memo, a fresh SeriesMemo for None.
+    same series must appear at every specialization.  Also records which
+    lattice y-sign convention the quotient zhat * z^-1 matches (both, by
+    the reversal symmetry), read from zhat against yk_main * z for either
+    sign.  The series come through memo, a fresh SeriesMemo for None.
     """
     order, seeds, memo, t0 = _start(r, k, order, seeds, memo)
     details: list[str] = []
@@ -290,17 +283,13 @@ def verify_main_theorem(
         product = yk_plus * z
         bad = zhat.first_difference(product, order)
         if bad is not None:
-            ok = False
+            ok = sign_matches["plus"] = False
             details.append(
                 f"seed {used_seed}: zhat != yk*z first at q^{bad}: "
                 f"{zhat.coefficient(bad)!r} vs {product.coefficient(bad)!r}"
             )
-        quotient = zhat * z.invert()
-        if quotient.first_difference(yk_plus, order) is not None:
-            sign_matches["plus"] = False
-            ok = False
             details.append(f"seed {used_seed}: quotient route disagrees with yk (+ sign)")
-        if quotient.first_difference(yk_minus, order) is not None:
+        if zhat.first_difference(yk_minus * z, order) is not None:
             sign_matches["minus"] = False
             details.append(f"seed {used_seed}: quotient disagrees with the - sign variant")
     return _finish(

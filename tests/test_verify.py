@@ -1,7 +1,9 @@
 """Verification drivers: pass/fail behaviour, determinism, negative controls."""
 
 import errno
+import functools
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -12,7 +14,7 @@ import pytest
 
 from blowup_genera import genera, rank1, verify
 from blowup_genera.characters import Character, make_weight, tangent_p2
-from blowup_genera.coefficients import Specialization, sample_specialization
+from blowup_genera.coefficients import Specialization, YPoly, sample_specialization
 from blowup_genera.qseries import QSeries
 from blowup_genera.verify import (
     MAX_RESEEDS,
@@ -129,6 +131,13 @@ def test_reports_byte_identical_across_runs():
     assert payload["outcome"] == "pass"
 
 
+def shift_first_weight(char):
+    """char with the t1-exponent of its first weight raised by one."""
+    w, _m = char.sorted_items()[0]
+    shifted = make_weight(w.i1 + 1, w.i2, w.num, w.den)
+    return Character(char.sorted_items() + [(w, -1), (shifted, 1)])
+
+
 def test_negative_control_single_weight_perturbation(monkeypatch):
     # shifting one weight of one plane tangent character must flip the check
     state = {"done": False}
@@ -137,9 +146,7 @@ def test_negative_control_single_weight_perturbation(monkeypatch):
         char = tangent_p2(fp)
         if not state["done"] and char.rank > 0:
             state["done"] = True
-            w, _m = char.sorted_items()[0]
-            shifted = make_weight(w.i1 + 1, w.i2, w.num, w.den)
-            return Character(char.sorted_items() + [(w, -1), (shifted, 1)])
+            return shift_first_weight(char)
         return char
 
     monkeypatch.setattr(genera, "tangent_p2", perturbed)
@@ -147,6 +154,76 @@ def test_negative_control_single_weight_perturbation(monkeypatch):
     assert state["done"]
     assert not rep.outcome
     assert rep.details
+
+
+FAILING_DRIVERS = {
+    "main-equivariant": verify_main_theorem,
+    "main-limit": functools.partial(verify_main_theorem, mode=LIMIT),
+    "limit": verify_limit_consistency,
+    "corollary": verify_corollary,
+}
+
+# sha256 of the sorted JSON of failing reports, which pin every failing
+# branch of the main theorem, the limit check and the corollary
+FAILING_DIGESTS = {
+    ((2, 1, 9, (101, 102)), "main-equivariant"):
+        "0730196ace167f89884dbbd06c5b05308ebf719ce26a6307630ca8eeb74c12d3",
+    ((2, 1, 9, (101, 102)), "main-limit"):
+        "3c13f8c466fd692e736dd7db0c929a9cb3a51ef23dca70ed43fffcab24545c23",
+    ((2, 1, 9, (101, 102)), "limit"):
+        "38bcf090d56c3d9992dcd13b0fb432e9bcee6faa1c696dbfa77a1c90dcd285a4",
+    ((2, 1, 9, (101, 102)), "corollary"):
+        "816fb3ed81d78a979646e072a23b70a5589e1cce68b6b97526b14455bcad1cd6",
+    ((1, 0, 8, (5,)), "main-equivariant"):
+        "c8bee304c3480491c36edc6172c8dbcdaf4f39358937ba4573649eaa5d38bd92",
+    ((1, 0, 8, (5,)), "main-limit"):
+        "cb9ef85e842cf7c695a5cabd369ccdf9f062cc6ebc96d4f8c553fdbf3a0b1665",
+    ((1, 0, 8, (5,)), "limit"):
+        "660f02083b5e60e148f90114e649c20bdcc5218d6cf6171176d0282f2a3bef57",
+    ((1, 0, 8, (5,)), "corollary"):
+        "b4bd0043ea8864c01469fe864d622c3972052fc3b3b685479a495c9a9de73acd",
+}
+
+
+def report_digest(rep):
+    return hashlib.sha256(rep.to_json_str().encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case, driver", list(FAILING_DIGESTS), ids=lambda v: str(v).replace(" ", "")
+)
+def test_failing_reports_are_unchanged(case, driver, monkeypatch):
+    # one weight of every plane tangent character of size 2 is shifted,
+    # the same shift at every call, so Z is wrong from q^(4r) on
+    def perturbed(fp):
+        char = tangent_p2(fp)
+        return shift_first_weight(char) if fp.total_size == 2 else char
+
+    monkeypatch.setattr(genera, "tangent_p2", perturbed)
+    r, k, order, seeds = case
+    rep = FAILING_DRIVERS[driver](r, k, order, seeds)
+    assert not rep.outcome
+    assert report_digest(rep) == FAILING_DIGESTS[case, driver]
+
+
+def test_a_main_theorem_where_only_the_minus_sign_fails_passes(monkeypatch):
+    # seed 192 reseeds at rank 3
+    yk_main = verify.yk_main
+
+    def off_by_y_q_order(r, k, order, y_sign=+1):
+        factor = yk_main(r, k, order, y_sign)
+        if y_sign == -1:
+            return factor + QSeries.monomial(YPoly.y(), order, order + 1)
+        return factor
+
+    monkeypatch.setattr(verify, "yk_main", off_by_y_q_order)
+    rep = verify_main_theorem(3, 2, 8, (53, 192))
+    assert rep.outcome and len(rep.params["reseeds"]) == 1
+    assert rep.conventions["lattice_y_sign_match"] == {"plus": True, "minus": False}
+    assert rep.details == [
+        f"seed {seed}: quotient disagrees with the - sign variant" for seed in (53, 193)]
+    assert report_digest(rep) == (
+        "337abc4a458cd665cb5fed0aab237963065fb499a7a80a9148894ad92b1708a2")
 
 
 def test_reseed_on_degenerate_collision():
@@ -291,6 +368,20 @@ def test_rank1_identity_negative_control(monkeypatch):
     report = verify_rank1_identity(8, (101,))
     assert not report.outcome
     assert report.details == ["seed 101: first failure at q^3"]
+
+
+@pytest.mark.parametrize("seeds", [(101,), (53, 192)])  # 53 and 192 reseed
+def test_verify_all_neither_inverts_nor_truncates(seeds, monkeypatch):
+    # in one process, so the patches below reach every rank
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    expected = [rep.to_json_str() for rep in verify_all(seeds)]
+
+    def refused(self, *args):
+        raise AssertionError("a verify path inverted or truncated a series")
+
+    monkeypatch.setattr(QSeries, "invert", refused)
+    monkeypatch.setattr(QSeries, "truncate", refused)
+    assert [rep.to_json_str() for rep in verify_all(seeds)] == expected
 
 
 def test_rank1_identity_builds_nothing_under_verify_all(monkeypatch):
@@ -640,7 +731,8 @@ def built_or_error(kind, r, k, max_n, mode, seed):
 
 @pytest.mark.parametrize("seed", [101, 192])  # 192 degenerates at ranks 2 and 3
 def test_shorter_series_follow_from_the_longer_build(seed):
-    # the exactness of SeriesMemo rule 2 on every verify_all shape
+    # on every verify_all shape a longer build agrees with a shorter one through
+    # its order, which makes serving the longer build whole exact
     degenerate = 0
     for kind, r, k, max_n, mode in grid_requests():
         shorter = built_or_error(kind, r, k, max_n, mode, seed)
@@ -654,37 +746,45 @@ def test_shorter_series_follow_from_the_longer_build(seed):
     assert (degenerate > 0) == (seed == 192)
 
 
-def test_series_memo_truncates_and_evaluates_without_building(monkeypatch):
+def test_series_memo_serves_the_longer_build_whole(monkeypatch):
     memo = SeriesMemo()
     spec = memo.specialization(2, 101)
-    memo.series("zhat", SeriesRequest(rank=2, max_n=3, spec=spec, k=1))
-    memo.series("z", SeriesRequest(rank=2, max_n=3, spec=spec))
+    longer = {kind: memo.series(kind, SeriesRequest(rank=2, max_n=3, spec=spec, k=k))
+              for kind, k in (("z", 0), ("zhat", 1))}
     built, failed = count_series_builds(monkeypatch)
-    served = {}
     for kind, k in (("z", 0), ("zhat", 1)):
         build = genera.z_series if kind == "z" else genera.zhat_series
         req = SeriesRequest(rank=2, max_n=2, spec=spec, k=k)
-        served[kind] = memo.series(kind, req)
-        assert same_series(served[kind], build(req))
-        assert memo.series(kind, req) is served[kind]
-    # a numeric y0 evaluates the served pair once, after the memo: through
-    # q^9 the pair is Z at n <= 3 and Zhat at n <= 2
-    pair = memo.series("z", SeriesRequest(rank=2, max_n=3, spec=spec)), served["zhat"]
+        served = memo.series(kind, req)
+        assert served is longer[kind]
+        # it agrees with the shorter build through that build's order
+        fresh = build(req)
+        assert served.order > fresh.order
+        assert same_series(served.truncate(fresh.order), fresh)
+    # a numeric y0 evaluates the served pair once, after the memo
     for y0 in (None, F(1), F(0)):
         got = verify._series_pair(2, 1, 9, 101, y0, EQUIVARIANT, [], memo)
         assert got[2] == 101
-        for got_series, series in zip(got, pair):
+        for got_series, kind in zip(got, ("z", "zhat")):
+            series = longer[kind]
             assert same_series(got_series, series if y0 is None else series.at_y(y0))
     assert not built and not failed
     # another kind, k, mode or seed, or a larger max_n, is built
-    others = [(2, 0, EQUIVARIANT, 101), (2, 1, LIMIT, 101), (2, 1, EQUIVARIANT, 102),
-              (4, 1, EQUIVARIANT, 101)]
-    for max_n, k, mode, seed in others:
-        spec = memo.specialization(2, seed)
-        req = SeriesRequest(rank=2, max_n=max_n, spec=spec, k=k, mode=mode)
-        memo.series("zhat", req)
-        assert built[-1] == ("zhat", req)
+    others = [("z", 2, 0, LIMIT, 101), ("zhat", 2, 0, EQUIVARIANT, 101),
+              ("zhat", 2, 1, LIMIT, 101), ("zhat", 2, 1, EQUIVARIANT, 102),
+              ("zhat", 4, 1, EQUIVARIANT, 101)]
+    for kind, max_n, k, mode, seed in others:
+        req = SeriesRequest(rank=2, max_n=max_n, spec=memo.specialization(2, seed), k=k, mode=mode)
+        memo.series(kind, req)
+        assert built[-1] == (kind, req)
     assert len(built) == len(others)
+    # a longer request after a shorter one is built, and its build replaces the entry
+    req = SeriesRequest(rank=2, max_n=3, spec=spec, k=0)
+    replacing = memo.series("zhat", req)
+    assert built[-1] == ("zhat", req) and len(built) == len(others) + 1
+    for max_n in (2, 3):
+        assert memo.series("zhat", SeriesRequest(rank=2, max_n=max_n, spec=spec, k=0)) is replacing
+    assert len(built) == len(others) + 1 and not failed
 
 
 def test_pair_memo_belongs_to_one_specialization():

@@ -29,8 +29,8 @@ block: each multiplicity is +1, so nothing cancels, and the chart maps
 are linear bijections that fix (0, 0), so a Character built from pairing
 blocks has rank 2*r*|pt| and no trivial weight by construction.
 The plane tangent character (tangent_p2) is that sum in the identity chart
-with every k_a = 0, and the rank-one hook character (hook_character) is
-its one-slot case, whose e-parts cancel; both are cached process-wide.
+with every k_a = 0, cached process-wide, and the rank-one hook character
+(hook_character) is its one-slot case, whose e-parts cancel.
 On the blow-up (Nakajima-Yoshioka) a fixed point (Y, Z, kvec) has three
 blocks: the simplex of kvec (simplex_weights), the Y block (the pairing
 blocks of Y in the chart (t1, t2/t1), twisted by t1^(k_b - k_a)) and the
@@ -330,14 +330,12 @@ def tangent_p2(fp: PartitionTuple) -> Character:
     return Character(plane_block_weights(fp, (0,) * fp.rank, "identity"))
 
 
-@lru_cache(maxsize=None)
 def hook_character(p: Partition, substitution: str = "identity") -> Character:
     """Both hook monomials of every box of one diagram, as a character.
 
     This is the single-slot pairing block of p with itself, whose e-parts
     cancel, under the given variable substitution, of rank 2*|p| as
-    pair_exponents checks.  An unknown substitution raises ValueError,
-    which is not cached.
+    pair_exponents checks.  An unknown substitution raises ValueError.
     """
     return Character(plane_block_weights(PartitionTuple((p,)), (0,), substitution))
 

@@ -4,8 +4,8 @@ Torus fixed points of the rank-r framed moduli on the plane are r-tuples
 of Young diagrams.  On the blown-up plane they are triples
 (Y-tuple, Z-tuple, kvec) of two r-tuples and an integer vector, subject
 to an integer weight constraint.  All enumerations here are total,
-deterministic and pure; the fixed-point enumerations are memoized, so
-each index set is built once per process and shared read-only.
+deterministic and pure; the partitions of n and the blow-up fixed points
+are memoized, so each is built once per process and shared read-only.
 
 Grading convention used throughout the package: a blow-up fixed point
 with diagram weight w = sum(|Y_i| + |Z_i|) and lattice vector kvec sits
@@ -146,7 +146,6 @@ def _compositions(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def enumerate_tuples(r: int, n: int) -> tuple[PartitionTuple, ...]:
     """All r-tuples of partitions with total size n, in a fixed order."""
     if r < 1:
@@ -348,8 +347,7 @@ def enumerate_blowup_fixed_points(r: int, k: int, n: int) -> tuple[BlowupFixedPo
             continue
         w = rem // (2 * r)
         for wy in range(w, -1, -1):
-            for yt in enumerate_tuples(r, wy):
-                for zt in enumerate_tuples(r, w - wy):
-                    out.append(BlowupFixedPoint(yt, zt, kvec))
+            for yt, zt in product(enumerate_tuples(r, wy), enumerate_tuples(r, w - wy)):
+                out.append(BlowupFixedPoint(yt, zt, kvec))
     return tuple(out)
 

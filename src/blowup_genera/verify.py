@@ -199,11 +199,8 @@ def _build_with_reseed(build, r: int, seed: int, retries: list[str], memo: Serie
     raise ReseedLimitError(f"no nondegenerate specialization found near seed {seed}") from last
 
 
-def _series_pair(r, k, order, seed, y0, mode, retries, memo):
-    """Plane and blow-up series at one (possibly reseeded) specialization, through memo.
-
-    The series are built with y symbolic; a rational y0 evaluates both at y0.
-    """
+def _series_pair(r, k, order, seed, mode, retries, memo):
+    """Plane and blow-up series, y symbolic, at one (possibly reseeded) seed, through memo."""
     z_max_n = blowup_max_n(r, 0, order)
     zhat_max_n = blowup_max_n(r, k, order)
 
@@ -213,8 +210,6 @@ def _series_pair(r, k, order, seed, y0, mode, retries, memo):
         return memo.series("z", z_req), memo.series("zhat", zhat_req)
 
     (z, zhat), used_seed = _build_with_reseed(build, r, seed, retries, memo)
-    if y0 is not None:
-        z, zhat = z.at_y(y0), zhat.at_y(y0)
     return z, zhat, used_seed
 
 
@@ -269,7 +264,10 @@ def verify_main_theorem(
     same series must appear at every specialization.  Also records which
     lattice y-sign convention the quotient zhat * z^-1 matches (both, by
     the reversal symmetry), read from zhat against yk_main * z for either
-    sign.  The series come through memo, a fresh SeriesMemo for None.
+    sign.  The two factors are compared once: where they agree through
+    q^order, so do their products with z, and the - check at a seed is
+    the + check.  The series come through memo, a fresh SeriesMemo for
+    None.
     """
     order, seeds, memo, t0 = _start(r, k, order, seeds, memo)
     details: list[str] = []
@@ -277,9 +275,10 @@ def verify_main_theorem(
     ok = True
     yk_plus = yk_main(r, k, order, y_sign=+1)
     yk_minus = yk_main(r, k, order, y_sign=-1)
+    signs_differ = yk_minus.first_difference(yk_plus, order) is not None
     sign_matches = {"plus": True, "minus": True}
     for seed in seeds:
-        z, zhat, used_seed = _series_pair(r, k, order, seed, None, mode, retries, memo)
+        z, zhat, used_seed = _series_pair(r, k, order, seed, mode, retries, memo)
         product = yk_plus * z
         bad = zhat.first_difference(product, order)
         if bad is not None:
@@ -289,7 +288,9 @@ def verify_main_theorem(
                 f"{zhat.coefficient(bad)!r} vs {product.coefficient(bad)!r}"
             )
             details.append(f"seed {used_seed}: quotient route disagrees with yk (+ sign)")
-        if zhat.first_difference(yk_minus * z, order) is not None:
+        if signs_differ:
+            bad = zhat.first_difference(yk_minus * z, order)
+        if bad is not None:
             sign_matches["minus"] = False
             details.append(f"seed {used_seed}: quotient disagrees with the - sign variant")
     return _finish(
@@ -332,11 +333,8 @@ def verify_corollary(
 
     for seed in seeds:
         for y0, factor in ((Fraction(1), euler), (Fraction(0), hol.main_at_y0)):
-            z, zhat, used_seed = _series_pair(
-                r, k, order, seed, y0, EQUIVARIANT, retries, memo
-            )
-            product = factor * z
-            bad = zhat.first_difference(product, order)
+            z, zhat, used_seed = _series_pair(r, k, order, seed, EQUIVARIANT, retries, memo)
+            bad = zhat.at_y(y0).first_difference(factor * z.at_y(y0), order)
             if bad is not None:
                 ok = False
                 details.append(
@@ -370,8 +368,8 @@ def verify_limit_consistency(
     ok = True
     yk = yk_main(r, k, order)
     for seed in seeds:
-        z_eq, zhat_eq, used = _series_pair(r, k, order, seed, None, EQUIVARIANT, retries, memo)
-        z_lim, zhat_lim, _ = _series_pair(r, k, order, used, None, LIMIT, retries, memo)
+        z_eq, zhat_eq, used = _series_pair(r, k, order, seed, EQUIVARIANT, retries, memo)
+        z_lim, zhat_lim, _ = _series_pair(r, k, order, used, LIMIT, retries, memo)
         lhs = zhat_eq * z_lim
         rhs = zhat_lim * z_eq
         bad = lhs.first_difference(rhs, order)
@@ -413,7 +411,7 @@ def verify_rank1_identity(
     ok = True
     rhs = rank1.nekrasov_okounkov_rhs(order)
     for seed in seeds:
-        z, zhat, used = _series_pair(1, 0, 2 * order, seed, None, EQUIVARIANT, retries, memo)
+        z, zhat, used = _series_pair(1, 0, 2 * order, seed, EQUIVARIANT, retries, memo)
         bad = _halve_grading(zhat).first_difference(rhs * _halve_grading(z), order)
         if bad is not None:
             ok = False
@@ -424,21 +422,26 @@ def verify_rank1_identity(
 
 
 def _rank_reports(r: int, seeds) -> list[VerificationReport]:
-    """The drivers of rank r, on one SeriesMemo.
+    """The drivers of rank r, on one SeriesMemo, in grid order.
 
     At rank 1 the rank-one identity at the first three seeds comes first;
     at order 8 it asks for exactly the series the main theorem then
     finds in the memo.  Then for each k the main theorem, the corollary
-    and the limit check.
+    and the limit check.  The k run from r - 1 down to 0: the plane
+    series of a larger k reach further, so each shape is built once, at
+    its longest, and served whole to every smaller k.
     """
     memo = SeriesMemo()
     reports = [verify_rank1_identity(8, seeds[:3], memo=memo)] if r == 1 else []
-    for k in range(r):
+    by_k = {}
+    for k in range(r - 1, -1, -1):
         lim_order = blowup_virtual_dim(r, k, min(2, 8 // r))
-        reports.append(verify_main_theorem(r, k, seeds=seeds, memo=memo))
-        reports.append(verify_corollary(r, k, seeds=seeds, memo=memo))
-        reports.append(verify_limit_consistency(r, k, lim_order, seeds, memo=memo))
-    return reports
+        by_k[k] = (
+            verify_main_theorem(r, k, seeds=seeds, memo=memo),
+            verify_corollary(r, k, seeds=seeds, memo=memo),
+            verify_limit_consistency(r, k, lim_order, seeds, memo=memo),
+        )
+    return reports + [rep for k in range(r) for rep in by_k[k]]
 
 
 def _usable_cpus() -> int:

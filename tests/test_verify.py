@@ -103,12 +103,12 @@ def test_limit_pair_returns_where_the_equivariant_pair_returned():
     memo = SeriesMemo()
     for seed, weight in ((53, "e2/e1 * t1^2 * t2^2"), (192, "e1/e2 * t1^-1")):
         retries = []
-        *_, used = verify._series_pair(2, 1, order, seed, None, EQUIVARIANT, retries, memo)
+        *_, used = verify._series_pair(2, 1, order, seed, EQUIVARIANT, retries, memo)
         assert used == seed + 1 and len(retries) == 1 and weight in retries[0]
-        *_, used_lim = verify._series_pair(2, 1, order, used, None, LIMIT, retries, memo)
+        *_, used_lim = verify._series_pair(2, 1, order, used, LIMIT, retries, memo)
         assert used_lim == used and len(retries) == 1
         # the limit pair returns even at the seed that degenerated above
-        assert verify._series_pair(2, 1, order, seed, None, LIMIT, retries, memo)[2] == seed
+        assert verify._series_pair(2, 1, order, seed, LIMIT, retries, memo)[2] == seed
         assert len(retries) == 1
     report = verify_limit_consistency(2, 1, order, (53, 192))
     assert report.outcome and report.details == []
@@ -494,7 +494,26 @@ def test_verify_all_shares_series_within_a_rank(monkeypatch):
     built.clear()
     failed.clear()
     verify.verify_all((101,))
-    assert len(built) == 22 and not failed
+    # each rank runs its largest k first, so no shape is built twice
+    shapes = {(kind, req.rank, req.spec, req.k, req.mode) for kind, req in built}
+    assert len(built) == len(shapes) == 18 and not failed
+
+
+def test_main_theorem_forms_one_product_per_seed(monkeypatch):
+    # the two lattice y-sign factors agree, so only yk_main(+1) * z is formed
+    seeds = (101, 102)
+    memo = SeriesMemo()
+    expected = verify_main_theorem(2, 1, seeds=seeds, memo=memo)
+    products = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    assert verify_main_theorem(2, 1, seeds=seeds, memo=memo).to_json() == expected.to_json()
+    assert len(products) == len(seeds)
 
 
 def run_grid(monkeypatch, cpus, seeds):
@@ -761,13 +780,9 @@ def test_series_memo_serves_the_longer_build_whole(monkeypatch):
         fresh = build(req)
         assert served.order > fresh.order
         assert same_series(served.truncate(fresh.order), fresh)
-    # a numeric y0 evaluates the served pair once, after the memo
-    for y0 in (None, F(1), F(0)):
-        got = verify._series_pair(2, 1, 9, 101, y0, EQUIVARIANT, [], memo)
-        assert got[2] == 101
-        for got_series, kind in zip(got, ("z", "zhat")):
-            series = longer[kind]
-            assert same_series(got_series, series if y0 is None else series.at_y(y0))
+    # a driver's pair is served too, y symbolic; a numeric-y check evaluates it itself
+    z, zhat, used = verify._series_pair(2, 1, 9, 101, EQUIVARIANT, [], memo)
+    assert used == 101 and z is longer["z"] and zhat is longer["zhat"]
     assert not built and not failed
     # another kind, k, mode or seed, or a larger max_n, is built
     others = [("z", 2, 0, LIMIT, 101), ("zhat", 2, 0, EQUIVARIANT, 101),
